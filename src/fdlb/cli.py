@@ -36,6 +36,7 @@ from .reasoner import (
     ExplanationStep,
     InconsistencyError,
     SaturatedKb,
+    check_consistency,
     format_conflict,
     format_explanation,
     saturate,
@@ -111,18 +112,11 @@ def _emit_json(payload: object) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    kb = _load_kb(args.kb)
-    try:
-        saturate(kb)
-        consistent = True
-        conflicts = ()
-    except InconsistencyError as exc:
-        consistent = False
-        conflicts = exc.report.conflicts
+    report = check_consistency(_load_kb(args.kb))
     if args.format == "structured":
         payload = {
             "kb": args.kb,
-            "consistent": consistent,
+            "consistent": report.consistent,
             "conflicts": [
                 {
                     "individual": c.individual,
@@ -130,17 +124,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     "lo": render_decimal(c.lo_value),
                     "hi": render_decimal(c.hi_value),
                 }
-                for c in conflicts
+                for c in report.conflicts
             ],
         }
         _emit_json(payload)
     else:
-        if consistent:
+        if report.consistent:
             print("consistent")
         else:
-            for c in conflicts:
+            for c in report.conflicts:
                 print(format_conflict(c))
-    return EXIT_OK if consistent else EXIT_INCONSISTENT
+    return EXIT_OK if report.consistent else EXIT_INCONSISTENT
 
 
 # --------------------------------------------------------------------------
@@ -190,15 +184,20 @@ def _print_report(report: DecisionReport) -> None:
         print(f"undecided: {pairs}")
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _rank_all(args: argparse.Namespace) -> list[DecisionReport]:
+    """Load the base and the utility boxes, saturate once, rank per expert."""
     kb = _load_kb(args.kb)
     uboxes = [_load_ubox(path) for path in args.ubox]
     sat = _saturate(kb)
     choices = _choices(args, kb)
     try:
-        reports = [rank_choices(sat, choices, ubox) for ubox in uboxes]
+        return [rank_choices(sat, choices, ubox) for ubox in uboxes]
     except FdlbError as exc:
         raise _CliError(str(exc)) from None
+
+
+def _cmd_rank(args: argparse.Namespace) -> int:
+    reports = _rank_all(args)
     if args.format == "structured":
         _emit_json({
             "kb": args.kb,
@@ -216,14 +215,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_complete(args: argparse.Namespace) -> int:
-    kb = _load_kb(args.kb)
-    uboxes = [_load_ubox(path) for path in args.ubox]
-    sat = _saturate(kb)
-    choices = _choices(args, kb)
-    try:
-        reports = [rank_choices(sat, choices, ubox) for ubox in uboxes]
-    except FdlbError as exc:
-        raise _CliError(str(exc)) from None
+    reports = _rank_all(args)
     if args.format == "structured":
         _emit_json({
             "kb": args.kb,

@@ -432,7 +432,7 @@ class _Parser:
             role_tok = self.take_ident("a role name")
             if self.at_punct("."):
                 self.advance()
-            decl = self._require_role(role_tok, fatal=True)
+            decl = self._require_role(role_tok)
             if decl.kind == "concrete":
                 return Exists(role_tok.text, self.parse_comparator(decl, role_tok))
             return Exists(role_tok.text, self.parse_unary())
@@ -441,7 +441,7 @@ class _Parser:
             role_tok = self.take_ident("a role name")
             if self.at_punct("."):
                 self.advance()
-            decl = self._require_role(role_tok, fatal=True)
+            decl = self._require_role(role_tok)
             if decl.kind != "abstract":
                 raise _StatementError(
                     f"value restrictions require an abstract role, {role_tok.text!r} is concrete",
@@ -484,7 +484,7 @@ class _Parser:
             )
         return ConcretePredicate(_COMPARATOR_KW[op_tok.text], Quantity(Fraction(value_tok.text), unit_tok.text))
 
-    def _require_role(self, role_tok: Token, fatal: bool = False) -> RoleDecl:
+    def _require_role(self, role_tok: Token) -> RoleDecl:
         decl = self.roles.get(role_tok.text)
         if decl is None:
             raise _StatementError(f"role {role_tok.text!r} is not declared", role_tok.span)

@@ -133,11 +133,39 @@ class Quantity:
         return self.magnitude >= other.magnitude
 
 
+def _memoized_hash(self) -> int:
+    try:
+        return self._hash
+    except AttributeError:
+        h = hash((type(self).__name__, *(getattr(self, name) for name in self.__dataclass_fields__)))
+        object.__setattr__(self, "_hash", h)
+        return h
+
+
+def _state_without_hash(self) -> dict:
+    state = dict(self.__dict__)
+    state.pop("_hash", None)
+    return state
+
+
+def _memoize_hash(cls):
+    """Give a frozen dataclass a structural hash computed once per instance.
+
+    Expressions key every bound and derivation map, and the generated hash
+    would walk the whole tree on each lookup.  String hashes differ between
+    processes, so the memo is left out of the pickled state.
+    """
+    cls.__hash__ = _memoized_hash
+    cls.__getstate__ = _state_without_hash
+    return cls
+
+
 # Comparator symbols for concrete restrictions.  Surface keywords GT/GE/LT/LE
 # map onto these.
 COMPARATORS = (">", ">=", "<", "<=")
 
 
+@_memoize_hash
 @dataclass(frozen=True)
 class ConcretePredicate:
     """A crisp comparison against a threshold quantity on a concrete role."""
@@ -166,38 +194,45 @@ class ConcretePredicate:
 # Concept expressions
 
 
+@_memoize_hash
 @dataclass(frozen=True)
 class Top:
     pass
 
 
+@_memoize_hash
 @dataclass(frozen=True)
 class Bottom:
     pass
 
 
+@_memoize_hash
 @dataclass(frozen=True)
 class Atom:
     name: str
 
 
+@_memoize_hash
 @dataclass(frozen=True)
 class Not:
     body: "ConceptExpression"
 
 
+@_memoize_hash
 @dataclass(frozen=True)
 class And:
     lhs: "ConceptExpression"
     rhs: "ConceptExpression"
 
 
+@_memoize_hash
 @dataclass(frozen=True)
 class Or:
     lhs: "ConceptExpression"
     rhs: "ConceptExpression"
 
 
+@_memoize_hash
 @dataclass(frozen=True)
 class Exists:
     """Existential restriction.
@@ -210,6 +245,7 @@ class Exists:
     target: Union["ConceptExpression", ConcretePredicate]
 
 
+@_memoize_hash
 @dataclass(frozen=True)
 class Forall:
     role: str

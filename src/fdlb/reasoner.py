@@ -30,6 +30,21 @@ Rules, by the name recorded on each derivation:
 Inclusions never propagate right-to-left (no contrapositive rule): what the
 knowledge base does not determine stays at the vacuous interval [0, 1]
 rather than being guessed.
+
+Bound storage: the engine keeps two flat maps, ``lo[(individual, expr)]``
+and ``hi[(individual, expr)]``, holding only bounds that moved off their
+defaults (0 and 1).  Rules are triggered through indexes built once per
+closure — the parents of each conjunct or disjunct with their child
+tuples, ``exists-up`` by (role, target) and ``forall-up`` by (role, body)
+on closed roles — and a derivation is recorded only when a bound
+improves.  :class:`SaturatedKb` keeps both maps and builds a
+:class:`DegreeInterval` only when a query returns one.
+
+Extensions: a query on an expression outside the closure re-saturates
+with that expression added.  Each :class:`SaturatedKb` memoizes these
+extensions per normalized expression, shared by ``instance_interval`` and
+``explain``, so ranking many choices on one out-of-closure attribute
+saturates once for that attribute.
 """
 
 from __future__ import annotations
@@ -37,6 +52,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .model import (
@@ -194,7 +210,8 @@ class _Saturation:
         self.kb = kb
         self.closure = build_closure(kb, extra)
         self.closure_set = frozenset(self.closure)
-        self.intervals: dict[tuple[str, ConceptExpression], DegreeInterval] = {}
+        self.lo: dict[tuple[str, ConceptExpression], Fraction] = {}  # absent = 0
+        self.hi: dict[tuple[str, ConceptExpression], Fraction] = {}  # absent = 1
         self.derivations: dict[Key, DerivationNode] = {}
         self.queue: deque[Key] = deque()
         self.step = 0
@@ -205,28 +222,37 @@ class _Saturation:
     def _build_indexes(self) -> None:
         kb = self.kb
         self.neg_partners: dict[ConceptExpression, list[ConceptExpression]] = {}
-        self.conj_parents: dict[ConceptExpression, list[ConceptExpression]] = {}
-        self.disj_parents: dict[ConceptExpression, list[ConceptExpression]] = {}
-        self.exists_by_role: dict[str, list[Exists]] = {}
-        self.forall_by_role: dict[str, list[Forall]] = {}
+        self.conj_parts: dict[ConceptExpression, tuple[ConceptExpression, ...]] = {}
+        self.conj_parents: dict[ConceptExpression, list[tuple[ConceptExpression, tuple]]] = {}
+        self.disj_parents: dict[ConceptExpression, list[tuple[ConceptExpression, tuple]]] = {}
+        self.exists_up: dict[tuple[str, ConceptExpression], Exists] = {}
+        self.forall_up: dict[tuple[str, ConceptExpression], Forall] = {}
+        self.closed_foralls: dict[str, list[Forall]] = {}
         self.concrete_nodes: list[Exists] = []
         for e in self.closure:
             if isinstance(e, Not):
                 self.neg_partners.setdefault(e.body, []).append(e)
                 self.neg_partners.setdefault(e, []).append(e.body)
             elif isinstance(e, And):
-                for c in conjuncts(e):
-                    self.conj_parents.setdefault(c, []).append(e)
+                parts = self.conj_parts[e] = conjuncts(e)
+                for c in parts:
+                    self.conj_parents.setdefault(c, []).append((e, parts))
             elif isinstance(e, Or):
-                for c in disjuncts(e):
-                    self.disj_parents.setdefault(c, []).append(e)
+                parts = disjuncts(e)
+                for c in parts:
+                    self.disj_parents.setdefault(c, []).append((e, parts))
             elif isinstance(e, Exists):
                 if isinstance(e.target, ConcretePredicate):
                     self.concrete_nodes.append(e)
                 else:
-                    self.exists_by_role.setdefault(e.role, []).append(e)
+                    self.exists_up[(e.role, e.target)] = e
             elif isinstance(e, Forall):
-                self.forall_by_role.setdefault(e.role, []).append(e)
+                decl = kb.roles.get(e.role)
+                if decl is not None and decl.closed:
+                    self.forall_up[(e.role, e.body)] = e
+                    self.closed_foralls.setdefault(e.role, []).append(e)
+        # expressions whose lower bound on a filler can move a quantifier
+        self.quantified = {target for _, target in self.exists_up} | {body for _, body in self.forall_up}
 
         self.fillers: dict[tuple[str, str], list[str]] = {}
         self.pointing_at: dict[str, list[tuple[str, str]]] = {}
@@ -238,49 +264,35 @@ class _Saturation:
                 self.pointing_at.setdefault(ra.filler, []).append((ra.subject, ra.role))
                 self.role_fact[(ra.subject, ra.filler, ra.role)] = ra
 
-        self.values: dict[tuple[str, str], object] = {}
+        self.values_by_role: dict[str, list[tuple[str, object]]] = {}
         for cf in kb.concrete_facts:
-            self.values[(cf.subject, cf.role)] = cf
+            self.values_by_role.setdefault(cf.role, []).append((cf.subject, cf))
 
-        self.gcis_by_lhs: dict[ConceptExpression, list[FuzzyGci]] = {}
-        self.bottom_by_conjunct: dict[ConceptExpression, list[FuzzyGci]] = {}
+        self.gcis_by_lhs: dict[ConceptExpression, list[tuple[FuzzyGci, Fraction]]] = {}
+        self.bottom_by_conjunct: dict[ConceptExpression, list[tuple[FuzzyGci, Fraction, tuple]]] = {}
         self.bottom_simple: list[FuzzyGci] = []
         for gci in kb.gcis:
+            cap = ONE - gci.degree
             if gci.rhs == BOTTOM:
                 if isinstance(gci.lhs, And):
-                    for c in set(conjuncts(gci.lhs)):
-                        self.bottom_by_conjunct.setdefault(c, []).append(gci)
+                    parts = conjuncts(gci.lhs)
+                    for c in set(parts):
+                        self.bottom_by_conjunct.setdefault(c, []).append((gci, cap, parts))
                 else:
                     self.bottom_simple.append(gci)
             else:
-                self.gcis_by_lhs.setdefault(gci.lhs, []).append(gci)
+                self.gcis_by_lhs.setdefault(gci.lhs, []).append((gci, cap))
 
-    # -- bound accessors
-
-    def interval(self, ind: str, expr: ConceptExpression) -> DegreeInterval:
-        return self.intervals.get((ind, expr), FULL_INTERVAL)
-
-    def lo(self, ind: str, expr: ConceptExpression) -> Fraction:
-        return self.interval(ind, expr).lo
-
-    def hi(self, ind: str, expr: ConceptExpression) -> Fraction:
-        return self.interval(ind, expr).hi
-
-    def _explain_step(self, key: Key, path: frozenset[Key] = frozenset()) -> ExplanationStep:
-        node = self.derivations[key]
-        if key in path:
-            return ExplanationStep(node, (), cyclic=True)
-        deeper = path | {key}
-        return ExplanationStep(node, tuple(self._explain_step(p, deeper) for p in node.premises))
+    # -- bound updates
 
     def _conflict(self, ind: str, expr: ConceptExpression, new: DerivationNode) -> Conflict:
         # The losing side's current bound must itself be derived: a default
         # bound (0 or 1) can never be crossed by a value inside [0, 1].
         self.derivations[(ind, expr, new.kind)] = new
-        lo_tree = self._explain_step((ind, expr, "lo"))
-        hi_tree = self._explain_step((ind, expr, "hi"))
-        lo_value = new.value if new.kind == "lo" else self.lo(ind, expr)
-        hi_value = new.value if new.kind == "hi" else self.hi(ind, expr)
+        lo_tree = _tree_from(self.derivations, (ind, expr, "lo"))
+        hi_tree = _tree_from(self.derivations, (ind, expr, "hi"))
+        lo_value = new.value if new.kind == "lo" else self.lo[(ind, expr)]
+        hi_value = new.value if new.kind == "hi" else self.hi[(ind, expr)]
         return Conflict(ind, expr, lo_value, hi_value, lo_tree, hi_tree)
 
     def set_lo(
@@ -293,16 +305,17 @@ class _Saturation:
         source: object | None = None,
         note: str = "",
     ) -> None:
-        cur = self.interval(ind, expr)
-        if value <= cur.lo:
+        bound = (ind, expr)
+        if value <= self.lo.get(bound, ZERO):
             return
         self.step += 1
         node = DerivationNode(rule, ind, expr, "lo", value, premises, source, note, self.step)
-        if value > cur.hi:
+        if value > self.hi.get(bound, ONE):
             raise _ConflictFound(self._conflict(ind, expr, node))
-        self.intervals[(ind, expr)] = DegreeInterval(value, cur.hi)
-        self.derivations[(ind, expr, "lo")] = node
-        self.queue.append((ind, expr, "lo"))
+        self.lo[bound] = value
+        key = (ind, expr, "lo")
+        self.derivations[key] = node
+        self.queue.append(key)
 
     def set_hi(
         self,
@@ -314,16 +327,17 @@ class _Saturation:
         source: object | None = None,
         note: str = "",
     ) -> None:
-        cur = self.interval(ind, expr)
-        if value >= cur.hi:
+        bound = (ind, expr)
+        if value >= self.hi.get(bound, ONE):
             return
         self.step += 1
         node = DerivationNode(rule, ind, expr, "hi", value, premises, source, note, self.step)
-        if value < cur.lo:
+        if value < self.lo.get(bound, ZERO):
             raise _ConflictFound(self._conflict(ind, expr, node))
-        self.intervals[(ind, expr)] = DegreeInterval(cur.lo, value)
-        self.derivations[(ind, expr, "hi")] = node
-        self.queue.append((ind, expr, "hi"))
+        self.hi[bound] = value
+        key = (ind, expr, "hi")
+        self.derivations[key] = node
+        self.queue.append(key)
 
     # -- seeds
 
@@ -335,9 +349,7 @@ class _Saturation:
         for fa in kb.assertions:
             self.set_lo(fa.individual, fa.concept, fa.degree, "assertion", (), source=fa)
         for node in self.concrete_nodes:
-            for (ind, role), cf in self.values.items():
-                if role != node.role:
-                    continue
+            for ind, cf in self.values_by_role.get(node.role, ()):
                 hit = node.target.evaluate(cf.value)  # type: ignore[union-attr]
                 if hit == ONE:
                     self.set_lo(ind, node, ONE, "concrete", (), source=cf)
@@ -347,106 +359,121 @@ class _Saturation:
             cap = ONE - gci.degree
             for a in kb.individuals:
                 self.set_hi(a, gci.lhs, cap, "disjoint", (), source=gci)
-        for role, nodes in self.forall_by_role.items():
-            decl = kb.roles.get(role)
-            if decl is None or not decl.closed:
-                continue
+        for role, nodes in self.closed_foralls.items():
             for node in nodes:
                 for a in kb.individuals:
                     if not self.fillers.get((a, role)):
                         self.set_lo(a, node, ONE, "forall-up", (), note="closed role with no fillers")
 
     # -- propagation
+    #
+    # Each rule below first checks whether its candidate can improve the
+    # bound it targets and only then builds premises and a witness: most
+    # firings improve nothing, and set_lo/set_hi would drop them anyway.
 
     def run(self) -> None:
         self.seed()
-        while self.queue:
-            ind, expr, kind = self.queue.popleft()
-            self._propagate(ind, expr, kind)
-
-    def _propagate(self, a: str, e: ConceptExpression, kind: Bound) -> None:
-        for partner in self.neg_partners.get(e, ()):
-            if kind == "lo":
-                self.set_hi(a, partner, ONE - self.lo(a, e), "negation", ((a, e, "lo"),))
+        queue = self.queue
+        while queue:
+            key = queue.popleft()
+            if key[2] == "lo":
+                self._lo_changed(key)
             else:
-                self.set_lo(a, partner, ONE - self.hi(a, e), "negation", ((a, e, "hi"),))
-        if kind == "lo":
-            self._lo_changed(a, e)
-        else:
-            self._hi_changed(a, e)
+                self._hi_changed(key)
 
-    def _lo_changed(self, a: str, e: ConceptExpression) -> None:
-        for parent in self.conj_parents.get(e, ()):
-            parts = conjuncts(parent)
-            candidate = min(self.lo(a, c) for c in parts)
-            self.set_lo(a, parent, candidate, "conj-up", tuple((a, c, "lo") for c in parts))
-        for parent in self.disj_parents.get(e, ()):
-            parts = disjuncts(parent)
-            candidate = max(self.lo(a, c) for c in parts)
-            witness = next(c for c in parts if self.lo(a, c) == candidate)
-            self.set_lo(a, parent, candidate, "disj-up", ((a, witness, "lo"),))
-        if isinstance(e, And):
-            bound = self.lo(a, e)
-            for c in conjuncts(e):
-                self.set_lo(a, c, bound, "conj-down", ((a, e, "lo"),))
+    def _lo_changed(self, key: Key) -> None:
+        a, e, _ = key
+        lo = self.lo
+        value = lo[(a, e)]
+        for partner in self.neg_partners.get(e, ()):
+            self.set_hi(a, partner, ONE - value, "negation", (key,))
+        for parent, parts in self.conj_parents.get(e, ()):
+            current = lo.get((a, parent), ZERO)
+            if value <= current:
+                continue  # the minimum over the parts is at most value
+            candidate = min(lo.get((a, c), ZERO) for c in parts)
+            if candidate > current:
+                self.set_lo(a, parent, candidate, "conj-up", tuple((a, c, "lo") for c in parts))
+        for parent, parts in self.disj_parents.get(e, ()):
+            candidate = max(lo.get((a, c), ZERO) for c in parts)
+            if candidate > lo.get((a, parent), ZERO):
+                witness = next(c for c in parts if lo.get((a, c), ZERO) == candidate)
+                self.set_lo(a, parent, candidate, "disj-up", ((a, witness, "lo"),))
+        parts = self.conj_parts.get(e)
+        if parts is not None:
+            for c in parts:
+                self.set_lo(a, c, value, "conj-down", (key,))
         if isinstance(e, Forall):
-            bound = self.lo(a, e)
             for b in self.fillers.get((a, e.role), ()):
-                self.set_lo(
-                    b, e.body, bound, "forall-down", ((a, e, "lo"),),
-                    source=self.role_fact[(a, b, e.role)],
-                )
-        for subject, role in self.pointing_at.get(a, ()):
-            for node in self.exists_by_role.get(role, ()):
-                if node.target != e:
-                    continue
+                self.set_lo(b, e.body, value, "forall-down", (key,), source=self.role_fact[(a, b, e.role)])
+        if e in self.quantified:
+            self._quantifiers_up(a, e, value)
+        for gci, cap in self.gcis_by_lhs.get(e, ()):
+            if lo[(a, e)] > cap:  # live: an inclusion of e into itself raises it
+                self.set_lo(a, gci.rhs, gci.degree, "gci", (key,), source=gci)
+        for gci, cap, parts in self.bottom_by_conjunct.get(e, ()):
+            self._apply_disjoint(a, gci, cap, parts)
+
+    def _quantifiers_up(self, b: str, e: ConceptExpression, value: Fraction) -> None:
+        # b's lower bound in e rose: revisit the quantifiers over e on every
+        # role edge that ends at b.
+        lo = self.lo
+        for subject, role in self.pointing_at.get(b, ()):
+            node = self.exists_up.get((role, e))
+            if node is not None:
                 fils = self.fillers[(subject, role)]
-                candidate = max(self.lo(b, e) for b in fils)
-                witness = next(b for b in fils if self.lo(b, e) == candidate)
-                self.set_lo(
-                    subject, node, candidate, "exists-up", ((witness, e, "lo"),),
-                    source=self.role_fact[(subject, witness, role)],
-                )
-            decl = self.kb.roles.get(role)
-            if decl is not None and decl.closed:
-                for node in self.forall_by_role.get(role, ()):
-                    if node.body != e:
-                        continue
-                    fils = self.fillers[(subject, role)]
-                    candidate = min(self.lo(b, e) for b in fils)
+                candidate = max(lo.get((f, e), ZERO) for f in fils)
+                if candidate > lo.get((subject, node), ZERO):
+                    witness = next(f for f in fils if lo.get((f, e), ZERO) == candidate)
+                    self.set_lo(
+                        subject, node, candidate, "exists-up", ((witness, e, "lo"),),
+                        source=self.role_fact[(subject, witness, role)],
+                    )
+            node = self.forall_up.get((role, e))
+            if node is not None:
+                current = lo.get((subject, node), ZERO)
+                if value <= current:
+                    continue  # the minimum over the fillers is at most value
+                fils = self.fillers[(subject, role)]
+                candidate = min(lo.get((f, e), ZERO) for f in fils)
+                if candidate > current:
                     self.set_lo(
                         subject, node, candidate, "forall-up",
-                        tuple((b, e, "lo") for b in fils),
+                        tuple((f, e, "lo") for f in fils),
                         note="closed role: the listed fillers are all fillers",
                     )
-        for gci in self.gcis_by_lhs.get(e, ()):
-            if self.lo(a, e) > ONE - gci.degree:
-                self.set_lo(a, gci.rhs, gci.degree, "gci", ((a, e, "lo"),), source=gci)
-        for gci in self.bottom_by_conjunct.get(e, ()):
-            self._apply_disjoint(a, gci)
 
-    def _apply_disjoint(self, a: str, gci: FuzzyGci) -> None:
-        cap = ONE - gci.degree
-        parts = conjuncts(gci.lhs)
+    def _apply_disjoint(self, a: str, gci: FuzzyGci, cap: Fraction, parts: tuple) -> None:
+        # A conjunct is capped once every other conjunct exceeds the cap.
+        above = [self.lo.get((a, c), ZERO) > cap for c in parts]
+        below = above.count(False)
+        if below > 1:
+            return
         for j, cj in enumerate(parts):
-            others = parts[:j] + parts[j + 1 :]
-            if min(self.lo(a, c) for c in others) > cap:
-                self.set_hi(
-                    a, cj, cap, "disjoint",
-                    tuple((a, c, "lo") for c in others),
-                    source=gci,
-                )
+            if below == 1 and above[j]:
+                continue
+            if cap < self.hi.get((a, cj), ONE):
+                others = parts[:j] + parts[j + 1 :]
+                self.set_hi(a, cj, cap, "disjoint", tuple((a, c, "lo") for c in others), source=gci)
 
-    def _hi_changed(self, a: str, e: ConceptExpression) -> None:
-        for parent in self.conj_parents.get(e, ()):
-            parts = conjuncts(parent)
-            candidate = min(self.hi(a, c) for c in parts)
-            witness = next(c for c in parts if self.hi(a, c) == candidate)
-            self.set_hi(a, parent, candidate, "conj-hi", ((a, witness, "hi"),))
-        for parent in self.disj_parents.get(e, ()):
-            parts = disjuncts(parent)
-            candidate = max(self.hi(a, c) for c in parts)
-            self.set_hi(a, parent, candidate, "disj-hi", tuple((a, c, "hi") for c in parts))
+    def _hi_changed(self, key: Key) -> None:
+        a, e, _ = key
+        hi = self.hi
+        value = hi[(a, e)]
+        for partner in self.neg_partners.get(e, ()):
+            self.set_lo(a, partner, ONE - value, "negation", (key,))
+        for parent, parts in self.conj_parents.get(e, ()):
+            candidate = min(hi.get((a, c), ONE) for c in parts)
+            if candidate < hi.get((a, parent), ONE):
+                witness = next(c for c in parts if hi.get((a, c), ONE) == candidate)
+                self.set_hi(a, parent, candidate, "conj-hi", ((a, witness, "hi"),))
+        for parent, parts in self.disj_parents.get(e, ()):
+            current = hi.get((a, parent), ONE)
+            if value >= current:
+                continue  # the maximum over the parts is at least value
+            candidate = max(hi.get((a, c), ONE) for c in parts)
+            if candidate < current:
+                self.set_hi(a, parent, candidate, "disj-hi", tuple((a, c, "hi") for c in parts))
 
 
 # --------------------------------------------------------------------------
@@ -455,14 +482,21 @@ class _Saturation:
 
 @dataclass(frozen=True)
 class SaturatedKb:
-    """A knowledge base together with its saturated interval map."""
+    """A knowledge base together with its saturated bounds.
+
+    ``_lo`` and ``_hi`` hold every bound saturation moved off its default
+    (0 from below, 1 from above); intervals are assembled on demand.
+    """
 
     kb: KnowledgeBase
     closure: tuple[ConceptExpression, ...]
     _closure_set: frozenset[ConceptExpression]
-    _intervals: Mapping[tuple[str, ConceptExpression], DegreeInterval]
+    _lo: Mapping[tuple[str, ConceptExpression], Fraction]
+    _hi: Mapping[tuple[str, ConceptExpression], Fraction]
     _derivations: Mapping[Key, DerivationNode]
     _individual_set: frozenset[str] = field(default_factory=frozenset)
+    # saturations with one out-of-closure query expression added, by expression
+    _extensions: dict[ConceptExpression, "SaturatedKb"] = field(default_factory=dict, repr=False, compare=False)
 
     def interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
         """The entailed interval for an in-closure expression (no extension)."""
@@ -470,23 +504,23 @@ class SaturatedKb:
         e = normalize(expr)
         if e not in self._closure_set:
             raise FdlbError(f"{_describe(e)} is outside the saturated closure; use instance_interval")
-        return self._intervals.get((individual, e), FULL_INTERVAL)
+        return self._interval((individual, e))
 
     def instance_interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
         """The entailed membership interval of an individual in any concept.
 
         Expressions outside the closure are answered by re-saturating with
-        the query added, which never loosens anything already entailed.  If
-        the extra expression exposes a contradiction the knowledge base was
-        inconsistent all along and :class:`InconsistencyError` is raised.
+        the query added, which never loosens anything already entailed.  The
+        extension is memoized per expression, so later queries on the same
+        expression, for any individual, reuse it.  If the extra expression
+        exposes a contradiction the knowledge base was inconsistent all
+        along and :class:`InconsistencyError` is raised.
         """
         self._check_individual(individual)
         e = normalize(expr)
         if e in self._closure_set:
-            return self._intervals.get((individual, e), FULL_INTERVAL)
-        check_concept_roles(e, self.kb.roles, "query")
-        extended = saturate(self.kb, extra_concepts=(e,))
-        return extended.interval(individual, e)
+            return self._interval((individual, e))
+        return self._extension(e).interval(individual, e)
 
     def entailed_lower_bound(self, individual: str, expr: ConceptExpression) -> Fraction | None:
         """The entailed lower membership bound, or None when undecided.
@@ -501,21 +535,22 @@ class SaturatedKb:
 
     def interval_map(self) -> dict[tuple[str, ConceptExpression], DegreeInterval]:
         """All non-vacuous entailed intervals, keyed by (individual, expression)."""
-        return {key: iv for key, iv in self._intervals.items() if iv != FULL_INTERVAL}
+        return {key: self._interval(key) for key in chain(self._lo, self._hi)}
 
     def explain(self, individual: str, expr: ConceptExpression, kind: Bound = "lo") -> Explanation:
         """The derivation tree behind one bound.
 
-        Raises :class:`NoDerivationError` when the bound is still at its
-        default (0 from below, 1 from above) — there is nothing to show.
+        Out-of-closure expressions are explained from the same memoized
+        extension :meth:`instance_interval` uses.  Raises
+        :class:`NoDerivationError` when the bound is still at its default
+        (0 from below, 1 from above) — there is nothing to show.
         """
         if kind not in ("lo", "hi"):
             raise ValueError("kind must be 'lo' or 'hi'")
         self._check_individual(individual)
         e = normalize(expr)
         if e not in self._closure_set:
-            check_concept_roles(e, self.kb.roles, "query")
-            return saturate(self.kb, extra_concepts=(e,)).explain(individual, e, kind)
+            return self._extension(e).explain(individual, e, kind)
         key = (individual, e, kind)
         node = self._derivations.get(key)
         if node is None:
@@ -525,6 +560,20 @@ class SaturatedKb:
             )
         root = _tree_from(self._derivations, key)
         return Explanation(individual, e, kind, node.value, root)
+
+    def _interval(self, key: tuple[str, ConceptExpression]) -> DegreeInterval:
+        lo = self._lo.get(key)
+        hi = self._hi.get(key)
+        if lo is None and hi is None:
+            return FULL_INTERVAL
+        return DegreeInterval(ZERO if lo is None else lo, ONE if hi is None else hi)
+
+    def _extension(self, e: ConceptExpression) -> "SaturatedKb":
+        extended = self._extensions.get(e)
+        if extended is None:
+            check_concept_roles(e, self.kb.roles, "query")
+            extended = self._extensions[e] = saturate(self.kb, extra_concepts=(e,))
+        return extended
 
     def _check_individual(self, individual: str) -> None:
         if individual not in self._individual_set:
@@ -562,7 +611,8 @@ def saturate(kb: KnowledgeBase, extra_concepts: Sequence[ConceptExpression] = ()
         kb=kb,
         closure=engine.closure,
         _closure_set=engine.closure_set,
-        _intervals=engine.intervals,
+        _lo=engine.lo,
+        _hi=engine.hi,
         _derivations=engine.derivations,
         _individual_set=frozenset(kb.individuals),
     )

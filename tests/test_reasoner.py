@@ -389,3 +389,127 @@ def test_final_derivations_replay_exactly(fixture, request):
     sat = saturate(request.getfixturevalue(fixture))
     for node in graph_of(sat).values():
         assert recompute(sat, node) == node.value, (node.rule, node.individual)
+
+
+# -- memoized extensions, indexed quantifier triggers, bound storage, hashes
+
+
+def test_rank_saturates_once_per_out_of_closure_attribute(monkeypatch):
+    import fdlb.reasoner
+    from fdlb.decision import UtilityBox, attribute_utility, rank
+
+    choices = [f"t{i}" for i in range(10)]
+    text = "concept Open1;\nconcept Open2;\n" + "".join(
+        f"assert {c} : Good @ 0.{i + 1};\n" for i, c in enumerate(choices)
+    )
+    kb = parse_kb(text).kb
+    box = UtilityBox("x", (("Good", Fraction(3)), ("Open1", Fraction(2)), ("Open2", Fraction(1))))
+    calls = []
+    real = fdlb.reasoner.saturate
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("extra_concepts", ()))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fdlb.reasoner, "saturate", counting)
+    report = rank(fdlb.reasoner.saturate(kb), choices, box)
+    assert calls == [(), (Atom("Open1"),), (Atom("Open2"),)]
+    monkeypatch.undo()
+    for row in report.rows:
+        for c in row.contributions:
+            # a fresh saturation per pair, so no memo is shared
+            assert c == attribute_utility(saturate(kb), row.choice, c.attribute, c.weight)
+    assert len(report.undecided) == 20
+
+
+def test_memoized_extension_serves_explain_and_intervals():
+    sat = sat_of("""
+        axiom A SUBSUMED-BY B @ 0.7;
+        assert x : A @ 0.9;
+        assert y : A @ 0.2;
+    """)
+    query = Or(Atom("B"), Atom("C"))
+    assert iv(sat, "x", query) == (Fraction(7, 10), ONE)
+    assert iv(sat, "y", query) == (ZERO, ONE)
+    assert sat.explain("x", query).value == Fraction(7, 10)
+    assert list(sat._extensions) == [normalize(query)]
+
+
+def test_quantifier_triggers_on_shared_roles_match_naive_engine():
+    from naive_engine import naive_saturate
+
+    kb = parse_kb("""
+        role o : abstract;
+        role c : abstract closed;
+        axiom EXISTS o . A SUBSUMED-BY G1;
+        axiom EXISTS o . B SUBSUMED-BY G2 @ 0.7;
+        axiom FORALL o . (A OR B) SUBSUMED-BY G3;
+        axiom EXISTS c . A SUBSUMED-BY G4 @ 0.8;
+        axiom EXISTS c . B SUBSUMED-BY G5;
+        axiom FORALL c . A SUBSUMED-BY G6;
+        axiom FORALL c . (B AND A) SUBSUMED-BY G7 @ 0.6;
+        assert (s, f1) : o;
+        assert (s, f2) : o;
+        assert (s, f1) : c;
+        assert (s, f2) : c;
+        assert (u, f2) : c;
+        assert (u, f3) : o;
+        assert v : FORALL o . A @ 0.4;
+        assert f1 : A @ 0.9;
+        assert f1 : B @ 0.3;
+        assert f2 : A @ 0.6;
+        assert f2 : B @ 0.8;
+        assert f3 : A;
+        assert s : FORALL o . B @ 0.5;
+        assert u : FORALL c . A @ 0.2;
+    """).kb
+    sat = saturate(kb)
+    verdict, intervals = naive_saturate(kb)
+    assert verdict
+    assert sat.interval_map() == intervals
+    assert iv(sat, "s", Exists("c", Atom("A"))) == (Fraction(9, 10), ONE)
+    assert iv(sat, "s", Forall("c", Atom("A"))) == (Fraction(3, 5), ONE)
+    assert iv(sat, "v", Forall("c", Atom("A"))) == (ONE, ONE)  # closed role, no fillers
+    assert iv(sat, "s", Exists("o", Atom("B"))) == (Fraction(4, 5), ONE)
+
+
+def test_interval_map_holds_only_non_vacuous_intervals(fuzzy_kb):
+    from fdlb.model import DegreeInterval, FULL_INTERVAL
+
+    sat = saturate(fuzzy_kb)
+    intervals = sat.interval_map()
+    assert intervals
+    assert all(isinstance(v, DegreeInterval) and v != FULL_INTERVAL for v in intervals.values())
+    assert isinstance(sat.interval("tab_1", Atom("Tablet")), DegreeInterval)
+    assert sat.interval("tab_2", Atom("LightweightTablet")) == FULL_INTERVAL
+    assert ("tab_2", Atom("LightweightTablet")) not in intervals
+    for (ind, expr), value in intervals.items():
+        assert sat.interval(ind, expr) == value
+
+
+def test_equal_expressions_hash_equal():
+    import pickle
+
+    from fdlb.model import to_negation_normal_form
+
+    def build():
+        price = ConcretePredicate("<=", Quantity(Fraction(500), "EUR"))
+        return And(
+            Or(Atom("A"), Not(Forall("r", Atom("B")))),
+            And(Exists("p", price), Exists("r", And(Atom("C"), TOP))),
+        )
+
+    first, second = build(), build()
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert hash(first) == hash(first)  # memoized value is stable
+    canonical = normalize(to_negation_normal_form(first))
+    again = normalize(to_negation_normal_form(normalize(to_negation_normal_form(build()))))
+    assert again == canonical and hash(again) == hash(canonical)
+    twice = to_negation_normal_form(Not(to_negation_normal_form(Not(first))))
+    assert twice == to_negation_normal_form(first)
+    assert hash(twice) == hash(to_negation_normal_form(first))
+    assert hash(And(Atom("A"), Atom("B"))) != hash(Or(Atom("A"), Atom("B")))
+    copy = pickle.loads(pickle.dumps(first))
+    assert "_hash" not in vars(copy)  # the memo never leaves the process
+    assert copy == first and hash(copy) == hash(first)
