@@ -59,8 +59,6 @@ from .model import (
     TOP,
     Top,
     build_kb,
-    conjuncts,
-    disjuncts,
     make_degree,
     split_equivalence,
 )
@@ -409,18 +407,18 @@ class _Parser:
     # -- concepts (precedence: NOT/quantifiers > AND > OR)
 
     def parse_concept(self) -> ConceptExpression:
-        expr = self.parse_and()
+        parts = [self.parse_and()]
         while self.at_kw("OR"):
             self.advance()
-            expr = Or(expr, self.parse_and())
-        return expr
+            parts.append(self.parse_and())
+        return parts[0] if len(parts) == 1 else Or(*parts)
 
     def parse_and(self) -> ConceptExpression:
-        expr = self.parse_unary()
+        parts = [self.parse_unary()]
         while self.at_kw("AND"):
             self.advance()
-            expr = And(expr, self.parse_unary())
-        return expr
+            parts.append(self.parse_unary())
+        return parts[0] if len(parts) == 1 else And(*parts)
 
     def parse_unary(self) -> ConceptExpression:
         tok = self.peek()
@@ -645,10 +643,11 @@ def _level(expr: ConceptExpression) -> int:
 
 
 def _render(expr: ConceptExpression, minimum: int) -> str:
+    # a child of its parent's own kind (unnormalized input) renders flat
     if isinstance(expr, Or):
-        text = " OR ".join(_render(c, _LEVEL_AND) for c in disjuncts(expr))
+        text = " OR ".join(_render(c, _LEVEL_OR) for c in expr.parts)
     elif isinstance(expr, And):
-        text = " AND ".join(_render(c, _LEVEL_UNARY) for c in conjuncts(expr))
+        text = " AND ".join(_render(c, _LEVEL_AND) for c in expr.parts)
     elif isinstance(expr, Not):
         text = f"NOT {_render(expr.body, _LEVEL_UNARY)}"
     elif isinstance(expr, Exists):

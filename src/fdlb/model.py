@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from typing import Iterator, Mapping, Sequence, Union
 
 # A membership degree is a rational in [0, 1].
@@ -39,7 +38,7 @@ class DegreeRangeError(FdlbError):
 
 
 class IntervalConflictError(FdlbError):
-    """A refinement would cross the bounds (lo > hi): the KB is inconsistent."""
+    """An interval would be empty (lo > hi)."""
 
     def __init__(self, lo: Fraction, hi: Fraction, context: str = ""):
         self.lo = lo
@@ -81,25 +80,6 @@ class DegreeInterval:
         make_degree(self.hi)
         if self.lo > self.hi:
             raise IntervalConflictError(self.lo, self.hi)
-
-    def refine(self, lo: Degree | None = None, hi: Degree | None = None) -> "DegreeInterval":
-        """Intersect with new bounds; raises IntervalConflictError when empty."""
-        new_lo = max(self.lo, lo) if lo is not None else self.lo
-        new_hi = min(self.hi, hi) if hi is not None else self.hi
-        if new_lo > new_hi:
-            raise IntervalConflictError(new_lo, new_hi)
-        return DegreeInterval(new_lo, new_hi)
-
-    def negate(self) -> "DegreeInterval":
-        """The interval of the complement class: [1 - hi, 1 - lo]."""
-        return DegreeInterval(ONE - self.hi, ONE - self.lo)
-
-    @property
-    def is_vacuous(self) -> bool:
-        return self.lo == ZERO and self.hi == ONE
-
-    def __contains__(self, degree: Degree) -> bool:
-        return self.lo <= degree <= self.hi
 
 
 FULL_INTERVAL = DegreeInterval(ZERO, ONE)
@@ -218,18 +198,30 @@ class Not:
     body: "ConceptExpression"
 
 
+def _init_parts(self, *parts: "ConceptExpression") -> None:
+    object.__setattr__(self, "parts", parts)
+
+
 @_memoize_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class And:
-    lhs: "ConceptExpression"
-    rhs: "ConceptExpression"
+    """Conjunction of ``parts``, built as ``And(a, b, ...)``.
+
+    Normalized, the parts are unique, sorted by :func:`sort_key`, at least
+    two, and none is itself an ``And``.
+    """
+
+    parts: tuple["ConceptExpression", ...]
+    __init__ = _init_parts
 
 
 @_memoize_hash
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Or:
-    lhs: "ConceptExpression"
-    rhs: "ConceptExpression"
+    """Disjunction of ``parts``, with the same normalized invariant as ``And``."""
+
+    parts: tuple["ConceptExpression", ...]
+    __init__ = _init_parts
 
 
 @_memoize_hash
@@ -275,35 +267,22 @@ def sort_key(expr: ConceptExpression) -> tuple:
         return (5, expr.role, sort_key(expr.target))
     if isinstance(expr, Forall):
         return (6, expr.role, sort_key(expr.body))
-    if isinstance(expr, And):
-        keys = tuple(sort_key(c) for c in conjuncts(expr))
-        return (7, len(keys)) + keys
-    if isinstance(expr, Or):
-        keys = tuple(sort_key(c) for c in disjuncts(expr))
-        return (8, len(keys)) + keys
+    if isinstance(expr, (And, Or)):
+        keys = tuple(sort_key(c) for c in expr.parts)
+        return (7 if isinstance(expr, And) else 8, len(keys)) + keys
     raise ModelError(f"not a concept expression: {expr!r}")
 
 
 def conjuncts(expr: ConceptExpression) -> tuple:
-    if isinstance(expr, And):
-        return conjuncts(expr.lhs) + conjuncts(expr.rhs)
-    return (expr,)
+    return expr.parts if isinstance(expr, And) else (expr,)
 
 
 def disjuncts(expr: ConceptExpression) -> tuple:
-    if isinstance(expr, Or):
-        return disjuncts(expr.lhs) + disjuncts(expr.rhs)
-    return (expr,)
-
-
-def _rebuild(parts: Sequence[ConceptExpression], ctor) -> ConceptExpression:
-    # parts are sorted and unique; rebuild left-leaning so equal sets of
-    # children always produce the identical tree.
-    return reduce(ctor, parts)
+    return expr.parts if isinstance(expr, Or) else (expr,)
 
 
 def normalize(expr: ConceptExpression) -> ConceptExpression:
-    """Canonical structural form: ⊓/⊔ flattened, deduplicated, sorted.
+    """Canonical structural form: ⊓/⊔ flattened into one n-ary node, deduplicated, sorted.
 
     Purely structural — no logical rewriting beyond dropping duplicate
     children of an associative-commutative-idempotent connective.  Structural
@@ -321,12 +300,13 @@ def normalize(expr: ConceptExpression) -> ConceptExpression:
     if isinstance(expr, Forall):
         return Forall(expr.role, normalize(expr.body))
     if isinstance(expr, (And, Or)):
-        flatten = conjuncts if isinstance(expr, And) else disjuncts
-        ctor = And if isinstance(expr, And) else Or
-        parts = sorted({normalize(c) for part in (expr.lhs, expr.rhs) for c in flatten(normalize(part))}, key=sort_key)
-        if len(parts) == 1:
-            return parts[0]
-        return _rebuild(parts, ctor)
+        ctor = type(expr)
+        parts: set[ConceptExpression] = set()
+        for part in expr.parts:
+            child = normalize(part)  # already flat: one level to lift
+            parts.update(child.parts if isinstance(child, ctor) else (child,))
+        ordered = sorted(parts, key=sort_key)
+        return ordered[0] if len(ordered) == 1 else ctor(*ordered)
     raise ModelError(f"not a concept expression: {expr!r}")
 
 
@@ -339,10 +319,8 @@ def to_negation_normal_form(expr: ConceptExpression) -> ConceptExpression:
     """
     if isinstance(expr, (Top, Bottom, Atom)):
         return expr
-    if isinstance(expr, And):
-        return And(to_negation_normal_form(expr.lhs), to_negation_normal_form(expr.rhs))
-    if isinstance(expr, Or):
-        return Or(to_negation_normal_form(expr.lhs), to_negation_normal_form(expr.rhs))
+    if isinstance(expr, (And, Or)):
+        return type(expr)(*map(to_negation_normal_form, expr.parts))
     if isinstance(expr, Exists):
         if isinstance(expr.target, ConcretePredicate):
             return expr
@@ -359,10 +337,9 @@ def to_negation_normal_form(expr: ConceptExpression) -> ConceptExpression:
             return expr
         if isinstance(body, Not):
             return to_negation_normal_form(body.body)
-        if isinstance(body, And):
-            return Or(to_negation_normal_form(Not(body.lhs)), to_negation_normal_form(Not(body.rhs)))
-        if isinstance(body, Or):
-            return And(to_negation_normal_form(Not(body.lhs)), to_negation_normal_form(Not(body.rhs)))
+        if isinstance(body, (And, Or)):
+            dual = Or if isinstance(body, And) else And
+            return dual(*(to_negation_normal_form(Not(c)) for c in body.parts))
         if isinstance(body, Exists):
             if isinstance(body.target, ConcretePredicate):
                 return expr  # negation retained above the concrete restriction
@@ -378,8 +355,8 @@ def sub_expressions(expr: ConceptExpression) -> Iterator[ConceptExpression]:
     if isinstance(expr, Not):
         yield from sub_expressions(expr.body)
     elif isinstance(expr, (And, Or)):
-        yield from sub_expressions(expr.lhs)
-        yield from sub_expressions(expr.rhs)
+        for part in expr.parts:
+            yield from sub_expressions(part)
     elif isinstance(expr, Exists):
         if not isinstance(expr.target, ConcretePredicate):
             yield from sub_expressions(expr.target)

@@ -73,8 +73,6 @@ from .model import (
     TOP,
     ZERO,
     check_concept_roles,
-    conjuncts,
-    disjuncts,
     normalize,
     sort_key,
     sub_expressions,
@@ -185,13 +183,12 @@ def build_closure(kb: KnowledgeBase, extra: Iterable[ConceptExpression] = ()) ->
         seen.update(sub_expressions(fa.concept))
     for e in extra:
         seen.update(sub_expressions(normalize(e)))
-    while True:
-        grown = set(seen)
-        for e in seen:
-            grown.update(sub_expressions(_dual(e)))
-        if grown == seen:
-            break
-        seen = grown
+    todo = list(seen)
+    while todo:
+        for sub in sub_expressions(_dual(todo.pop())):
+            if sub not in seen:
+                seen.add(sub)
+                todo.append(sub)
     return tuple(sorted(seen, key=sort_key))
 
 
@@ -222,7 +219,6 @@ class _Saturation:
     def _build_indexes(self) -> None:
         kb = self.kb
         self.neg_partners: dict[ConceptExpression, list[ConceptExpression]] = {}
-        self.conj_parts: dict[ConceptExpression, tuple[ConceptExpression, ...]] = {}
         self.conj_parents: dict[ConceptExpression, list[tuple[ConceptExpression, tuple]]] = {}
         self.disj_parents: dict[ConceptExpression, list[tuple[ConceptExpression, tuple]]] = {}
         self.exists_up: dict[tuple[str, ConceptExpression], Exists] = {}
@@ -233,14 +229,10 @@ class _Saturation:
             if isinstance(e, Not):
                 self.neg_partners.setdefault(e.body, []).append(e)
                 self.neg_partners.setdefault(e, []).append(e.body)
-            elif isinstance(e, And):
-                parts = self.conj_parts[e] = conjuncts(e)
-                for c in parts:
-                    self.conj_parents.setdefault(c, []).append((e, parts))
-            elif isinstance(e, Or):
-                parts = disjuncts(e)
-                for c in parts:
-                    self.disj_parents.setdefault(c, []).append((e, parts))
+            elif isinstance(e, (And, Or)):
+                parents = self.conj_parents if isinstance(e, And) else self.disj_parents
+                for c in e.parts:
+                    parents.setdefault(c, []).append((e, e.parts))
             elif isinstance(e, Exists):
                 if isinstance(e.target, ConcretePredicate):
                     self.concrete_nodes.append(e)
@@ -275,7 +267,7 @@ class _Saturation:
             cap = ONE - gci.degree
             if gci.rhs == BOTTOM:
                 if isinstance(gci.lhs, And):
-                    parts = conjuncts(gci.lhs)
+                    parts = gci.lhs.parts
                     for c in set(parts):
                         self.bottom_by_conjunct.setdefault(c, []).append((gci, cap, parts))
                 else:
@@ -399,9 +391,8 @@ class _Saturation:
             if candidate > lo.get((a, parent), ZERO):
                 witness = next(c for c in parts if lo.get((a, c), ZERO) == candidate)
                 self.set_lo(a, parent, candidate, "disj-up", ((a, witness, "lo"),))
-        parts = self.conj_parts.get(e)
-        if parts is not None:
-            for c in parts:
+        if isinstance(e, And):
+            for c in e.parts:
                 self.set_lo(a, c, value, "conj-down", (key,))
         if isinstance(e, Forall):
             for b in self.fillers.get((a, e.role), ()):

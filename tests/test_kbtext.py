@@ -49,7 +49,9 @@ def test_parse_precedence():
     assert gci.lhs == parse_kb("role r : abstract;\naxiom (NOT A AND B) OR C SUBSUMED-BY TOP;").kb.gcis[0].lhs
     # quantifier body is unary: EXISTS r . A AND B == (EXISTS r . A) AND B
     assert isinstance(gci.rhs, And)
-    assert Exists("r", Atom("A")) in (gci.rhs.lhs, gci.rhs.rhs)
+    assert Exists("r", Atom("A")) in gci.rhs.parts
+    three = parse_kb("axiom A AND B AND C SUBSUMED-BY D;").kb.gcis[0].lhs
+    assert three == And(Atom("A"), Atom("B"), Atom("C"))
 
 
 def test_parse_optional_dot_after_quantified_role():

@@ -1,7 +1,6 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from fdlb.model import (
     And,
@@ -47,27 +46,9 @@ def test_make_degree_bounds():
         make_degree(-1)
 
 
-def test_interval_refine_and_negate():
-    iv = DegreeInterval(Fraction(0), Fraction(1))
-    iv = iv.refine(lo=Fraction(3, 10))
-    iv = iv.refine(hi=Fraction(7, 10))
-    assert (iv.lo, iv.hi) == (Fraction(3, 10), Fraction(7, 10))
-    assert iv.negate() == DegreeInterval(Fraction(3, 10), Fraction(7, 10))
-    assert DegreeInterval(Fraction(1, 4), Fraction(1)).negate() == DegreeInterval(Fraction(0), Fraction(3, 4))
-
-
 def test_interval_conflict():
     with pytest.raises(IntervalConflictError):
         DegreeInterval(Fraction(3, 4), Fraction(1, 4))
-    with pytest.raises(IntervalConflictError):
-        DegreeInterval(Fraction(0), H).refine(lo=Fraction(3, 4))
-
-
-@given(st.fractions(min_value=0, max_value=1), st.fractions(min_value=0, max_value=1))
-def test_interval_negate_involution(a, b):
-    lo, hi = min(a, b), max(a, b)
-    iv = DegreeInterval(lo, hi)
-    assert iv.negate().negate() == iv
 
 
 # -- quantities and predicates
@@ -100,6 +81,7 @@ def test_normalize_flattens_sorts_dedupes():
     assert normalize(left) == normalize(right)
     assert normalize(And(a, a)) == a
     assert normalize(Or(b, Or(a, b))) == normalize(Or(a, b))
+    assert normalize(left) == And(a, b, c)  # one n-ary node
 
 
 def test_normalize_keeps_and_or_apart():
@@ -126,9 +108,10 @@ def test_sort_key_total_on_distinct_shapes():
 
 
 def test_nnf_de_morgan_and_quantifiers():
-    a, b = Atom("A"), Atom("B")
+    a, b, c = Atom("A"), Atom("B"), Atom("C")
     assert to_negation_normal_form(Not(And(a, b))) == Or(Not(a), Not(b))
     assert to_negation_normal_form(Not(Or(a, b))) == And(Not(a), Not(b))
+    assert to_negation_normal_form(Not(And(a, b, c))) == Or(Not(a), Not(b), Not(c))
     assert to_negation_normal_form(Not(Exists("r", a))) == Forall("r", Not(a))
     assert to_negation_normal_form(Not(Forall("r", a))) == Exists("r", Not(a))
     assert to_negation_normal_form(Not(Not(a))) == a

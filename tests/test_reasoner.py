@@ -497,6 +497,7 @@ def test_equal_expressions_hash_equal():
         return And(
             Or(Atom("A"), Not(Forall("r", Atom("B")))),
             And(Exists("p", price), Exists("r", And(Atom("C"), TOP))),
+            And(Atom("D"), Not(Atom("E")), Or(Atom("F"), Atom("G"), Atom("H"))),
         )
 
     first, second = build(), build()
@@ -513,3 +514,25 @@ def test_equal_expressions_hash_equal():
     copy = pickle.loads(pickle.dumps(first))
     assert "_hash" not in vars(copy)  # the memo never leaves the process
     assert copy == first and hash(copy) == hash(first)
+
+
+def test_thousand_way_conjunction_stays_flat():
+    from fdlb.kbtext import serialize_kb
+    from fdlb.model import kb_equal
+    from fdlb.reasoner import build_closure
+
+    n = 1000
+    names = [f"A{i}" for i in range(n)]
+    lines = [f"axiom {' AND '.join(names)} SUBSUMED-BY G @ 0.8;"]
+    lines += [f"assert x : {name} @ {'0.3' if name == 'A7' else '0.9'};" for name in names]
+    result = parse_kb("\n".join(lines))
+    assert result.ok, result.diagnostics
+    kb = result.kb
+    conjunction = kb.gcis[0].lhs
+    assert isinstance(conjunction, And) and len(conjunction.parts) == n
+    again = parse_kb(serialize_kb(kb))
+    assert again.ok and kb_equal(kb, again.kb)
+    assert len(build_closure(kb)) == 2 * n + 6
+    sat = saturate(kb)
+    assert iv(sat, "x", conjunction) == (Fraction(3, 10), ONE)
+    assert iv(sat, "x", Atom("G")) == (Fraction(4, 5), ONE)
