@@ -5,7 +5,7 @@ Subcommands::
     fdlb check KB                         consistency + conflict report
     fdlb rank KB --ubox FILE [...]        score and rank choices per expert
     fdlb complete KB --ubox FILE [...]    list undecided (choice, attribute) pairs
-    fdlb explain KB -i IND -c CONCEPT     derivation tree behind a bound
+    fdlb explain KB -i IND -c CONCEPT     derivations behind a bound
 
 Exit codes: 0 success; 1 usage or parse problems; 2 inconsistent knowledge
 base; 3 undecided pairs found by ``complete`` or ``rank
@@ -23,6 +23,8 @@ from pathlib import Path
 from .decision import DecisionReport, UtilityBox, rank as rank_choices
 from .kbtext import (
     ParseDiagnostic,
+    format_conflict,
+    format_explanation,
     parse_concept_text,
     parse_kb,
     parse_ubox,
@@ -33,12 +35,11 @@ from .kbtext import (
 from .model import FdlbError, KnowledgeBase
 from .reasoner import (
     Explanation,
-    ExplanationStep,
     InconsistencyError,
+    NoDerivationError,
     SaturatedKb,
+    UnknownIndividualError,
     check_consistency,
-    format_conflict,
-    format_explanation,
     saturate,
 )
 
@@ -247,28 +248,27 @@ def _cmd_complete(args: argparse.Namespace) -> int:
 
 
 def _explain_payload(args: argparse.Namespace, explanation: Explanation) -> dict:
-    def tree(step: ExplanationStep) -> dict:
-        node = step.node
-        out = {
-            "bound": node.kind,
-            "individual": node.individual,
-            "concept": render_concept(node.expr),
-            "value": render_decimal(node.value),
-            "rule": node.rule,
-            "source": None if node.source is None else render_statement(node.source),
-            "note": node.note or None,
-            "cyclic": step.cyclic,
-            "children": [tree(child) for child in step.children],
-        }
-        return out
-
+    # premises index into the flat steps table, which keeps the JSON shallow
+    index = {(n.individual, n.expr, n.kind): i for i, n in enumerate(explanation.steps)}
     return {
         "kb": args.kb,
         "individual": explanation.individual,
         "concept": render_concept(explanation.expr),
         "bound": explanation.kind,
         "value": render_decimal(explanation.value),
-        "tree": tree(explanation.root),
+        "steps": [
+            {
+                "bound": node.kind,
+                "individual": node.individual,
+                "concept": render_concept(node.expr),
+                "value": render_decimal(node.value),
+                "rule": node.rule,
+                "source": None if node.source is None else render_statement(node.source),
+                "note": node.note or None,
+                "premises": [index[p] for p in node.premises],
+            }
+            for node in explanation.steps
+        ],
     }
 
 
@@ -279,8 +279,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     if concept_result.concept is None:
         raise _CliError("concept expression not parsed")
     sat = _saturate(kb)
-    from .reasoner import NoDerivationError, UnknownIndividualError
-
     try:
         explanation = sat.explain(args.individual, concept_result.concept, args.bound)
     except NoDerivationError as exc:
@@ -328,11 +326,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_selection(p: argparse.ArgumentParser) -> None:
         p.add_argument("--ubox", action="append", required=True, metavar="FILE",
                        help="utility-box file; repeat for several experts")
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--choices", metavar="A,B,C",
-                           help="comma-separated choice individuals")
-        group.add_argument("--all-individuals", action="store_true",
-                           help="rank every individual (the default)")
+        p.add_argument("--choices", metavar="A,B,C",
+                       help="comma-separated choice individuals (default: every individual)")
 
     p_rank = sub.add_parser("rank", help="score and rank choices for each expert")
     p_rank.add_argument("kb", help="knowledge-base file")

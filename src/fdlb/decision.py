@@ -148,11 +148,3 @@ def rank(sat: "SaturatedKb", choices: Sequence[str], ubox: UtilityBox) -> Decisi
     rows.sort(key=lambda row: (-row.score, row.choice))
     return DecisionReport(ubox.expert_id, tuple(rows))
 
-
-def ideal_choice(sat: "SaturatedKb", choices: Sequence[str], ubox: UtilityBox) -> str:
-    return rank(sat, choices, ubox).ideal
-
-
-def completeness_report(sat: "SaturatedKb", choices: Sequence[str], ubox: UtilityBox) -> tuple[tuple[str, str], ...]:
-    """All (choice, attribute) pairs the knowledge base leaves undecided."""
-    return rank(sat, choices, ubox).undecided

@@ -1,4 +1,4 @@
-"""Textual knowledge-base format: lexer, parser, and serializer.
+"""Textual knowledge-base format: lexer, parser, serializer, and explanation text.
 
 Statements end with ``;`` and ``#`` starts a line comment::
 
@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .decision import UtilityBox
 from .model import (
@@ -63,6 +64,9 @@ from .model import (
     split_equivalence,
 )
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .reasoner import Conflict, DerivationNode, Explanation
+
 # --------------------------------------------------------------------------
 # Tokens
 
@@ -89,6 +93,12 @@ _KEYWORDS = frozenset(
         "GT", "GE", "LT", "LE", "EQUIV",
     }
 )
+
+# How deeply NOTs, quantifiers and parentheses may nest in one concept
+# expression.  Parsing, saturation and rendering recurse once or twice per
+# level, so a base at this depth runs under Python's default recursion limit
+# of 1000; one level deeper is a parse error, not a RecursionError.
+MAX_CONCEPT_DEPTH = 100
 
 _COMPARATOR_KW = {"GT": ">", "GE": ">=", "LT": "<", "LE": "<="}
 _COMPARATOR_TEXT = {op: kw for kw, op in _COMPARATOR_KW.items()}
@@ -404,27 +414,30 @@ class _Parser:
         except DegreeRangeError as exc:
             raise _StatementError(str(exc), tok.span) from None
 
-    # -- concepts (precedence: NOT/quantifiers > AND > OR)
+    # -- concepts (precedence: NOT/quantifiers > AND > OR); ``depth`` counts
+    # the NOTs, quantifiers and parentheses around the expression being parsed
 
-    def parse_concept(self) -> ConceptExpression:
-        parts = [self.parse_and()]
+    def parse_concept(self, depth: int = 0) -> ConceptExpression:
+        parts = [self.parse_and(depth)]
         while self.at_kw("OR"):
             self.advance()
-            parts.append(self.parse_and())
+            parts.append(self.parse_and(depth))
         return parts[0] if len(parts) == 1 else Or(*parts)
 
-    def parse_and(self) -> ConceptExpression:
-        parts = [self.parse_unary()]
+    def parse_and(self, depth: int) -> ConceptExpression:
+        parts = [self.parse_unary(depth)]
         while self.at_kw("AND"):
             self.advance()
-            parts.append(self.parse_unary())
+            parts.append(self.parse_unary(depth))
         return parts[0] if len(parts) == 1 else And(*parts)
 
-    def parse_unary(self) -> ConceptExpression:
+    def parse_unary(self, depth: int) -> ConceptExpression:
         tok = self.peek()
+        if depth > MAX_CONCEPT_DEPTH:
+            raise _StatementError(f"concept expression nested deeper than {MAX_CONCEPT_DEPTH} levels", tok.span)
         if self.at_kw("NOT"):
             self.advance()
-            return Not(self.parse_unary())
+            return Not(self.parse_unary(depth + 1))
         if self.at_kw("EXISTS"):
             self.advance()
             role_tok = self.take_ident("a role name")
@@ -433,7 +446,7 @@ class _Parser:
             decl = self._require_role(role_tok)
             if decl.kind == "concrete":
                 return Exists(role_tok.text, self.parse_comparator(decl, role_tok))
-            return Exists(role_tok.text, self.parse_unary())
+            return Exists(role_tok.text, self.parse_unary(depth + 1))
         if self.at_kw("FORALL"):
             self.advance()
             role_tok = self.take_ident("a role name")
@@ -445,7 +458,7 @@ class _Parser:
                     f"value restrictions require an abstract role, {role_tok.text!r} is concrete",
                     role_tok.span,
                 )
-            return Forall(role_tok.text, self.parse_unary())
+            return Forall(role_tok.text, self.parse_unary(depth + 1))
         if self.at_kw("TOP"):
             self.advance()
             return TOP
@@ -454,7 +467,7 @@ class _Parser:
             return BOTTOM
         if self.at_punct("("):
             self.advance()
-            expr = self.parse_concept()
+            expr = self.parse_concept(depth + 1)
             self.take_punct(")")
             return expr
         if tok.type == "ident":
@@ -697,6 +710,56 @@ def render_statement(statement: object) -> str:
     if isinstance(statement, ConcreteFact):
         return f"assert ({statement.subject}, {render_quantity(statement.value)}) : {statement.role};"
     raise TypeError(f"not a knowledge-base statement: {statement!r}")
+
+
+def _step_text(node: "DerivationNode") -> str:
+    op = ">=" if node.kind == "lo" else "<="
+    head = f"{node.kind}({node.individual}, {render_concept(node.expr)}) {op} {render_decimal(node.value)}"
+    details = [node.rule]
+    if node.source is not None:
+        details.append(render_statement(node.source))
+    if node.note:
+        details.append(node.note)
+    return f"{head}   [{'; '.join(details)}]"
+
+
+def _explanation_lines(explanation: "Explanation", indent: int) -> list[str]:
+    # Each step's premises are indented beneath it.  A step printed earlier
+    # (shared, or a back-reference in a cycle) gets its line again, marked
+    # "(see above)", but is not expanded twice.
+    by_key = {(n.individual, n.expr, n.kind): n for n in explanation.steps}
+    printed: set[tuple] = set()
+    lines: list[str] = []
+    stack = [((explanation.individual, explanation.expr, explanation.kind), indent)]
+    while stack:
+        key, depth = stack.pop()
+        node = by_key[key]
+        line = "  " * depth + _step_text(node)
+        if key in printed:
+            lines.append(line + "  (see above)")
+            continue
+        printed.add(key)
+        lines.append(line)
+        stack.extend((p, depth + 1) for p in reversed(node.premises))
+    return lines
+
+
+def format_explanation(explanation: "Explanation") -> str:
+    """The derivations behind a bound, one line each, premises indented."""
+    return "\n".join(_explanation_lines(explanation, 0))
+
+
+def format_conflict(conflict: "Conflict") -> str:
+    """Both clashing bounds of a conflict, each with its explanation."""
+    lines = [
+        f"conflict on {conflict.individual!r} in {render_concept(conflict.expr)}: "
+        f"membership forced >= {render_decimal(conflict.lo_value)} and <= {render_decimal(conflict.hi_value)}",
+        "lower bound:",
+    ]
+    lines.extend(_explanation_lines(conflict.lo_explanation, 1))
+    lines.append("upper bound:")
+    lines.extend(_explanation_lines(conflict.hi_explanation, 1))
+    return "\n".join(lines)
 
 
 def serialize_kb(kb: KnowledgeBase) -> str:

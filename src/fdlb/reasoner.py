@@ -55,6 +55,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
+from .kbtext import render_concept
 from .model import (
     And,
     BOTTOM,
@@ -114,19 +115,20 @@ class DerivationNode:
 
 
 @dataclass(frozen=True)
-class ExplanationStep:
-    node: DerivationNode
-    children: tuple["ExplanationStep", ...]
-    cyclic: bool = False  # a back-reference; children deliberately omitted
-
-
-@dataclass(frozen=True)
 class Explanation:
+    """The derivations behind one bound, each listed once.
+
+    ``steps[0]`` derives the explained bound itself; the rest are every
+    derivation reachable from it through ``premises``, in depth-first
+    order.  A premise that refers to an earlier step (a shared step, or a
+    back-reference in a cycle) is not listed again.
+    """
+
     individual: str
     expr: ConceptExpression
     kind: Bound
     value: Fraction
-    root: ExplanationStep
+    steps: tuple[DerivationNode, ...]
 
 
 @dataclass(frozen=True)
@@ -137,8 +139,8 @@ class Conflict:
     expr: ConceptExpression
     lo_value: Fraction
     hi_value: Fraction
-    lo_explanation: ExplanationStep
-    hi_explanation: ExplanationStep
+    lo_explanation: Explanation
+    hi_explanation: Explanation
 
 
 @dataclass(frozen=True)
@@ -281,11 +283,9 @@ class _Saturation:
         # The losing side's current bound must itself be derived: a default
         # bound (0 or 1) can never be crossed by a value inside [0, 1].
         self.derivations[(ind, expr, new.kind)] = new
-        lo_tree = _tree_from(self.derivations, (ind, expr, "lo"))
-        hi_tree = _tree_from(self.derivations, (ind, expr, "hi"))
-        lo_value = new.value if new.kind == "lo" else self.lo[(ind, expr)]
-        hi_value = new.value if new.kind == "hi" else self.hi[(ind, expr)]
-        return Conflict(ind, expr, lo_value, hi_value, lo_tree, hi_tree)
+        lo = _explanation(self.derivations, (ind, expr, "lo"))
+        hi = _explanation(self.derivations, (ind, expr, "hi"))
+        return Conflict(ind, expr, lo.value, hi.value, lo, hi)
 
     def set_lo(
         self,
@@ -529,7 +529,7 @@ class SaturatedKb:
         return {key: self._interval(key) for key in chain(self._lo, self._hi)}
 
     def explain(self, individual: str, expr: ConceptExpression, kind: Bound = "lo") -> Explanation:
-        """The derivation tree behind one bound.
+        """The derivations behind one bound, each listed once.
 
         Out-of-closure expressions are explained from the same memoized
         extension :meth:`instance_interval` uses.  Raises
@@ -543,14 +543,12 @@ class SaturatedKb:
         if e not in self._closure_set:
             return self._extension(e).explain(individual, e, kind)
         key = (individual, e, kind)
-        node = self._derivations.get(key)
-        if node is None:
+        if key not in self._derivations:
             side = "lower" if kind == "lo" else "upper"
             raise NoDerivationError(
                 f"no {side} bound beyond the default is entailed for {individual!r} in {_describe(e)}"
             )
-        root = _tree_from(self._derivations, key)
-        return Explanation(individual, e, kind, node.value, root)
+        return _explanation(self._derivations, key)
 
     def _interval(self, key: tuple[str, ConceptExpression]) -> DegreeInterval:
         lo = self._lo.get(key)
@@ -572,17 +570,24 @@ class SaturatedKb:
 
 
 def _describe(expr: ConceptExpression) -> str:
-    from .kbtext import render_concept
-
     return f"concept '{render_concept(expr)}'"
 
 
-def _tree_from(derivations: Mapping[Key, DerivationNode], key: Key, path: frozenset[Key] = frozenset()) -> ExplanationStep:
-    node = derivations[key]
-    if key in path:
-        return ExplanationStep(node, (), cyclic=True)
-    deeper = path | {key}
-    return ExplanationStep(node, tuple(_tree_from(derivations, p, deeper) for p in node.premises))
+def _explanation(derivations: Mapping[Key, DerivationNode], key: Key) -> Explanation:
+    """Every derivation reachable from ``key``, once each, in depth-first order."""
+    steps: list[DerivationNode] = []
+    seen: set[Key] = set()
+    stack = [key]
+    while stack:
+        current = stack.pop()
+        if current in seen:
+            continue
+        seen.add(current)
+        node = derivations[current]
+        steps.append(node)
+        stack.extend(reversed(node.premises))
+    root = steps[0]
+    return Explanation(root.individual, root.expr, root.kind, root.value, tuple(steps))
 
 
 def saturate(kb: KnowledgeBase, extra_concepts: Sequence[ConceptExpression] = ()) -> SaturatedKb:
@@ -617,59 +622,3 @@ def check_consistency(kb: KnowledgeBase) -> ConsistencyReport:
         return exc.report
     return ConsistencyReport(True, ())
 
-
-# --------------------------------------------------------------------------
-# Rendering
-
-
-def _render_source(source: object) -> str:
-    from .kbtext import render_statement
-
-    return render_statement(source)
-
-
-def format_step(step: ExplanationStep, indent: int = 0) -> list[str]:
-    node = step.node
-    op = ">=" if node.kind == "lo" else "<="
-    head = f"{node.kind}({node.individual}, {_concept_text(node.expr)}) {op} {_degree_text(node.value)}"
-    details = [node.rule]
-    if node.source is not None:
-        details.append(_render_source(node.source))
-    if node.note:
-        details.append(node.note)
-    line = "  " * indent + f"{head}   [{'; '.join(details)}]"
-    lines = [line]
-    if step.cyclic:
-        lines[0] += "  (see above)"
-        return lines
-    for child in step.children:
-        lines.extend(format_step(child, indent + 1))
-    return lines
-
-
-def _concept_text(expr: ConceptExpression) -> str:
-    from .kbtext import render_concept
-
-    return render_concept(expr)
-
-
-def _degree_text(value: Fraction) -> str:
-    from .kbtext import render_decimal
-
-    return render_decimal(value)
-
-
-def format_explanation(explanation: Explanation) -> str:
-    return "\n".join(format_step(explanation.root))
-
-
-def format_conflict(conflict: Conflict) -> str:
-    lines = [
-        f"conflict on {conflict.individual!r} in {_concept_text(conflict.expr)}: "
-        f"membership forced >= {_degree_text(conflict.lo_value)} and <= {_degree_text(conflict.hi_value)}",
-        "lower bound:",
-    ]
-    lines.extend(format_step(conflict.lo_explanation, 1))
-    lines.append("upper bound:")
-    lines.extend(format_step(conflict.hi_explanation, 1))
-    return "\n".join(lines)

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from fdlb.decision import completeness_report, rank, total_utility
+from fdlb.decision import rank, total_utility
 from fdlb.model import And, Atom, ConcretePredicate, Exists, Not, Quantity
 from fdlb.reasoner import InconsistencyError, saturate
 
@@ -82,12 +82,12 @@ def test_experts_disagree_on_the_ideal_choice(complete_sat, expert1, expert2):
 
 def test_completion_closes_exactly_the_reported_gaps(fuzzy_sat, complete_sat, expert1, expert2):
     for ubox in (expert1, expert2):
-        before = completeness_report(fuzzy_sat, TABLETS, ubox)
+        before = rank(fuzzy_sat, TABLETS, ubox).undecided
         assert set(before) == {
             ("tab_2", "LightweightTablet"),
             ("tab_3", "InexpensiveTablet"),
         }
-        assert completeness_report(complete_sat, TABLETS, ubox) == ()
+        assert rank(complete_sat, TABLETS, ubox).undecided == ()
 
 
 def test_crisp_negation_is_sharp(crisp_sat):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from fdlb.cli import main
+from fdlb.kbtext import MAX_CONCEPT_DEPTH
 
 pytestmark = pytest.mark.usefixtures("fixtures_dir")
 
@@ -60,6 +61,20 @@ def test_check_reports_parse_errors(tmp_path, capsys):
     assert code == 1
     assert f"{bad}:1:" in err  # file:line:col diagnostics
     assert "error" in err
+
+
+def test_over_deep_concepts_exit_one(tmp_path, capsys):
+    too_deep = "NOT " * (MAX_CONCEPT_DEPTH + 1) + "A"
+    bad = tmp_path / "deep.fdlb"
+    bad.write_text(f"assert x : {too_deep};\n")
+    code, _, err = run(capsys, "check", str(bad))
+    assert code == 1
+    assert f"{bad}:1:" in err and "nested deeper than" in err
+    good = tmp_path / "good.fdlb"
+    good.write_text("assert x : A;\n")
+    code, _, err = run(capsys, "explain", str(good), "-i", "x", "-c", too_deep)
+    assert code == 1
+    assert "<concept>:1:" in err and "nested deeper than" in err
 
 
 def test_missing_file(capsys):
@@ -236,9 +251,33 @@ def test_explain_structured(paths, capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] == "0.6"
-    assert payload["tree"]["rule"] == "gci"
-    kinds = {child["rule"] for child in payload["tree"]["children"]}
+    assert payload["steps"][0]["rule"] == "gci"
+    kinds = {payload["steps"][i]["rule"] for i in payload["steps"][0]["premises"]}
     assert "conj-up" in kinds
+
+
+def test_explain_long_chain_text_and_structured(tmp_path, capsys):
+    n = 500
+    kb = tmp_path / "chain.fdlb"
+    kb.write_text("".join(f"axiom A{i} SUBSUMED-BY A{i + 1};\n" for i in range(n)) + "assert x : A0;\n")
+    code, out, _ = run(capsys, "explain", str(kb), "-i", "x", "-c", f"A{n}")
+    assert code == 0
+    assert len(out.splitlines()) == n + 1
+    code, out, _ = run(capsys, "explain", str(kb), "-i", "x", "-c", f"A{n}", "--format", "structured")
+    assert code == 0
+    steps = json.loads(out)["steps"]
+    assert len(steps) == n + 1
+    assert [step["premises"] for step in steps] == [[i + 1] for i in range(n)] + [[]]
+
+
+def test_explain_structured_cycle_points_back(tmp_path, capsys):
+    kb = tmp_path / "cycle.fdlb"
+    kb.write_text("axiom A SUBSUMED-BY B @ 0.9;\naxiom B SUBSUMED-BY A @ 0.5;\nassert a : B @ 0.6;\n")
+    code, out, _ = run(capsys, "explain", str(kb), "-i", "a", "-c", "B", "--format", "structured")
+    assert code == 0
+    steps = json.loads(out)["steps"]
+    assert [(step["concept"], step["value"]) for step in steps] == [("B", "0.9"), ("A", "0.5")]
+    assert steps[-1]["premises"] == [0]
 
 
 def test_explain_undecided_bound(paths, capsys):

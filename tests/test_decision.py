@@ -6,9 +6,7 @@ from fdlb.decision import (
     EmptyChoiceSetError,
     UnknownAttributeError,
     UtilityBox,
-    completeness_report,
     crisp_utility,
-    ideal_choice,
     rank,
     total_utility,
 )
@@ -103,8 +101,8 @@ def test_ranking_order_and_tiebreak(complete_sat, expert1):
 
 
 def test_ideal_choice_matches_top_row(complete_sat, expert1, expert2):
-    assert ideal_choice(complete_sat, CHOICES, expert1) == "tab_3"
-    assert ideal_choice(complete_sat, CHOICES, expert2) == "tab_2"
+    assert rank(complete_sat, CHOICES, expert1).ideal == "tab_3"
+    assert rank(complete_sat, CHOICES, expert2).ideal == "tab_2"
 
 
 def test_choice_subset_restricts_ranking(complete_sat, expert1):
@@ -129,9 +127,9 @@ def test_unknown_choice_rejected(complete_sat, expert1):
 
 
 def test_completeness_report(fuzzy_sat, complete_sat, expert1):
-    before = completeness_report(fuzzy_sat, CHOICES, expert1)
+    before = rank(fuzzy_sat, CHOICES, expert1).undecided
     assert set(before) == {("tab_2", "LightweightTablet"), ("tab_3", "InexpensiveTablet")}
-    assert completeness_report(complete_sat, CHOICES, expert1) == ()
+    assert rank(complete_sat, CHOICES, expert1).undecided == ()
 
 
 def test_negative_weight_rejected():
@@ -155,5 +153,5 @@ def test_decided_zero_counts_as_complete():
     assert result.ok
     sat = saturate(result.kb)
     box = UtilityBox("e", (("Good", Fraction(3)),))
-    assert completeness_report(sat, ("a", "b"), box) == ()
+    assert rank(sat, ("a", "b"), box).undecided == ()
     assert total_utility(sat, "a", box) == 0

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fdlb.kbtext import (
+    MAX_CONCEPT_DEPTH,
+    format_explanation,
     parse_concept_text,
     parse_kb,
     parse_ubox,
@@ -13,6 +15,7 @@ from fdlb.kbtext import (
     serialize_ubox,
 )
 from fdlb.model import And, Atom, Exists, Forall, FuzzyGci, Not, Or, kb_equal
+from fdlb.reasoner import saturate
 
 GOOD = """
 # a comment
@@ -108,6 +111,44 @@ def test_recovery_continues_after_bad_statement():
     errors = [d for d in result.diagnostics if d.severity == "error"]
     assert len(errors) == 3  # one per bad statement; the role decl still parses
     assert result.kb is None  # any error blocks the whole document
+
+
+def nested(wrap, levels, depth=MAX_CONCEPT_DEPTH):
+    """A concept with ``depth`` levels of nesting, ``levels`` per ``wrap``."""
+    text = "A"
+    for _ in range(depth // levels):
+        text = wrap.format(text)
+    return text
+
+
+@pytest.mark.parametrize("wrap,levels", [
+    ("({})", 1),
+    ("NOT {}", 1),
+    ("NOT (FORALL r . NOT {} OR B)", 4),
+])
+def test_concept_at_the_depth_limit_runs_end_to_end(wrap, levels):
+    deep = nested(wrap, levels)
+    result = parse_kb(f"role r : abstract closed;\naxiom {deep} SUBSUMED-BY G;\n"
+                      f"assert a : {deep} @ 0.7;\nassert (a, a) : r;")
+    assert result.ok, result.diagnostics
+    assert kb_equal(parse_kb(serialize_kb(result.kb)).kb, result.kb)
+    sat = saturate(result.kb)
+    query = parse_concept_text(deep, dict(result.kb.roles)).concept
+    assert parse_concept_text("NOT " + deep, dict(result.kb.roles)).concept is None
+    for expr, kind in ((Atom("G"), "lo"), (query, "lo"), (Not(query), "hi")):
+        assert format_explanation(sat.explain("a", expr, kind))
+
+
+def test_concept_nested_past_the_limit_is_a_diagnostic():
+    too_deep = "NOT " + nested("NOT {}", 1)
+    result = parse_kb(f"axiom {too_deep} SUBSUMED-BY G;\nassert a : G;")
+    assert result.kb is None
+    (err,) = result.diagnostics
+    assert "nested deeper than" in err.message
+    assert (err.span.line, err.span.column) == (1, 7 + 4 * (MAX_CONCEPT_DEPTH + 1))
+    concept = parse_concept_text("(" * (MAX_CONCEPT_DEPTH + 1) + "A" + ")" * (MAX_CONCEPT_DEPTH + 1))
+    assert concept.concept is None
+    assert concept.diagnostics[0].span.column == MAX_CONCEPT_DEPTH + 2
 
 
 def test_lex_error_is_reported_with_position():

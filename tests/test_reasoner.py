@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from fdlb.kbtext import parse_kb
+from fdlb.kbtext import format_conflict, format_explanation, parse_kb
 from fdlb.model import (
     And,
     Atom,
@@ -23,8 +23,6 @@ from fdlb.reasoner import (
     NoDerivationError,
     UnknownIndividualError,
     check_consistency,
-    format_conflict,
-    format_explanation,
     saturate,
 )
 
@@ -536,3 +534,39 @@ def test_thousand_way_conjunction_stays_flat():
     sat = saturate(kb)
     assert iv(sat, "x", conjunction) == (Fraction(3, 10), ONE)
     assert iv(sat, "x", Atom("G")) == (Fraction(4, 5), ONE)
+
+
+def test_explain_long_chain_lists_each_step_once():
+    n = 500
+    lines = [f"axiom A{i} SUBSUMED-BY A{i + 1};" for i in range(n)] + ["assert x : A0;"]
+    explanation = sat_of("\n".join(lines)).explain("x", Atom(f"A{n}"))
+    assert len(explanation.steps) == n + 1
+    assert [step.expr for step in explanation.steps] == [Atom(f"A{i}") for i in range(n, -1, -1)]
+    assert len(format_explanation(explanation).splitlines()) == n + 1
+
+
+def test_explain_stacked_diamonds_stays_linear():
+    # D_k SUBSUMED-BY P_k and Q_k, P_k AND Q_k SUBSUMED-BY D_k+1: every
+    # D_k is reached along 2^(n-k) paths, but listed once
+    n = 18
+    lines = ["assert x : D0;"]
+    for k in range(n):
+        lines += [f"axiom D{k} SUBSUMED-BY P{k};", f"axiom D{k} SUBSUMED-BY Q{k};",
+                  f"axiom P{k} AND Q{k} SUBSUMED-BY D{k + 1};"]
+    explanation = sat_of("\n".join(lines)).explain("x", Atom(f"D{n}"))
+    keys = [(s.individual, s.expr, s.kind) for s in explanation.steps]
+    assert len(keys) == len(set(keys)) == 4 * n + 1
+    assert all(p in set(keys) for s in explanation.steps for p in s.premises)
+    premises = sum(len(s.premises) for s in explanation.steps)
+    text = format_explanation(explanation).splitlines()
+    assert len(text) <= len(keys) + premises
+    assert sum("(see above)" in line for line in text) == n
+
+
+def test_explain_cycle_ends_at_the_repeated_step():
+    sat = sat_of("axiom A SUBSUMED-BY B @ 0.9;\naxiom B SUBSUMED-BY A @ 0.5;\nassert a : B @ 0.6;")
+    assert format_explanation(sat.explain("a", Atom("B"))).splitlines() == [
+        "lo(a, B) >= 0.9   [gci; axiom A SUBSUMED-BY B @ 0.9;]",
+        "  lo(a, A) >= 0.5   [gci; axiom B SUBSUMED-BY A @ 0.5;]",
+        "    lo(a, B) >= 0.9   [gci; axiom A SUBSUMED-BY B @ 0.9;]  (see above)",
+    ]
