@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Sequence
 
-from .model import Atom, FdlbError, ONE, ZERO
+from .model import Atom, FdlbError, ZERO
 
 if TYPE_CHECKING:  # pragma: no cover
     from .reasoner import SaturatedKb
@@ -110,29 +110,6 @@ def attribute_utility(sat: "SaturatedKb", choice: str, attribute: str, weight: F
     bound = sat.entailed_lower_bound(choice, Atom(attribute))
     contribution = ZERO if bound is None else weight * bound
     return AttributeContribution(attribute, weight, bound, contribution)
-
-
-def total_utility(sat: "SaturatedKb", choice: str, ubox: UtilityBox) -> Fraction:
-    """Weighted sum of entailed lower membership bounds over the box's attributes."""
-    _check_attributes(sat, ubox)
-    return sum(
-        (attribute_utility(sat, choice, name, w).contribution for name, w in ubox.entries),
-        start=ZERO,
-    )
-
-
-def crisp_utility(sat: "SaturatedKb", choice: str, ubox: UtilityBox) -> Fraction:
-    """Sum of weights of attributes the choice fully belongs to (bound 1).
-
-    On a knowledge base whose entailed bounds are all 0 or 1 this coincides
-    with :func:`total_utility`; partial memberships are ignored here.
-    """
-    _check_attributes(sat, ubox)
-    total = ZERO
-    for name, w in ubox.entries:
-        if sat.entailed_lower_bound(choice, Atom(name)) == ONE:
-            total += w
-    return total
 
 
 def rank(sat: "SaturatedKb", choices: Sequence[str], ubox: UtilityBox) -> DecisionReport:

@@ -125,6 +125,7 @@ def _memoized_hash(self) -> int:
 def _state_without_hash(self) -> dict:
     state = dict(self.__dict__)
     state.pop("_hash", None)
+    state.pop("_sort_key", None)
     return state
 
 
@@ -133,7 +134,8 @@ def _memoize_hash(cls):
 
     Expressions key every bound and derivation map, and the generated hash
     would walk the whole tree on each lookup.  String hashes differ between
-    processes, so the memo is left out of the pickled state.
+    processes, so the memo is left out of the pickled state; so is
+    :func:`sort_key`'s, so that equal expressions pickle alike.
     """
     cls.__hash__ = _memoized_hash
     cls.__getstate__ = _state_without_hash
@@ -251,7 +253,16 @@ BOTTOM = Bottom()
 
 
 def sort_key(expr: ConceptExpression) -> tuple:
-    """A total structural order on normalized expressions."""
+    """A total structural order on normalized expressions, computed once per instance."""
+    try:
+        return expr._sort_key
+    except AttributeError:
+        key = _sort_key_of(expr)
+        object.__setattr__(expr, "_sort_key", key)
+        return key
+
+
+def _sort_key_of(expr: ConceptExpression) -> tuple:
     if isinstance(expr, Top):
         return (0,)
     if isinstance(expr, Bottom):
@@ -271,14 +282,6 @@ def sort_key(expr: ConceptExpression) -> tuple:
         keys = tuple(sort_key(c) for c in expr.parts)
         return (7 if isinstance(expr, And) else 8, len(keys)) + keys
     raise ModelError(f"not a concept expression: {expr!r}")
-
-
-def conjuncts(expr: ConceptExpression) -> tuple:
-    return expr.parts if isinstance(expr, And) else (expr,)
-
-
-def disjuncts(expr: ConceptExpression) -> tuple:
-    return expr.parts if isinstance(expr, Or) else (expr,)
 
 
 def normalize(expr: ConceptExpression) -> ConceptExpression:

@@ -31,14 +31,17 @@ Inclusions never propagate right-to-left (no contrapositive rule): what the
 knowledge base does not determine stays at the vacuous interval [0, 1]
 rather than being guessed.
 
-Bound storage: the engine keeps two flat maps, ``lo[(individual, expr)]``
-and ``hi[(individual, expr)]``, holding only bounds that moved off their
-defaults (0 and 1).  Rules are triggered through indexes built once per
-closure — the parents of each conjunct or disjunct with their child
-tuples, ``exists-up`` by (role, target) and ``forall-up`` by (role, body)
-on closed roles — and a derivation is recorded only when a bound
-improves.  :class:`SaturatedKb` keeps both maps and builds a
-:class:`DegreeInterval` only when a query returns one.
+Bound storage: individual ``i`` (in ``kb.individuals`` order) in closure
+expression ``x`` is the bound ``b = i * len(closure) + x``, held in two
+flat integer lists ``lo[b]``/``hi[b]`` as degrees scaled by ``L``, the
+least common denominator of the base's asserted and inclusion degrees.
+Saturation only reaches 0, 1, those degrees and their complements, so
+every bound is an exact integer and ``1 - x`` is ``L - v``.  Rules are
+triggered through indexes by expression id, built once per closure, and
+the worklist holds ``b`` for a raised lower bound and ``~b`` for a lowered
+upper one.  Derivations are recorded only when a bound improves, with the
+exact :class:`~fractions.Fraction` value; :class:`SaturatedKb` keeps both
+lists and builds a :class:`DegreeInterval` only when a query returns one.
 
 Extensions: a query on an expression outside the closure re-saturates
 with that expression added.  Each :class:`SaturatedKb` memoizes these
@@ -53,6 +56,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .kbtext import render_concept
@@ -72,7 +76,6 @@ from .model import (
     ONE,
     Or,
     TOP,
-    ZERO,
     check_concept_roles,
     normalize,
     sort_key,
@@ -208,154 +211,173 @@ class _Saturation:
     def __init__(self, kb: KnowledgeBase, extra: Iterable[ConceptExpression] = ()):
         self.kb = kb
         self.closure = build_closure(kb, extra)
-        self.closure_set = frozenset(self.closure)
-        self.lo: dict[tuple[str, ConceptExpression], Fraction] = {}  # absent = 0
-        self.hi: dict[tuple[str, ConceptExpression], Fraction] = {}  # absent = 1
+        self.expr_ids = {e: x for x, e in enumerate(self.closure)}
+        self.names = kb.individuals
+        self.individual_ids = {a: i for i, a in enumerate(self.names)}
+        self.width = len(self.closure)
+        degrees = [Fraction(d) for d in chain((fa.degree for fa in kb.assertions), (g.degree for g in kb.gcis))]
+        self.scale = scale = lcm(*(d.denominator for d in degrees))
+        # every degree saturation can reach: 0, 1, and each input degree and its complement
+        scaled = [self.scaled(d) for d in degrees]
+        self.fractions = {v: Fraction(v, scale) for v in chain((0, scale), scaled, (scale - v for v in scaled))}
+        size = len(self.names) * self.width
+        self.lo = [0] * size
+        self.hi = [scale] * size
         self.derivations: dict[Key, DerivationNode] = {}
-        self.queue: deque[Key] = deque()
+        self.queue: deque[int] = deque()  # b: lo[b] rose; ~b: hi[b] fell
         self.step = 0
         self._build_indexes()
 
-    # -- indexes
+    def scaled(self, degree: Fraction) -> int:
+        degree = Fraction(degree)
+        return degree.numerator * (self.scale // degree.denominator)
+
+    def premises(self, name: str, ids: Iterable[int], kind: Bound) -> tuple[Key, ...]:
+        return tuple((name, self.closure[c], kind) for c in ids)
+
+    # -- indexes, by expression id (or individual id for role edges)
 
     def _build_indexes(self) -> None:
-        kb = self.kb
-        self.neg_partners: dict[ConceptExpression, list[ConceptExpression]] = {}
-        self.conj_parents: dict[ConceptExpression, list[tuple[ConceptExpression, tuple]]] = {}
-        self.disj_parents: dict[ConceptExpression, list[tuple[ConceptExpression, tuple]]] = {}
-        self.exists_up: dict[tuple[str, ConceptExpression], Exists] = {}
-        self.forall_up: dict[tuple[str, ConceptExpression], Forall] = {}
-        self.closed_foralls: dict[str, list[Forall]] = {}
-        self.concrete_nodes: list[Exists] = []
-        for e in self.closure:
+        kb, ids, width = self.kb, self.expr_ids, self.width
+        self.neg_partners: list[list[int]] = [[] for _ in range(width)]
+        self.conj_parents: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(width)]
+        self.disj_parents: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(width)]
+        self.conj_down: list[tuple[int, ...]] = [()] * width
+        self.forall_down: list[tuple[str, int] | None] = [None] * width
+        self.exists_up: dict[tuple[str, int], int] = {}
+        self.forall_up: dict[tuple[str, int], int] = {}
+        self.closed_foralls: dict[str, list[int]] = {}
+        self.concrete_nodes: list[int] = []
+        for x, e in enumerate(self.closure):
             if isinstance(e, Not):
-                self.neg_partners.setdefault(e.body, []).append(e)
-                self.neg_partners.setdefault(e, []).append(e.body)
+                body = ids[e.body]
+                self.neg_partners[body].append(x)
+                self.neg_partners[x].append(body)
             elif isinstance(e, (And, Or)):
+                parts = tuple(ids[c] for c in e.parts)
                 parents = self.conj_parents if isinstance(e, And) else self.disj_parents
-                for c in e.parts:
-                    parents.setdefault(c, []).append((e, e.parts))
+                for c in parts:
+                    parents[c].append((x, parts))
+                if isinstance(e, And):
+                    self.conj_down[x] = parts
             elif isinstance(e, Exists):
                 if isinstance(e.target, ConcretePredicate):
-                    self.concrete_nodes.append(e)
+                    self.concrete_nodes.append(x)
                 else:
-                    self.exists_up[(e.role, e.target)] = e
+                    self.exists_up[(e.role, ids[e.target])] = x
             elif isinstance(e, Forall):
+                self.forall_down[x] = (e.role, ids[e.body])
                 decl = kb.roles.get(e.role)
                 if decl is not None and decl.closed:
-                    self.forall_up[(e.role, e.body)] = e
-                    self.closed_foralls.setdefault(e.role, []).append(e)
+                    self.forall_up[(e.role, ids[e.body])] = x
+                    self.closed_foralls.setdefault(e.role, []).append(x)
         # expressions whose lower bound on a filler can move a quantifier
         self.quantified = {target for _, target in self.exists_up} | {body for _, body in self.forall_up}
 
-        self.fillers: dict[tuple[str, str], list[str]] = {}
-        self.pointing_at: dict[str, list[tuple[str, str]]] = {}
-        self.role_fact: dict[tuple[str, str, str], object] = {}
+        individual = self.individual_ids
+        self.fillers: dict[tuple[int, str], list[int]] = {}
+        self.pointing_at: list[list[tuple[int, str]]] = [[] for _ in self.names]
+        self.role_fact: dict[tuple[int, int, str], object] = {}
         for ra in kb.role_assertions:
-            key = (ra.subject, ra.role)
-            if ra.filler not in self.fillers.setdefault(key, []):
-                self.fillers[key].append(ra.filler)
-                self.pointing_at.setdefault(ra.filler, []).append((ra.subject, ra.role))
-                self.role_fact[(ra.subject, ra.filler, ra.role)] = ra
+            subject, filler = individual[ra.subject], individual[ra.filler]
+            key = (subject, ra.role)
+            if filler not in self.fillers.setdefault(key, []):
+                self.fillers[key].append(filler)
+                self.pointing_at[filler].append(key)
+                self.role_fact[(subject, filler, ra.role)] = ra
 
-        self.values_by_role: dict[str, list[tuple[str, object]]] = {}
+        self.values_by_role: dict[str, list[tuple[int, object]]] = {}
         for cf in kb.concrete_facts:
-            self.values_by_role.setdefault(cf.role, []).append((cf.subject, cf))
+            self.values_by_role.setdefault(cf.role, []).append((individual[cf.subject], cf))
 
-        self.gcis_by_lhs: dict[ConceptExpression, list[tuple[FuzzyGci, Fraction]]] = {}
-        self.bottom_by_conjunct: dict[ConceptExpression, list[tuple[FuzzyGci, Fraction, tuple]]] = {}
-        self.bottom_simple: list[FuzzyGci] = []
+        # gci: (inclusion, scaled cap = 1 - degree, rhs id, scaled degree)
+        self.gcis_by_lhs: list[list[tuple[FuzzyGci, int, int, int]]] = [[] for _ in range(width)]
+        self.bottom_by_conjunct: list[list[tuple[FuzzyGci, int, tuple[int, ...]]]] = [[] for _ in range(width)]
+        self.bottom_simple: list[tuple[FuzzyGci, int]] = []
         for gci in kb.gcis:
-            cap = ONE - gci.degree
+            degree = self.scaled(gci.degree)
+            cap = self.scale - degree
             if gci.rhs == BOTTOM:
                 if isinstance(gci.lhs, And):
-                    parts = gci.lhs.parts
+                    parts = tuple(ids[c] for c in gci.lhs.parts)
                     for c in set(parts):
-                        self.bottom_by_conjunct.setdefault(c, []).append((gci, cap, parts))
+                        self.bottom_by_conjunct[c].append((gci, cap, parts))
                 else:
-                    self.bottom_simple.append(gci)
+                    self.bottom_simple.append((gci, cap))
             else:
-                self.gcis_by_lhs.setdefault(gci.lhs, []).append((gci, cap))
+                self.gcis_by_lhs[ids[gci.lhs]].append((gci, cap, ids[gci.rhs], degree))
 
     # -- bound updates
 
-    def _conflict(self, ind: str, expr: ConceptExpression, new: DerivationNode) -> Conflict:
+    def _node(self, b: int, kind: Bound, value: int, rule: str, premises, source, note) -> DerivationNode:
+        self.step += 1
+        a, x = divmod(b, self.width)
+        return DerivationNode(
+            rule, self.names[a], self.closure[x], kind, self.fractions[value], premises, source, note, self.step
+        )
+
+    def _conflict(self, new: DerivationNode) -> Conflict:
         # The losing side's current bound must itself be derived: a default
         # bound (0 or 1) can never be crossed by a value inside [0, 1].
+        ind, expr = new.individual, new.expr
         self.derivations[(ind, expr, new.kind)] = new
         lo = _explanation(self.derivations, (ind, expr, "lo"))
         hi = _explanation(self.derivations, (ind, expr, "hi"))
         return Conflict(ind, expr, lo.value, hi.value, lo, hi)
 
     def set_lo(
-        self,
-        ind: str,
-        expr: ConceptExpression,
-        value: Fraction,
-        rule: str,
-        premises: tuple[Key, ...],
-        source: object | None = None,
-        note: str = "",
+        self, b: int, value: int, rule: str, premises: tuple[Key, ...], source: object | None = None, note: str = ""
     ) -> None:
-        bound = (ind, expr)
-        if value <= self.lo.get(bound, ZERO):
+        if value <= self.lo[b]:
             return
-        self.step += 1
-        node = DerivationNode(rule, ind, expr, "lo", value, premises, source, note, self.step)
-        if value > self.hi.get(bound, ONE):
-            raise _ConflictFound(self._conflict(ind, expr, node))
-        self.lo[bound] = value
-        key = (ind, expr, "lo")
-        self.derivations[key] = node
-        self.queue.append(key)
+        node = self._node(b, "lo", value, rule, premises, source, note)
+        if value > self.hi[b]:
+            raise _ConflictFound(self._conflict(node))
+        self.lo[b] = value
+        self.derivations[(node.individual, node.expr, "lo")] = node
+        self.queue.append(b)
 
     def set_hi(
-        self,
-        ind: str,
-        expr: ConceptExpression,
-        value: Fraction,
-        rule: str,
-        premises: tuple[Key, ...],
-        source: object | None = None,
-        note: str = "",
+        self, b: int, value: int, rule: str, premises: tuple[Key, ...], source: object | None = None, note: str = ""
     ) -> None:
-        bound = (ind, expr)
-        if value >= self.hi.get(bound, ONE):
+        if value >= self.hi[b]:
             return
-        self.step += 1
-        node = DerivationNode(rule, ind, expr, "hi", value, premises, source, note, self.step)
-        if value < self.lo.get(bound, ZERO):
-            raise _ConflictFound(self._conflict(ind, expr, node))
-        self.hi[bound] = value
-        key = (ind, expr, "hi")
-        self.derivations[key] = node
-        self.queue.append(key)
+        node = self._node(b, "hi", value, rule, premises, source, note)
+        if value < self.lo[b]:
+            raise _ConflictFound(self._conflict(node))
+        self.hi[b] = value
+        self.derivations[(node.individual, node.expr, "hi")] = node
+        self.queue.append(~b)
 
     # -- seeds
 
     def seed(self) -> None:
-        kb = self.kb
-        for a in kb.individuals:
-            self.set_lo(a, TOP, ONE, "top", ())
-            self.set_hi(a, BOTTOM, ZERO, "bottom", ())
+        kb, width, scale = self.kb, self.width, self.scale
+        bases = range(0, len(self.names) * width, width)  # the first bound of each individual
+        top, bottom = self.expr_ids[TOP], self.expr_ids[BOTTOM]
+        for base in bases:
+            self.set_lo(base + top, scale, "top", ())
+            self.set_hi(base + bottom, 0, "bottom", ())
         for fa in kb.assertions:
-            self.set_lo(fa.individual, fa.concept, fa.degree, "assertion", (), source=fa)
-        for node in self.concrete_nodes:
+            b = self.individual_ids[fa.individual] * width + self.expr_ids[fa.concept]
+            self.set_lo(b, self.scaled(fa.degree), "assertion", (), source=fa)
+        for x in self.concrete_nodes:
+            node = self.closure[x]
             for ind, cf in self.values_by_role.get(node.role, ()):
                 hit = node.target.evaluate(cf.value)  # type: ignore[union-attr]
                 if hit == ONE:
-                    self.set_lo(ind, node, ONE, "concrete", (), source=cf)
+                    self.set_lo(ind * width + x, scale, "concrete", (), source=cf)
                 else:
-                    self.set_hi(ind, node, ZERO, "concrete", (), source=cf)
-        for gci in self.bottom_simple:
-            cap = ONE - gci.degree
-            for a in kb.individuals:
-                self.set_hi(a, gci.lhs, cap, "disjoint", (), source=gci)
+                    self.set_hi(ind * width + x, 0, "concrete", (), source=cf)
+        for gci, cap in self.bottom_simple:
+            lhs = self.expr_ids[gci.lhs]
+            for base in bases:
+                self.set_hi(base + lhs, cap, "disjoint", (), source=gci)
         for role, nodes in self.closed_foralls.items():
-            for node in nodes:
-                for a in kb.individuals:
+            for x in nodes:
+                for a, base in enumerate(bases):
                     if not self.fillers.get((a, role)):
-                        self.set_lo(a, node, ONE, "forall-up", (), note="closed role with no fillers")
+                        self.set_lo(base + x, scale, "forall-up", (), note="closed role with no fillers")
 
     # -- propagation
     #
@@ -367,104 +389,111 @@ class _Saturation:
         self.seed()
         queue = self.queue
         while queue:
-            key = queue.popleft()
-            if key[2] == "lo":
-                self._lo_changed(key)
+            b = queue.popleft()
+            if b >= 0:
+                self._lo_changed(b)
             else:
-                self._hi_changed(key)
+                self._hi_changed(~b)
 
-    def _lo_changed(self, key: Key) -> None:
-        a, e, _ = key
+    def _lo_changed(self, b: int) -> None:
+        a, x = divmod(b, self.width)
+        base = b - x
         lo = self.lo
-        value = lo[(a, e)]
-        for partner in self.neg_partners.get(e, ()):
-            self.set_hi(a, partner, ONE - value, "negation", (key,))
-        for parent, parts in self.conj_parents.get(e, ()):
-            current = lo.get((a, parent), ZERO)
+        value = lo[b]
+        name = self.names[a]
+        key = (name, self.closure[x], "lo")
+        for partner in self.neg_partners[x]:
+            self.set_hi(base + partner, self.scale - value, "negation", (key,))
+        for parent, parts in self.conj_parents[x]:
+            current = lo[base + parent]
             if value <= current:
                 continue  # the minimum over the parts is at most value
-            candidate = min(lo.get((a, c), ZERO) for c in parts)
+            candidate = min(lo[base + c] for c in parts)
             if candidate > current:
-                self.set_lo(a, parent, candidate, "conj-up", tuple((a, c, "lo") for c in parts))
-        for parent, parts in self.disj_parents.get(e, ()):
-            candidate = max(lo.get((a, c), ZERO) for c in parts)
-            if candidate > lo.get((a, parent), ZERO):
-                witness = next(c for c in parts if lo.get((a, c), ZERO) == candidate)
-                self.set_lo(a, parent, candidate, "disj-up", ((a, witness, "lo"),))
-        if isinstance(e, And):
-            for c in e.parts:
-                self.set_lo(a, c, value, "conj-down", (key,))
-        if isinstance(e, Forall):
-            for b in self.fillers.get((a, e.role), ()):
-                self.set_lo(b, e.body, value, "forall-down", (key,), source=self.role_fact[(a, b, e.role)])
-        if e in self.quantified:
-            self._quantifiers_up(a, e, value)
-        for gci, cap in self.gcis_by_lhs.get(e, ()):
-            if lo[(a, e)] > cap:  # live: an inclusion of e into itself raises it
-                self.set_lo(a, gci.rhs, gci.degree, "gci", (key,), source=gci)
-        for gci, cap, parts in self.bottom_by_conjunct.get(e, ()):
+                self.set_lo(base + parent, candidate, "conj-up", self.premises(name, parts, "lo"))
+        for parent, parts in self.disj_parents[x]:
+            candidate = max(lo[base + c] for c in parts)
+            if candidate > lo[base + parent]:
+                witness = next(c for c in parts if lo[base + c] == candidate)
+                self.set_lo(base + parent, candidate, "disj-up", self.premises(name, (witness,), "lo"))
+        for c in self.conj_down[x]:
+            self.set_lo(base + c, value, "conj-down", (key,))
+        if self.forall_down[x] is not None:
+            role, body = self.forall_down[x]
+            for f in self.fillers.get((a, role), ()):
+                self.set_lo(f * self.width + body, value, "forall-down", (key,), source=self.role_fact[(a, f, role)])
+        if x in self.quantified:
+            self._quantifiers_up(a, x, value)
+        for gci, cap, rhs, degree in self.gcis_by_lhs[x]:
+            if lo[b] > cap:  # live: an inclusion of e into itself raises it
+                self.set_lo(base + rhs, degree, "gci", (key,), source=gci)
+        for gci, cap, parts in self.bottom_by_conjunct[x]:
             self._apply_disjoint(a, gci, cap, parts)
 
-    def _quantifiers_up(self, b: str, e: ConceptExpression, value: Fraction) -> None:
-        # b's lower bound in e rose: revisit the quantifiers over e on every
-        # role edge that ends at b.
-        lo = self.lo
-        for subject, role in self.pointing_at.get(b, ()):
-            node = self.exists_up.get((role, e))
+    def _quantifiers_up(self, b: int, x: int, value: int) -> None:
+        # individual b's lower bound in expression x rose: revisit the
+        # quantifiers over x on every role edge that ends at b.
+        lo, width = self.lo, self.width
+        e = self.closure[x]
+        for subject, role in self.pointing_at[b]:
+            node = self.exists_up.get((role, x))
             if node is not None:
                 fils = self.fillers[(subject, role)]
-                candidate = max(lo.get((f, e), ZERO) for f in fils)
-                if candidate > lo.get((subject, node), ZERO):
-                    witness = next(f for f in fils if lo.get((f, e), ZERO) == candidate)
+                candidate = max(lo[f * width + x] for f in fils)
+                if candidate > lo[subject * width + node]:
+                    witness = next(f for f in fils if lo[f * width + x] == candidate)
                     self.set_lo(
-                        subject, node, candidate, "exists-up", ((witness, e, "lo"),),
+                        subject * width + node, candidate, "exists-up", ((self.names[witness], e, "lo"),),
                         source=self.role_fact[(subject, witness, role)],
                     )
-            node = self.forall_up.get((role, e))
+            node = self.forall_up.get((role, x))
             if node is not None:
-                current = lo.get((subject, node), ZERO)
+                current = lo[subject * width + node]
                 if value <= current:
                     continue  # the minimum over the fillers is at most value
                 fils = self.fillers[(subject, role)]
-                candidate = min(lo.get((f, e), ZERO) for f in fils)
+                candidate = min(lo[f * width + x] for f in fils)
                 if candidate > current:
                     self.set_lo(
-                        subject, node, candidate, "forall-up",
-                        tuple((f, e, "lo") for f in fils),
+                        subject * width + node, candidate, "forall-up",
+                        tuple((self.names[f], e, "lo") for f in fils),
                         note="closed role: the listed fillers are all fillers",
                     )
 
-    def _apply_disjoint(self, a: str, gci: FuzzyGci, cap: Fraction, parts: tuple) -> None:
+    def _apply_disjoint(self, a: int, gci: FuzzyGci, cap: int, parts: tuple[int, ...]) -> None:
         # A conjunct is capped once every other conjunct exceeds the cap.
-        above = [self.lo.get((a, c), ZERO) > cap for c in parts]
+        base = a * self.width
+        above = [self.lo[base + c] > cap for c in parts]
         below = above.count(False)
         if below > 1:
             return
         for j, cj in enumerate(parts):
             if below == 1 and above[j]:
                 continue
-            if cap < self.hi.get((a, cj), ONE):
+            if cap < self.hi[base + cj]:
                 others = parts[:j] + parts[j + 1 :]
-                self.set_hi(a, cj, cap, "disjoint", tuple((a, c, "lo") for c in others), source=gci)
+                self.set_hi(base + cj, cap, "disjoint", self.premises(self.names[a], others, "lo"), source=gci)
 
-    def _hi_changed(self, key: Key) -> None:
-        a, e, _ = key
+    def _hi_changed(self, b: int) -> None:
+        a, x = divmod(b, self.width)
+        base = b - x
         hi = self.hi
-        value = hi[(a, e)]
-        for partner in self.neg_partners.get(e, ()):
-            self.set_lo(a, partner, ONE - value, "negation", (key,))
-        for parent, parts in self.conj_parents.get(e, ()):
-            candidate = min(hi.get((a, c), ONE) for c in parts)
-            if candidate < hi.get((a, parent), ONE):
-                witness = next(c for c in parts if hi.get((a, c), ONE) == candidate)
-                self.set_hi(a, parent, candidate, "conj-hi", ((a, witness, "hi"),))
-        for parent, parts in self.disj_parents.get(e, ()):
-            current = hi.get((a, parent), ONE)
+        value = hi[b]
+        name = self.names[a]
+        for partner in self.neg_partners[x]:
+            self.set_lo(base + partner, self.scale - value, "negation", ((name, self.closure[x], "hi"),))
+        for parent, parts in self.conj_parents[x]:
+            candidate = min(hi[base + c] for c in parts)
+            if candidate < hi[base + parent]:
+                witness = next(c for c in parts if hi[base + c] == candidate)
+                self.set_hi(base + parent, candidate, "conj-hi", self.premises(name, (witness,), "hi"))
+        for parent, parts in self.disj_parents[x]:
+            current = hi[base + parent]
             if value >= current:
                 continue  # the maximum over the parts is at least value
-            candidate = max(hi.get((a, c), ONE) for c in parts)
+            candidate = max(hi[base + c] for c in parts)
             if candidate < current:
-                self.set_hi(a, parent, candidate, "disj-hi", tuple((a, c, "hi") for c in parts))
+                self.set_hi(base + parent, candidate, "disj-hi", self.premises(name, parts, "hi"))
 
 
 # --------------------------------------------------------------------------
@@ -475,27 +504,33 @@ class _Saturation:
 class SaturatedKb:
     """A knowledge base together with its saturated bounds.
 
-    ``_lo`` and ``_hi`` hold every bound saturation moved off its default
-    (0 from below, 1 from above); intervals are assembled on demand.
+    Individual ``i`` (in ``kb.individuals`` order) and closure expression
+    ``x`` own the bound ``b = i * len(closure) + x``; ``_lo[b]`` and
+    ``_hi[b]`` hold its degrees scaled by ``_scale``, and ``_fractions``
+    maps each scaled degree back to its exact value.  Intervals are
+    assembled on demand.
     """
 
     kb: KnowledgeBase
     closure: tuple[ConceptExpression, ...]
-    _closure_set: frozenset[ConceptExpression]
-    _lo: Mapping[tuple[str, ConceptExpression], Fraction]
-    _hi: Mapping[tuple[str, ConceptExpression], Fraction]
+    _expr_ids: Mapping[ConceptExpression, int]
+    _individual_ids: Mapping[str, int]
+    _lo: Sequence[int]
+    _hi: Sequence[int]
+    _scale: int
+    _fractions: Mapping[int, Fraction]
     _derivations: Mapping[Key, DerivationNode]
-    _individual_set: frozenset[str] = field(default_factory=frozenset)
     # saturations with one out-of-closure query expression added, by expression
     _extensions: dict[ConceptExpression, "SaturatedKb"] = field(default_factory=dict, repr=False, compare=False)
 
     def interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
         """The entailed interval for an in-closure expression (no extension)."""
-        self._check_individual(individual)
+        i = self._check_individual(individual)
         e = normalize(expr)
-        if e not in self._closure_set:
+        x = self._expr_ids.get(e)
+        if x is None:
             raise FdlbError(f"{_describe(e)} is outside the saturated closure; use instance_interval")
-        return self._interval((individual, e))
+        return self._interval(i * len(self.closure) + x)
 
     def instance_interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
         """The entailed membership interval of an individual in any concept.
@@ -507,10 +542,11 @@ class SaturatedKb:
         exposes a contradiction the knowledge base was inconsistent all
         along and :class:`InconsistencyError` is raised.
         """
-        self._check_individual(individual)
+        i = self._check_individual(individual)
         e = normalize(expr)
-        if e in self._closure_set:
-            return self._interval((individual, e))
+        x = self._expr_ids.get(e)
+        if x is not None:
+            return self._interval(i * len(self.closure) + x)
         return self._extension(e).interval(individual, e)
 
     def entailed_lower_bound(self, individual: str, expr: ConceptExpression) -> Fraction | None:
@@ -526,7 +562,12 @@ class SaturatedKb:
 
     def interval_map(self) -> dict[tuple[str, ConceptExpression], DegreeInterval]:
         """All non-vacuous entailed intervals, keyed by (individual, expression)."""
-        return {key: self._interval(key) for key in chain(self._lo, self._hi)}
+        width, names = len(self.closure), self.kb.individuals
+        return {
+            (names[b // width], self.closure[b % width]): self._interval(b)
+            for b, (lo, hi) in enumerate(zip(self._lo, self._hi))
+            if lo or hi != self._scale
+        }
 
     def explain(self, individual: str, expr: ConceptExpression, kind: Bound = "lo") -> Explanation:
         """The derivations behind one bound, each listed once.
@@ -540,7 +581,7 @@ class SaturatedKb:
             raise ValueError("kind must be 'lo' or 'hi'")
         self._check_individual(individual)
         e = normalize(expr)
-        if e not in self._closure_set:
+        if e not in self._expr_ids:
             return self._extension(e).explain(individual, e, kind)
         key = (individual, e, kind)
         if key not in self._derivations:
@@ -550,12 +591,11 @@ class SaturatedKb:
             )
         return _explanation(self._derivations, key)
 
-    def _interval(self, key: tuple[str, ConceptExpression]) -> DegreeInterval:
-        lo = self._lo.get(key)
-        hi = self._hi.get(key)
-        if lo is None and hi is None:
+    def _interval(self, b: int) -> DegreeInterval:
+        lo, hi = self._lo[b], self._hi[b]
+        if lo == 0 and hi == self._scale:
             return FULL_INTERVAL
-        return DegreeInterval(ZERO if lo is None else lo, ONE if hi is None else hi)
+        return DegreeInterval(self._fractions[lo], self._fractions[hi])
 
     def _extension(self, e: ConceptExpression) -> "SaturatedKb":
         extended = self._extensions.get(e)
@@ -564,9 +604,11 @@ class SaturatedKb:
             extended = self._extensions[e] = saturate(self.kb, extra_concepts=(e,))
         return extended
 
-    def _check_individual(self, individual: str) -> None:
-        if individual not in self._individual_set:
+    def _check_individual(self, individual: str) -> int:
+        i = self._individual_ids.get(individual)
+        if i is None:
             raise UnknownIndividualError(f"individual {individual!r} does not occur in the knowledge base")
+        return i
 
 
 def _describe(expr: ConceptExpression) -> str:
@@ -606,11 +648,13 @@ def saturate(kb: KnowledgeBase, extra_concepts: Sequence[ConceptExpression] = ()
     return SaturatedKb(
         kb=kb,
         closure=engine.closure,
-        _closure_set=engine.closure_set,
+        _expr_ids=engine.expr_ids,
+        _individual_ids=engine.individual_ids,
         _lo=engine.lo,
         _hi=engine.hi,
+        _scale=engine.scale,
+        _fractions=engine.fractions,
         _derivations=engine.derivations,
-        _individual_set=frozenset(kb.individuals),
     )
 
 

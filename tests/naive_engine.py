@@ -20,8 +20,6 @@ from fdlb.model import (
     Not,
     Or,
     TOP,
-    conjuncts,
-    disjuncts,
 )
 from fdlb.reasoner import build_closure
 
@@ -85,13 +83,13 @@ class NaiveEngine:
                     changed |= self._tlo(a, e.body, ONE - hi[(a, e)])
                     changed |= self._thi(a, e.body, ONE - lo[(a, e)])
                 elif isinstance(e, And):
-                    parts = conjuncts(e)
+                    parts = e.parts
                     changed |= self._tlo(a, e, min(lo[(a, c)] for c in parts))
                     changed |= self._thi(a, e, min(hi[(a, c)] for c in parts))
                     for c in parts:
                         changed |= self._tlo(a, c, lo[(a, e)])
                 elif isinstance(e, Or):
-                    parts = disjuncts(e)
+                    parts = e.parts
                     changed |= self._tlo(a, e, max(lo[(a, c)] for c in parts))
                     changed |= self._thi(a, e, max(hi[(a, c)] for c in parts))
                 elif isinstance(e, Exists):
@@ -116,7 +114,7 @@ class NaiveEngine:
         for gci in kb.gcis:
             cap = ONE - gci.degree
             if gci.rhs == BOTTOM:
-                parts = conjuncts(gci.lhs) if isinstance(gci.lhs, And) else None
+                parts = gci.lhs.parts if isinstance(gci.lhs, And) else None
                 for a in self.individuals:
                     if parts is None:
                         changed |= self._thi(a, gci.lhs, cap)

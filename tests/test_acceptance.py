@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from fdlb.decision import rank, total_utility
+from fdlb.decision import rank
 from fdlb.model import And, Atom, ConcretePredicate, Exists, Not, Quantity
 from fdlb.reasoner import InconsistencyError, saturate
 
@@ -60,7 +60,7 @@ def test_completed_base_scores_with_partial_memberships(complete_sat, expert1, e
     # the winning score decomposes over the weighted membership bounds
     assert F(89) == F(50) * F(1, 2) + F(40) * F(1) + F(40) * F(3, 5)
     assert F(56) == F(60) * F(1, 2) + F(20) * F(1) + F(10) * F(3, 5)
-    assert total_utility(complete_sat, "tab_3", expert1) == F(89)
+    assert rank(complete_sat, ("tab_3",), expert1).rows[0].score == F(89)
 
 
 def test_experts_disagree_on_the_ideal_choice(complete_sat, expert1, expert2):

@@ -6,9 +6,7 @@ from fdlb.decision import (
     EmptyChoiceSetError,
     UnknownAttributeError,
     UtilityBox,
-    crisp_utility,
     rank,
-    total_utility,
 )
 from fdlb.kbtext import parse_kb
 from fdlb.reasoner import saturate
@@ -63,22 +61,32 @@ def test_scaling_weights_scales_scores(complete_sat, expert1):
         assert s.score == 2 * b.score
 
 
+def score_of(sat, choice, box):
+    return rank(sat, (choice,), box).rows[0].score
+
+
+def crisp_score_of(sat, choice, box):
+    """The sum of weights of the attributes the choice fully belongs to."""
+    row = rank(sat, (choice,), box).rows[0]
+    return sum((c.weight for c in row.contributions if c.bound == 1), start=Fraction(0))
+
+
 def test_crisp_kb_reduces_to_counting_weights(crisp_sat, expert1, expert2):
     # with only full or absent memberships, the weighted score equals the
     # crisp sum over satisfied attributes
     for box in (expert1, expert2):
         for choice in CHOICES:
-            assert total_utility(crisp_sat, choice, box) == crisp_utility(crisp_sat, choice, box)
+            assert score_of(crisp_sat, choice, box) == crisp_score_of(crisp_sat, choice, box)
 
 
 def test_graded_memberships_break_crisp_reduction(complete_sat, expert1):
-    assert total_utility(complete_sat, "tab_3", expert1) != crisp_utility(complete_sat, "tab_3", expert1)
+    assert score_of(complete_sat, "tab_3", expert1) != crisp_score_of(complete_sat, "tab_3", expert1)
 
 
 def test_more_membership_never_hurts(fuzzy_sat, complete_sat, expert1):
     # the completed base only adds entailments, so scores can only go up
     for choice in CHOICES:
-        assert total_utility(complete_sat, choice, expert1) >= total_utility(fuzzy_sat, choice, expert1)
+        assert score_of(complete_sat, choice, expert1) >= score_of(fuzzy_sat, choice, expert1)
 
 
 def test_undecided_attribute_contributes_nothing(fuzzy_sat, expert1):
@@ -154,4 +162,4 @@ def test_decided_zero_counts_as_complete():
     sat = saturate(result.kb)
     box = UtilityBox("e", (("Good", Fraction(3)),))
     assert rank(sat, ("a", "b"), box).undecided == ()
-    assert total_utility(sat, "a", box) == 0
+    assert score_of(sat, "a", box) == 0

@@ -104,6 +104,32 @@ def test_sort_key_total_on_distinct_shapes():
     assert len(set(keys)) == len(keys)
 
 
+def test_normalize_keys_each_node_once(monkeypatch):
+    import pickle
+
+    import fdlb.model as model
+
+    expr = Atom("B")
+    for _ in range(49):  # B AND (C OR (...)), 98 levels of parentheses
+        expr = And(Atom("B"), Or(Atom("C"), expr))
+    keyed = []  # held, so that no keyed node's id is reused
+    real = model._sort_key_of
+
+    def counting(e):
+        keyed.append(e)
+        return real(e)
+
+    monkeypatch.setattr(model, "_sort_key_of", counting)
+    result = normalize(expr)
+    assert keyed
+    assert len({id(e) for e in keyed}) == len(keyed)
+    assert len(keyed) <= len(list(sub_expressions(result)))
+    monkeypatch.undo()
+    copy = pickle.loads(pickle.dumps(result))
+    assert "_sort_key" not in result.__getstate__()
+    assert copy == result and sort_key(copy) == sort_key(result)
+
+
 # -- negation normal form
 
 

@@ -331,8 +331,6 @@ def test_derivations_are_closed_and_acyclic(fixture, request):
 
 
 def recompute(sat, node):
-    from fdlb.model import conjuncts, disjuncts
-
     kb, a, e = sat.kb, node.individual, node.expr
     lo = lambda i, c: sat.interval(i, c).lo
     hi = lambda i, c: sat.interval(i, c).hi
@@ -351,15 +349,15 @@ def recompute(sat, node):
         partner = node.premises[0][1]
         return ONE - hi(a, partner) if node.kind == "lo" else ONE - lo(a, partner)
     if rule == "conj-up":
-        return min(lo(a, c) for c in conjuncts(e))
+        return min(lo(a, c) for c in e.parts)
     if rule == "conj-hi":
-        return min(hi(a, c) for c in conjuncts(e))
+        return min(hi(a, c) for c in e.parts)
     if rule == "conj-down":
         return lo(a, node.premises[0][1])
     if rule == "disj-up":
-        return max(lo(a, c) for c in disjuncts(e))
+        return max(lo(a, c) for c in e.parts)
     if rule == "disj-hi":
-        return max(hi(a, c) for c in disjuncts(e))
+        return max(hi(a, c) for c in e.parts)
     if rule == "exists-up":
         return max(lo(b, e.target) for b in fillers(a, e.role))
     if rule == "forall-down":
@@ -372,7 +370,8 @@ def recompute(sat, node):
         return node.source.degree
     if rule == "disjoint":
         cap = ONE - node.source.degree
-        parts = conjuncts(node.source.lhs)
+        lhs = node.source.lhs
+        parts = lhs.parts if isinstance(lhs, And) else (lhs,)
         if len(parts) > 1:
             others = [c for c in parts if c != e]
             assert min(lo(a, c) for c in others) > cap
@@ -387,6 +386,23 @@ def test_final_derivations_replay_exactly(fixture, request):
     sat = saturate(request.getfixturevalue(fixture))
     for node in graph_of(sat).values():
         assert recompute(sat, node) == node.value, (node.rule, node.individual)
+
+
+def test_random_derivations_replay_exactly():
+    # the same replay on varied degree sets guards the engine's scaled-integer
+    # arithmetic: every recorded value is the exact Fraction its rule gives
+    from kbgen import random_kb
+
+    replayed = 0
+    for seed in range(50):
+        try:
+            sat = saturate(random_kb(seed))
+        except InconsistencyError:
+            continue
+        for node in graph_of(sat).values():
+            assert recompute(sat, node) == node.value, (seed, node.rule, node.individual)
+        replayed += 1
+    assert replayed >= 25
 
 
 # -- memoized extensions, indexed quantifier triggers, bound storage, hashes
@@ -570,3 +586,50 @@ def test_explain_cycle_ends_at_the_repeated_step():
         "  lo(a, A) >= 0.5   [gci; axiom B SUBSUMED-BY A @ 0.5;]",
         "    lo(a, B) >= 0.9   [gci; axiom A SUBSUMED-BY B @ 0.9;]  (see above)",
     ]
+
+
+def test_mixed_precision_degrees_stay_exact():
+    from naive_engine import naive_saturate
+
+    kb = parse_kb("""
+        role r : abstract;
+        axiom A SUBSUMED-BY B @ 0.5;
+        axiom B AND C SUBSUMED-BY BOTTOM @ 0.25;
+        axiom EXISTS r . B SUBSUMED-BY D @ 0.3;
+        axiom C OR D SUBSUMED-BY E @ 0.125;
+        axiom NOT A SUBSUMED-BY F @ 0.333;
+        assert x : A @ 0.000001;
+        assert y : A @ 0.9;
+        assert y : B @ 0.8;
+        assert y : C @ 0.6;
+        assert z : NOT A @ 0.999999;
+        assert w : C OR D @ 0.9;
+        assert (x, y) : r;
+    """).kb
+    sat = saturate(kb)
+    verdict, intervals = naive_saturate(kb)
+    assert verdict
+    assert sat.interval_map() == intervals
+    for node in graph_of(sat).values():
+        assert type(node.value) is Fraction and ZERO <= node.value <= ONE, node
+    assert iv(sat, "y", Atom("C")) == (Fraction(3, 5), Fraction(3, 4))
+    assert iv(sat, "x", Atom("D")) == (Fraction(3, 10), ONE)
+    assert iv(sat, "x", Atom("A")) == (Fraction(1, 1000000), ONE)
+    assert iv(sat, "z", Atom("F")) == (Fraction(333, 1000), ONE)
+    assert iv(sat, "z", Atom("A")) == (ZERO, Fraction(1, 1000000))
+    assert iv(sat, "w", Atom("E")) == (Fraction(1, 8), ONE)
+
+    clash = parse_kb("""
+        axiom A AND B SUBSUMED-BY BOTTOM @ 0.333;
+        assert y : B @ 0.7;
+        assert y : A @ 0.000001;
+        assert y : A @ 0.125;
+        assert y : A @ 0.667001;
+    """).kb
+    with pytest.raises(InconsistencyError) as caught:
+        saturate(clash)
+    conflict = caught.value.report.conflicts[0]
+    assert (conflict.lo_value, conflict.hi_value) == (Fraction(667001, 1000000), Fraction(667, 1000))
+    assert type(conflict.lo_value) is Fraction and type(conflict.hi_value) is Fraction
+    assert conflict.expr == Atom("A")
+    assert "0.667001" in format_conflict(conflict)
