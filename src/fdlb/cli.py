@@ -37,8 +37,6 @@ from .reasoner import (
     Explanation,
     InconsistencyError,
     NoDerivationError,
-    SaturatedKb,
-    UnknownIndividualError,
     check_consistency,
     saturate,
 )
@@ -84,15 +82,6 @@ def _load_ubox(path: str) -> UtilityBox:
     if result.ubox is None:
         raise _CliError(f"{path}: utility box not loaded")
     return result.ubox
-
-
-def _saturate(kb: KnowledgeBase) -> SaturatedKb:
-    try:
-        return saturate(kb)
-    except InconsistencyError as exc:
-        for conflict in exc.report.conflicts:
-            print(format_conflict(conflict), file=sys.stderr)
-        raise _CliError("the knowledge base is inconsistent", EXIT_INCONSISTENT) from None
 
 
 def _choices(args: argparse.Namespace, kb: KnowledgeBase) -> list[str]:
@@ -189,12 +178,9 @@ def _rank_all(args: argparse.Namespace) -> list[DecisionReport]:
     """Load the base and the utility boxes, saturate once, rank per expert."""
     kb = _load_kb(args.kb)
     uboxes = [_load_ubox(path) for path in args.ubox]
-    sat = _saturate(kb)
+    sat = saturate(kb)
     choices = _choices(args, kb)
-    try:
-        return [rank_choices(sat, choices, ubox) for ubox in uboxes]
-    except FdlbError as exc:
-        raise _CliError(str(exc)) from None
+    return [rank_choices(sat, choices, ubox) for ubox in uboxes]
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
@@ -278,17 +264,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     _print_diagnostics("<concept>", concept_result.diagnostics)
     if concept_result.concept is None:
         raise _CliError("concept expression not parsed")
-    sat = _saturate(kb)
+    sat = saturate(kb)
     try:
         explanation = sat.explain(args.individual, concept_result.concept, args.bound)
     except NoDerivationError as exc:
         raise _CliError(str(exc), EXIT_NO_DERIVATION) from None
-    except UnknownIndividualError as exc:
-        raise _CliError(str(exc)) from None
-    except InconsistencyError as exc:
-        for conflict in exc.report.conflicts:
-            print(format_conflict(conflict), file=sys.stderr)
-        raise _CliError("the knowledge base is inconsistent", EXIT_INCONSISTENT) from None
     if args.format == "structured":
         _emit_json(_explain_payload(args, explanation))
     else:
@@ -363,6 +343,12 @@ def main(argv: list[str] | None = None) -> int:
     except _CliError as exc:
         print(f"fdlb: error: {exc.message}", file=sys.stderr)
         return exc.code
+    except InconsistencyError as exc:
+        # saturation, or a query's extension of the closure, found a clash
+        for conflict in exc.report.conflicts:
+            print(format_conflict(conflict), file=sys.stderr)
+        print("fdlb: error: the knowledge base is inconsistent", file=sys.stderr)
+        return EXIT_INCONSISTENT
     except FdlbError as exc:
         print(f"fdlb: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .decision import UtilityBox
 from .model import (
@@ -78,11 +78,16 @@ class SourceSpan:
     length: int = 1
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: str  # "kw" | "ident" | "decimal" | "punct" | "eof"
     text: str
-    span: SourceSpan
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        """Built on demand: only a diagnostic reads a token's span."""
+        return SourceSpan(self.line, self.column, len(self.text))
 
 
 _KEYWORDS = frozenset(
@@ -165,19 +170,12 @@ def _lex(text: str, diagnostics: list[ParseDiagnostic]) -> list[Token]:
         elif kind in ("ws", "comment"):
             col += len(lexeme)
         else:
-            span = SourceSpan(line, col, len(lexeme))
-            if kind == "subsumed":
-                tokens.append(Token("kw", "SUBSUMED-BY", span))
-            elif kind == "ident":
-                ttype = "kw" if lexeme in _KEYWORDS else "ident"
-                tokens.append(Token(ttype, lexeme, span))
-            elif kind == "decimal":
-                tokens.append(Token("decimal", lexeme, span))
-            else:
-                tokens.append(Token("punct", lexeme, span))
+            if kind == "subsumed" or lexeme in _KEYWORDS:
+                kind = "kw"
+            tokens.append(Token(kind, lexeme, line, col))  # kind: "kw", "ident", "decimal" or "punct"
             col += len(lexeme)
         pos = m.end()
-    tokens.append(Token("eof", "", SourceSpan(line, col, 0)))
+    tokens.append(Token("eof", "", line, col))
     return tokens
 
 
@@ -348,13 +346,13 @@ class _Parser:
         subject_tok = self.take_ident("an individual name")
         self.take_punct(":")
         concept = self.parse_concept()
-        degree_span = self.peek().span
+        degree_tok = self.peek()
         degree = self.parse_degree_suffix()
         self.take_punct(";")
         if degree == 0:
             self.warn(
                 "membership at degree 0 asserts nothing (every membership is at least 0)",
-                degree_span,
+                degree_tok.span,
             )
         self.assertions.append(FuzzyAssertion(subject_tok.text, concept, degree))
 

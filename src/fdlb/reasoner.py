@@ -38,10 +38,14 @@ least common denominator of the base's asserted and inclusion degrees.
 Saturation only reaches 0, 1, those degrees and their complements, so
 every bound is an exact integer and ``1 - x`` is ``L - v``.  Rules are
 triggered through indexes by expression id, built once per closure, and
-the worklist holds ``b`` for a raised lower bound and ``~b`` for a lowered
-upper one.  Derivations are recorded only when a bound improves, with the
-exact :class:`~fractions.Fraction` value; :class:`SaturatedKb` keeps both
-lists and builds a :class:`DegreeInterval` only when a query returns one.
+the worklist holds the signed bound ``s``: ``b`` for a raised lower bound
+and ``~b`` for a lowered upper one.  Each improvement overwrites one
+compact record under its signed bound — rule, scaled value, premises as
+signed bounds, source, note and step number.  :class:`SaturatedKb` keeps
+both lists and the records, and builds a :class:`DegreeInterval` only when
+a query returns one and a :class:`DerivationNode`, with its exact
+:class:`~fractions.Fraction` value, only when an explanation, a conflict or
+``_derivations`` reads it.
 
 Extensions: a query on an expression outside the closure re-saturates
 with that expression added.  Each :class:`SaturatedKb` memoizes these
@@ -53,11 +57,12 @@ saturates once for that attribute.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .kbtext import render_concept
 from .model import (
@@ -223,7 +228,8 @@ class _Saturation:
         size = len(self.names) * self.width
         self.lo = [0] * size
         self.hi = [scale] * size
-        self.derivations: dict[Key, DerivationNode] = {}
+        # signed bound -> (rule, scaled value, signed premises, source, note, step) of its latest improvement
+        self.records: dict[int, tuple] = {}
         self.queue: deque[int] = deque()  # b: lo[b] rose; ~b: hi[b] fell
         self.step = 0
         self._build_indexes()
@@ -231,9 +237,6 @@ class _Saturation:
     def scaled(self, degree: Fraction) -> int:
         degree = Fraction(degree)
         return degree.numerator * (self.scale // degree.denominator)
-
-    def premises(self, name: str, ids: Iterable[int], kind: Bound) -> tuple[Key, ...]:
-        return tuple((name, self.closure[c], kind) for c in ids)
 
     # -- indexes, by expression id (or individual id for role edges)
 
@@ -309,44 +312,38 @@ class _Saturation:
 
     # -- bound updates
 
-    def _node(self, b: int, kind: Bound, value: int, rule: str, premises, source, note) -> DerivationNode:
-        self.step += 1
-        a, x = divmod(b, self.width)
-        return DerivationNode(
-            rule, self.names[a], self.closure[x], kind, self.fractions[value], premises, source, note, self.step
-        )
-
-    def _conflict(self, new: DerivationNode) -> Conflict:
+    def _conflict(self, b: int) -> Conflict:
         # The losing side's current bound must itself be derived: a default
         # bound (0 or 1) can never be crossed by a value inside [0, 1].
-        ind, expr = new.individual, new.expr
-        self.derivations[(ind, expr, new.kind)] = new
-        lo = _explanation(self.derivations, (ind, expr, "lo"))
-        hi = _explanation(self.derivations, (ind, expr, "hi"))
+        a, x = divmod(b, self.width)
+        ind, expr = self.names[a], self.closure[x]
+        derivations = _Derivations(self)
+        lo = _explanation(derivations, (ind, expr, "lo"))
+        hi = _explanation(derivations, (ind, expr, "hi"))
         return Conflict(ind, expr, lo.value, hi.value, lo, hi)
 
     def set_lo(
-        self, b: int, value: int, rule: str, premises: tuple[Key, ...], source: object | None = None, note: str = ""
+        self, b: int, value: int, rule: str, premises: tuple[int, ...], source: object | None = None, note: str = ""
     ) -> None:
         if value <= self.lo[b]:
             return
-        node = self._node(b, "lo", value, rule, premises, source, note)
+        self.step += 1
+        self.records[b] = (rule, value, premises, source, note, self.step)
         if value > self.hi[b]:
-            raise _ConflictFound(self._conflict(node))
+            raise _ConflictFound(self._conflict(b))
         self.lo[b] = value
-        self.derivations[(node.individual, node.expr, "lo")] = node
         self.queue.append(b)
 
     def set_hi(
-        self, b: int, value: int, rule: str, premises: tuple[Key, ...], source: object | None = None, note: str = ""
+        self, b: int, value: int, rule: str, premises: tuple[int, ...], source: object | None = None, note: str = ""
     ) -> None:
         if value >= self.hi[b]:
             return
-        node = self._node(b, "hi", value, rule, premises, source, note)
+        self.step += 1
+        self.records[~b] = (rule, value, premises, source, note, self.step)
         if value < self.lo[b]:
-            raise _ConflictFound(self._conflict(node))
+            raise _ConflictFound(self._conflict(b))
         self.hi[b] = value
-        self.derivations[(node.individual, node.expr, "hi")] = node
         self.queue.append(~b)
 
     # -- seeds
@@ -400,33 +397,32 @@ class _Saturation:
         base = b - x
         lo = self.lo
         value = lo[b]
-        name = self.names[a]
-        key = (name, self.closure[x], "lo")
+        premise = (b,)
         for partner in self.neg_partners[x]:
-            self.set_hi(base + partner, self.scale - value, "negation", (key,))
+            self.set_hi(base + partner, self.scale - value, "negation", premise)
         for parent, parts in self.conj_parents[x]:
             current = lo[base + parent]
             if value <= current:
                 continue  # the minimum over the parts is at most value
             candidate = min(lo[base + c] for c in parts)
             if candidate > current:
-                self.set_lo(base + parent, candidate, "conj-up", self.premises(name, parts, "lo"))
+                self.set_lo(base + parent, candidate, "conj-up", tuple(base + c for c in parts))
         for parent, parts in self.disj_parents[x]:
             candidate = max(lo[base + c] for c in parts)
             if candidate > lo[base + parent]:
                 witness = next(c for c in parts if lo[base + c] == candidate)
-                self.set_lo(base + parent, candidate, "disj-up", self.premises(name, (witness,), "lo"))
+                self.set_lo(base + parent, candidate, "disj-up", (base + witness,))
         for c in self.conj_down[x]:
-            self.set_lo(base + c, value, "conj-down", (key,))
+            self.set_lo(base + c, value, "conj-down", premise)
         if self.forall_down[x] is not None:
             role, body = self.forall_down[x]
             for f in self.fillers.get((a, role), ()):
-                self.set_lo(f * self.width + body, value, "forall-down", (key,), source=self.role_fact[(a, f, role)])
+                self.set_lo(f * self.width + body, value, "forall-down", premise, source=self.role_fact[(a, f, role)])
         if x in self.quantified:
             self._quantifiers_up(a, x, value)
         for gci, cap, rhs, degree in self.gcis_by_lhs[x]:
             if lo[b] > cap:  # live: an inclusion of e into itself raises it
-                self.set_lo(base + rhs, degree, "gci", (key,), source=gci)
+                self.set_lo(base + rhs, degree, "gci", premise, source=gci)
         for gci, cap, parts in self.bottom_by_conjunct[x]:
             self._apply_disjoint(a, gci, cap, parts)
 
@@ -434,7 +430,6 @@ class _Saturation:
         # individual b's lower bound in expression x rose: revisit the
         # quantifiers over x on every role edge that ends at b.
         lo, width = self.lo, self.width
-        e = self.closure[x]
         for subject, role in self.pointing_at[b]:
             node = self.exists_up.get((role, x))
             if node is not None:
@@ -443,7 +438,7 @@ class _Saturation:
                 if candidate > lo[subject * width + node]:
                     witness = next(f for f in fils if lo[f * width + x] == candidate)
                     self.set_lo(
-                        subject * width + node, candidate, "exists-up", ((self.names[witness], e, "lo"),),
+                        subject * width + node, candidate, "exists-up", (witness * width + x,),
                         source=self.role_fact[(subject, witness, role)],
                     )
             node = self.forall_up.get((role, x))
@@ -455,8 +450,7 @@ class _Saturation:
                 candidate = min(lo[f * width + x] for f in fils)
                 if candidate > current:
                     self.set_lo(
-                        subject * width + node, candidate, "forall-up",
-                        tuple((self.names[f], e, "lo") for f in fils),
+                        subject * width + node, candidate, "forall-up", tuple(f * width + x for f in fils),
                         note="closed role: the listed fillers are all fillers",
                     )
 
@@ -472,28 +466,27 @@ class _Saturation:
                 continue
             if cap < self.hi[base + cj]:
                 others = parts[:j] + parts[j + 1 :]
-                self.set_hi(base + cj, cap, "disjoint", self.premises(self.names[a], others, "lo"), source=gci)
+                self.set_hi(base + cj, cap, "disjoint", tuple(base + c for c in others), source=gci)
 
     def _hi_changed(self, b: int) -> None:
-        a, x = divmod(b, self.width)
+        x = b % self.width
         base = b - x
         hi = self.hi
         value = hi[b]
-        name = self.names[a]
         for partner in self.neg_partners[x]:
-            self.set_lo(base + partner, self.scale - value, "negation", ((name, self.closure[x], "hi"),))
+            self.set_lo(base + partner, self.scale - value, "negation", (~b,))
         for parent, parts in self.conj_parents[x]:
             candidate = min(hi[base + c] for c in parts)
             if candidate < hi[base + parent]:
                 witness = next(c for c in parts if hi[base + c] == candidate)
-                self.set_hi(base + parent, candidate, "conj-hi", self.premises(name, (witness,), "hi"))
+                self.set_hi(base + parent, candidate, "conj-hi", (~(base + witness),))
         for parent, parts in self.disj_parents[x]:
             current = hi[base + parent]
             if value >= current:
                 continue  # the maximum over the parts is at least value
             candidate = max(hi[base + c] for c in parts)
             if candidate < current:
-                self.set_hi(base + parent, candidate, "disj-hi", self.premises(name, parts, "hi"))
+                self.set_hi(base + parent, candidate, "disj-hi", tuple(~(base + c) for c in parts))
 
 
 # --------------------------------------------------------------------------
@@ -508,7 +501,9 @@ class SaturatedKb:
     ``x`` own the bound ``b = i * len(closure) + x``; ``_lo[b]`` and
     ``_hi[b]`` hold its degrees scaled by ``_scale``, and ``_fractions``
     maps each scaled degree back to its exact value.  Intervals are
-    assembled on demand.
+    assembled on demand.  ``_derivations`` reads the compact record of each
+    improved bound by ``(individual, expression, side)`` and builds its
+    :class:`DerivationNode` on first read.
     """
 
     kb: KnowledgeBase
@@ -611,6 +606,52 @@ class SaturatedKb:
         return i
 
 
+class _Derivations(Mapping[Key, DerivationNode]):
+    """A saturation's records read as derivation nodes, by (individual, expression, side).
+
+    A record becomes a :class:`DerivationNode` on its first read, and that
+    node is kept.  Iteration follows the order bounds were first improved.
+    """
+
+    def __init__(self, engine: _Saturation):
+        self._records = engine.records
+        self._names, self._closure, self._fractions = engine.names, engine.closure, engine.fractions
+        self._individual_ids, self._expr_ids = engine.individual_ids, engine.expr_ids
+        self._nodes: dict[int, DerivationNode] = {}
+
+    def _signed(self, key: object) -> int | None:
+        if not (isinstance(key, tuple) and len(key) == 3):
+            return None
+        individual, expr, kind = key
+        a, x = self._individual_ids.get(individual), self._expr_ids.get(expr)
+        if a is None or x is None or kind not in ("lo", "hi"):
+            return None
+        b = a * len(self._closure) + x
+        return b if kind == "lo" else ~b
+
+    def _key(self, s: int) -> Key:
+        a, x = divmod(s if s >= 0 else ~s, len(self._closure))
+        return (self._names[a], self._closure[x], "lo" if s >= 0 else "hi")
+
+    def __getitem__(self, key: Key) -> DerivationNode:
+        s = self._signed(key)
+        if s not in self._records:
+            raise KeyError(key)
+        node = self._nodes.get(s)
+        if node is None:
+            rule, value, premises, source, note, step = self._records[s]
+            node = self._nodes[s] = DerivationNode(
+                rule, *self._key(s), self._fractions[value], tuple(map(self._key, premises)), source, note, step
+            )
+        return node
+
+    def __iter__(self) -> Iterator[Key]:
+        return map(self._key, self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+
 def _describe(expr: ConceptExpression) -> str:
     return f"concept '{render_concept(expr)}'"
 
@@ -654,7 +695,7 @@ def saturate(kb: KnowledgeBase, extra_concepts: Sequence[ConceptExpression] = ()
         _hi=engine.hi,
         _scale=engine.scale,
         _fractions=engine.fractions,
-        _derivations=engine.derivations,
+        _derivations=_Derivations(engine),
     )
 
 

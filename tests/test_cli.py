@@ -1,11 +1,15 @@
 import json
+import random
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from fdlb.cli import main
-from fdlb.kbtext import MAX_CONCEPT_DEPTH
+from fdlb.kbtext import MAX_CONCEPT_DEPTH, format_conflict, parse_kb
+from fdlb.reasoner import InconsistencyError, SaturatedKb, check_consistency
 
 pytestmark = pytest.mark.usefixtures("fixtures_dir")
 
@@ -183,6 +187,26 @@ def test_rank_inconsistent_kb(paths, capsys):
     assert "inconsistent" in err
 
 
+@pytest.mark.parametrize("command", ["rank", "complete"])
+def test_clash_found_by_an_extension_exits_two(command, paths, tmp_path, capsys, monkeypatch):
+    # a query outside the closure re-saturates; a clash found there is the
+    # same inconsistency as one found up front
+    report = check_consistency(parse_kb(Path(paths["clash"]).read_text()).kb)
+
+    def clashing(self, expr):
+        raise InconsistencyError(report)
+
+    monkeypatch.setattr(SaturatedKb, "_extension", clashing)
+    kb = tmp_path / "open.fdlb"
+    kb.write_text("concept Open;\nassert x : Good @ 0.5;\n")
+    ubox = tmp_path / "open.ubox"
+    ubox.write_text("ubox e {\n    Good = 1;\n    Open = 1;\n}\n")
+    code, out, err = run(capsys, command, str(kb), "--ubox", str(ubox))
+    assert code == 2
+    assert out == ""
+    assert err == format_conflict(report.conflicts[0]) + "\nfdlb: error: the knowledge base is inconsistent\n"
+
+
 # -- complete
 
 TABLETS = ("--choices", "tab_1,tab_2,tab_3")
@@ -323,3 +347,47 @@ def test_usage_error_is_exit_one(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "usage" in captured.err
+
+
+# -- totality: mutated inputs give an exit code, never a traceback
+
+TOKEN = re.compile(r"#[^\n]*|\s+|[A-Za-z_][\w-]*|-?\d+(?:\.\d+)?|\S")
+MUTANTS_PER_FIXTURE = 75
+QUERIES = {"clash": ("e_1", "WellEquip")}
+
+
+def mutants(text, rng, count):
+    """``count`` copies of ``text``, each with one token deleted, duplicated or swapped with another."""
+    tokens = TOKEN.findall(text)
+    solid = [i for i, t in enumerate(tokens) if not t.isspace()]
+    for _ in range(count):
+        mutant = list(tokens)
+        i, j = rng.choice(solid), rng.choice(solid)
+        op = rng.choice(("delete", "duplicate", "swap"))
+        if op == "delete":
+            mutant[i] = ""
+        elif op == "duplicate":
+            mutant[i] = f"{mutant[i]} {mutant[i]}"
+        else:
+            mutant[i], mutant[j] = mutant[j], mutant[i]
+        yield "".join(mutant)
+
+
+@pytest.mark.parametrize("name", ["clash", "crisp", "fuzzy", "complete"])
+def test_mutated_fixtures_always_exit_with_a_code(name, paths, tmp_path, capsys):
+    rng = random.Random(f"mutants:{name}")
+    individual, concept = QUERIES.get(name, ("tab_1", "UpperclassTablet"))
+    kb = tmp_path / "mutant.fdlb"
+    codes = set()
+    for text in mutants(Path(paths[name]).read_text(), rng, MUTANTS_PER_FIXTURE):
+        kb.write_text(text)
+        for argv in (
+            ("check", str(kb)),
+            ("rank", str(kb), "--ubox", paths["e1"]),
+            ("explain", str(kb), "-i", individual, "-c", concept),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code in range(5), (argv, text)
+            codes.add(code)
+    assert {0, 1} <= codes  # some mutants still parse, most do not
+

@@ -106,6 +106,16 @@ def test_error_spans_point_at_the_problem():
     assert (err.span.line, err.span.column) == (1, 25)
 
 
+@pytest.mark.parametrize("text, span", [
+    ("concept A;\naxiom A B;\n", (2, 9, 1)),  # at an identifier
+    ("concept A;\n  assert x : SUBSUMED-BY B;\n", (2, 14, 11)),  # at SUBSUMED-BY
+    ("concept A;\naxiom A SUBSUMED-BY", (2, 20, 0)),  # at end of input
+])
+def test_diagnostic_spans_cover_the_offending_token(text, span):
+    (diagnostic,) = parse_kb(text).diagnostics
+    assert (diagnostic.span.line, diagnostic.span.column, diagnostic.span.length) == span
+
+
 def test_recovery_continues_after_bad_statement():
     result = parse_kb("axiom A SUBSUMED-BY ;\naxiom B EQUIV;\nassert x : ;\nrole r : abstract;")
     errors = [d for d in result.diagnostics if d.severity == "error"]

@@ -175,9 +175,14 @@ def test_clash_fixture_reports_conflict(fixtures_dir):
     assert not report.consistent
     conflict = report.conflicts[0]
     assert conflict.individual == "e_1"
-    text = format_conflict(conflict)
-    assert "PoorEquip AND WellEquip SUBSUMED-BY BOTTOM" in text
-    assert "disjoint" in text
+    assert format_conflict(conflict) == (
+        "conflict on 'e_1' in PoorEquip: membership forced >= 1 and <= 0\n"
+        "lower bound:\n"
+        "  lo(e_1, PoorEquip) >= 1   [assertion; assert e_1 : PoorEquip;]\n"
+        "upper bound:\n"
+        "  hi(e_1, PoorEquip) <= 0   [disjoint; axiom PoorEquip AND WellEquip SUBSUMED-BY BOTTOM;]\n"
+        "    lo(e_1, WellEquip) >= 1   [assertion; assert e_1 : WellEquip;]"
+    )
 
 
 def test_asserting_bottom_is_inconsistent():
@@ -633,3 +638,67 @@ def test_mixed_precision_degrees_stay_exact():
     assert type(conflict.lo_value) is Fraction and type(conflict.hi_value) is Fraction
     assert conflict.expr == Atom("A")
     assert "0.667001" in format_conflict(conflict)
+
+
+# -- derivation nodes are built when read
+
+
+def count_nodes(monkeypatch):
+    import fdlb.reasoner
+
+    built = []
+    real = fdlb.reasoner.DerivationNode
+
+    def counting(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(fdlb.reasoner, "DerivationNode", counting)
+    return built
+
+
+def test_saturate_builds_no_derivation_node(fuzzy_kb, monkeypatch):
+    built = count_nodes(monkeypatch)
+    sat = saturate(fuzzy_kb)
+    assert len(sat._derivations) > 0
+    assert built == []
+
+
+def test_explain_builds_only_the_steps_it_returns(fuzzy_kb, monkeypatch):
+    sat = saturate(fuzzy_kb)
+    built = count_nodes(monkeypatch)
+    explanation = sat.explain("tab_1", Atom("UpperclassTablet"))
+    assert len(explanation.steps) == 4
+    assert sorted(map(id, built)) == sorted(map(id, explanation.steps))
+    again = sat.explain("tab_1", Atom("UpperclassTablet"))
+    assert len(built) == 4  # a second read reuses every node
+    assert all(a is b for a, b in zip(again.steps, explanation.steps))
+
+
+def test_derivations_read_like_a_dict(fuzzy_kb):
+    sat = saturate(fuzzy_kb)
+    view = sat._derivations
+    plain = dict(view)
+    assert len(view) == len(plain) > 0
+    assert list(view) == list(plain)
+    assert all(key == (n.individual, n.expr, n.kind) for key, n in plain.items())
+    first = next(iter(plain))
+    assert view[first] is view[first] is plain[first]
+    vacuous = next(("tab_1", e, "hi") for e in sat.closure if ("tab_1", e, "hi") not in plain)
+    probes = list(plain) + [
+        vacuous,
+        ("nobody", Atom("Tablet"), "lo"),
+        ("tab_1", Atom("Unmentioned"), "lo"),
+        ("tab_1", Atom("Tablet"), "mid"),
+        ("tab_1", Atom("Tablet")),
+        "tab_1",
+        None,
+    ]
+    for key in probes:
+        assert (key in view) == (key in plain), key
+        if key in plain:
+            assert view[key] is plain[key]
+        else:
+            with pytest.raises(KeyError):
+                view[key]
+
