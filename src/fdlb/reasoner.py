@@ -31,38 +31,50 @@ Inclusions never propagate right-to-left (no contrapositive rule): what the
 knowledge base does not determine stays at the vacuous interval [0, 1]
 rather than being guessed.
 
-Bound storage: individual ``i`` (in ``kb.individuals`` order) in closure
-expression ``x`` is the bound ``b = i * len(closure) + x``, held in two
-flat integer lists ``lo[b]``/``hi[b]`` as degrees scaled by ``L``, the
-least common denominator of the base's asserted and inclusion degrees.
-Saturation only reaches 0, 1, those degrees and their complements, so
-every bound is an exact integer and ``1 - x`` is ``L - v``.  Rules are
-triggered through indexes by expression id, built once per closure, and
-the worklist holds the signed bound ``s``: ``b`` for a raised lower bound
-and ``~b`` for a lowered upper one.  Each improvement overwrites one
-compact record under its signed bound — rule, scaled value, premises as
-signed bounds, source, note and step number.  :class:`SaturatedKb` keeps
-both lists and the records, and builds a :class:`DegreeInterval` only when
-a query returns one and a :class:`DerivationNode`, with its exact
-:class:`~fractions.Fraction` value, only when an explanation, a conflict or
-``_derivations`` reads it.
+Bound storage: closure expression ``x`` and individual ``i`` (in
+``kb.individuals`` order) own the bound ``b = x * n + i``, ``n`` being the
+number of individuals, held in two flat integer lists ``lo[b]``/``hi[b]``
+as degrees scaled by ``L``, the least common denominator of the base's
+asserted and inclusion degrees.  Saturation only reaches 0, 1, those
+degrees and their complements, so every bound is an exact integer and
+``1 - x`` is ``L - v``.  Rules are triggered through indexes by expression
+id, and the worklist holds the signed bound ``s``: ``b`` for a raised
+lower bound and ``~b`` for a lowered upper one.  Each improvement
+overwrites one compact record under its signed bound — rule, scaled value,
+premises as signed bounds, source, note and step number.
+:class:`SaturatedKb` keeps both lists and the records, and builds a
+:class:`DegreeInterval` only when a query returns one and a
+:class:`DerivationNode`, with its exact :class:`~fractions.Fraction`
+value, only when an explanation, a conflict or ``_derivations`` reads it.
 
-Extensions: a query on an expression outside the closure re-saturates
-with that expression added.  Each :class:`SaturatedKb` memoizes these
-extensions per normalized expression, shared by ``instance_interval`` and
-``explain``, so ranking many choices on one out-of-closure attribute
-saturates once for that attribute.
+Extensions: a query on an expression outside the closure extends the
+saturation instead of re-running it.  Only the query's new subexpressions
+and their duals join the closure, numbered after the old ones, so every
+old bound, record and premise keeps its number; they get index entries
+and seeds of their own, the old bounds that trigger a rule concluding a
+new expression are queued again, and the worklist runs from the parent's
+fixpoint to the new one.  The rules are monotone and the parent's bounds
+lie below the least fixpoint of the larger rule set, so the result equals
+a fresh saturation with the query added (the additions-only case of
+Kazakov & Klinov, *Incremental Reasoning in OWL EL without Bookkeeping*,
+ISWC 2013).  The extension's step numbers continue the parent's, and the
+derivation it records for a bound may differ from a fresh run's; the
+parent's lists, records and indexes never change.  Each
+:class:`SaturatedKb` memoizes its extensions per normalized expression,
+shared by ``instance_interval`` and ``explain``, so an attribute no
+statement mentions costs its two closure entries and no derivation.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from collections.abc import Iterator, Mapping
+from collections import ChainMap, deque
+from collections.abc import Container, Iterator, Mapping, MutableMapping
+from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .kbtext import render_concept
 from .model import (
@@ -193,13 +205,20 @@ def build_closure(kb: KnowledgeBase, extra: Iterable[ConceptExpression] = ()) ->
         seen.update(sub_expressions(fa.concept))
     for e in extra:
         seen.update(sub_expressions(normalize(e)))
-    todo = list(seen)
+    _add_duals(list(seen), seen)
+    return tuple(sorted(seen, key=sort_key))
+
+
+def _add_duals(todo: list[ConceptExpression], seen: set[ConceptExpression], known: Container = ()) -> None:
+    """Add to ``seen`` the subexpressions of each dual of ``todo``, and of theirs, until stable.
+
+    ``known`` holds expressions of an already closed set, which are skipped.
+    """
     while todo:
         for sub in sub_expressions(_dual(todo.pop())):
-            if sub not in seen:
+            if sub not in seen and sub not in known:
                 seen.add(sub)
                 todo.append(sub)
-    return tuple(sorted(seen, key=sort_key))
 
 
 # --------------------------------------------------------------------------
@@ -215,73 +234,51 @@ class _ConflictFound(Exception):
 class _Saturation:
     def __init__(self, kb: KnowledgeBase, extra: Iterable[ConceptExpression] = ()):
         self.kb = kb
-        self.closure = build_closure(kb, extra)
-        self.expr_ids = {e: x for x, e in enumerate(self.closure)}
         self.names = kb.individuals
         self.individual_ids = {a: i for i, a in enumerate(self.names)}
-        self.width = len(self.closure)
-        degrees = [Fraction(d) for d in chain((fa.degree for fa in kb.assertions), (g.degree for g in kb.gcis))]
-        self.scale = scale = lcm(*(d.denominator for d in degrees))
+        self.n = len(self.names)
+        # each distinct asserted or inclusion degree, converted once, and its scaled value
+        distinct = set(chain((fa.degree for fa in kb.assertions), (g.degree for g in kb.gcis)))
+        degrees = {d: Fraction(d) for d in distinct}
+        self.scale = scale = lcm(*(d.denominator for d in degrees.values()))
+        self.scaled = {d: f.numerator * (scale // f.denominator) for d, f in degrees.items()}
         # every degree saturation can reach: 0, 1, and each input degree and its complement
-        scaled = [self.scaled(d) for d in degrees]
-        self.fractions = {v: Fraction(v, scale) for v in chain((0, scale), scaled, (scale - v for v in scaled))}
-        size = len(self.names) * self.width
-        self.lo = [0] * size
-        self.hi = [scale] * size
+        levels = set(self.scaled.values())
+        self.fractions = {v: Fraction(v, scale) for v in chain((0, scale), levels, (scale - v for v in levels))}
         # signed bound -> (rule, scaled value, signed premises, source, note, step) of its latest improvement
-        self.records: dict[int, tuple] = {}
+        self.records: MutableMapping[int, tuple] = {}
         self.queue: deque[int] = deque()  # b: lo[b] rose; ~b: hi[b] fell
         self.step = 0
-        self._build_indexes()
-
-    def scaled(self, degree: Fraction) -> int:
-        degree = Fraction(degree)
-        return degree.numerator * (self.scale // degree.denominator)
-
-    # -- indexes, by expression id (or individual id for role edges)
-
-    def _build_indexes(self) -> None:
-        kb, ids, width = self.kb, self.expr_ids, self.width
-        self.neg_partners: list[list[int]] = [[] for _ in range(width)]
-        self.conj_parents: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(width)]
-        self.disj_parents: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(width)]
-        self.conj_down: list[tuple[int, ...]] = [()] * width
-        self.forall_down: list[tuple[str, int] | None] = [None] * width
+        self._index_roles()
+        self.closure: tuple[ConceptExpression, ...] = ()
+        self.expr_ids: dict[ConceptExpression, int] = {}
+        self.lo: list[int] = []
+        self.hi: list[int] = []
+        self.neg_partners: list[list[int]] = []
+        self.conj_parents: list[list[tuple[int, tuple[int, ...]]]] = []
+        self.disj_parents: list[list[tuple[int, tuple[int, ...]]]] = []
+        self.conj_down: list[tuple[int, ...]] = []
+        self.forall_down: list[tuple[str, int] | None] = []
         self.exists_up: dict[tuple[str, int], int] = {}
         self.forall_up: dict[tuple[str, int], int] = {}
         self.closed_foralls: dict[str, list[int]] = {}
         self.concrete_nodes: list[int] = []
-        for x, e in enumerate(self.closure):
-            if isinstance(e, Not):
-                body = ids[e.body]
-                self.neg_partners[body].append(x)
-                self.neg_partners[x].append(body)
-            elif isinstance(e, (And, Or)):
-                parts = tuple(ids[c] for c in e.parts)
-                parents = self.conj_parents if isinstance(e, And) else self.disj_parents
-                for c in parts:
-                    parents[c].append((x, parts))
-                if isinstance(e, And):
-                    self.conj_down[x] = parts
-            elif isinstance(e, Exists):
-                if isinstance(e.target, ConcretePredicate):
-                    self.concrete_nodes.append(x)
-                else:
-                    self.exists_up[(e.role, ids[e.target])] = x
-            elif isinstance(e, Forall):
-                self.forall_down[x] = (e.role, ids[e.body])
-                decl = kb.roles.get(e.role)
-                if decl is not None and decl.closed:
-                    self.forall_up[(e.role, ids[e.body])] = x
-                    self.closed_foralls.setdefault(e.role, []).append(x)
-        # expressions whose lower bound on a filler can move a quantifier
-        self.quantified = {target for _, target in self.exists_up} | {body for _, body in self.forall_up}
+        # gci: (inclusion, scaled cap = 1 - degree, rhs row, scaled degree)
+        self.gcis_by_lhs: list[list[tuple[FuzzyGci, int, int, int]]] = []
+        self.bottom_by_conjunct: list[list[tuple[FuzzyGci, int, tuple[int, ...]]]] = []
+        self._add_expressions(build_closure(kb, extra))
+        self._index_gcis()
 
+    # -- indexes: by expression id, or individual id for role edges; an
+    # entry names an expression by its row x * n, so individual a's bound
+    # in it is row + a
+
+    def _index_roles(self) -> None:
         individual = self.individual_ids
         self.fillers: dict[tuple[int, str], list[int]] = {}
         self.pointing_at: list[list[tuple[int, str]]] = [[] for _ in self.names]
         self.role_fact: dict[tuple[int, int, str], object] = {}
-        for ra in kb.role_assertions:
+        for ra in self.kb.role_assertions:
             subject, filler = individual[ra.subject], individual[ra.filler]
             key = (subject, ra.role)
             if filler not in self.fillers.setdefault(key, []):
@@ -290,32 +287,90 @@ class _Saturation:
                 self.role_fact[(subject, filler, ra.role)] = ra
 
         self.values_by_role: dict[str, list[tuple[int, object]]] = {}
-        for cf in kb.concrete_facts:
+        for cf in self.kb.concrete_facts:
             self.values_by_role.setdefault(cf.role, []).append((individual[cf.subject], cf))
 
-        # gci: (inclusion, scaled cap = 1 - degree, rhs id, scaled degree)
-        self.gcis_by_lhs: list[list[tuple[FuzzyGci, int, int, int]]] = [[] for _ in range(width)]
-        self.bottom_by_conjunct: list[list[tuple[FuzzyGci, int, tuple[int, ...]]]] = [[] for _ in range(width)]
+    def _add_expressions(self, exprs: Sequence[ConceptExpression]) -> set[int]:
+        """Number ``exprs`` after the closure, with default bounds and their index entries.
+
+        Every table is replaced rather than changed in place, so an engine
+        this one was copied from keeps its own.  Returns the expressions
+        whose bounds trigger a newly indexed rule.
+        """
+        first, n = len(self.closure), self.n
+        new = range(first, first + len(exprs))
+        self.closure += tuple(exprs)
+        self.expr_ids = ids = {**self.expr_ids, **dict(zip(exprs, new))}
+        self.lo = self.lo + [0] * (n * len(new))
+        self.hi = self.hi + [self.scale] * (n * len(new))
+        self.neg_partners, self.conj_parents, self.disj_parents = (
+            [list(entries) for entries in table] + [[] for _ in new]
+            for table in (self.neg_partners, self.conj_parents, self.disj_parents)
+        )
+        self.conj_down = self.conj_down + [()] * len(new)
+        self.forall_down = self.forall_down + [None] * len(new)
+        self.gcis_by_lhs = self.gcis_by_lhs + [[] for _ in new]
+        self.bottom_by_conjunct = self.bottom_by_conjunct + [[] for _ in new]
+        self.exists_up, self.forall_up = dict(self.exists_up), dict(self.forall_up)
+        self.closed_foralls = {role: list(nodes) for role, nodes in self.closed_foralls.items()}
+        self.concrete_nodes = list(self.concrete_nodes)
+        triggers: set[int] = set()
+        for x in new:
+            e, row = self.closure[x], x * n
+            if isinstance(e, Not):
+                body = ids[e.body]
+                self.neg_partners[body].append(row)
+                self.neg_partners[x].append(body * n)
+                triggers.add(body)
+            elif isinstance(e, (And, Or)):
+                parts = tuple(ids[c] for c in e.parts)
+                rows = tuple(c * n for c in parts)
+                parents = self.conj_parents if isinstance(e, And) else self.disj_parents
+                for c in parts:
+                    parents[c].append((row, rows))
+                triggers.update(parts)
+                if isinstance(e, And):
+                    self.conj_down[x] = rows
+            elif isinstance(e, Exists):
+                if isinstance(e.target, ConcretePredicate):
+                    self.concrete_nodes.append(x)
+                else:
+                    self.exists_up[(e.role, ids[e.target])] = row
+                    triggers.add(ids[e.target])
+            elif isinstance(e, Forall):
+                self.forall_down[x] = (e.role, ids[e.body] * n)
+                decl = self.kb.roles.get(e.role)
+                if decl is not None and decl.closed:
+                    self.forall_up[(e.role, ids[e.body])] = row
+                    self.closed_foralls.setdefault(e.role, []).append(x)
+                    triggers.add(ids[e.body])
+        # expressions whose lower bound on a filler can move a quantifier
+        self.quantified = {target for _, target in self.exists_up} | {body for _, body in self.forall_up}
+        return triggers
+
+    def _index_gcis(self) -> None:
+        ids, n = self.expr_ids, self.n
         self.bottom_simple: list[tuple[FuzzyGci, int]] = []
-        for gci in kb.gcis:
-            degree = self.scaled(gci.degree)
+        for gci in self.kb.gcis:
+            degree = self.scaled[gci.degree]
             cap = self.scale - degree
             if gci.rhs == BOTTOM:
                 if isinstance(gci.lhs, And):
-                    parts = tuple(ids[c] for c in gci.lhs.parts)
+                    parts = [ids[c] for c in gci.lhs.parts]
+                    rows = tuple(c * n for c in parts)
                     for c in set(parts):
-                        self.bottom_by_conjunct[c].append((gci, cap, parts))
+                        self.bottom_by_conjunct[c].append((gci, cap, rows))
                 else:
                     self.bottom_simple.append((gci, cap))
             else:
-                self.gcis_by_lhs[ids[gci.lhs]].append((gci, cap, ids[gci.rhs], degree))
+                self.gcis_by_lhs[ids[gci.lhs]].append((gci, cap, ids[gci.rhs] * n, degree))
 
     # -- bound updates
 
     def _conflict(self, b: int) -> Conflict:
         # The losing side's current bound must itself be derived: a default
         # bound (0 or 1) can never be crossed by a value inside [0, 1].
-        a, x = divmod(b, self.width)
+        x, a = divmod(b, self.n)
         ind, expr = self.names[a], self.closure[x]
         derivations = _Derivations(self)
         lo = _explanation(derivations, (ind, expr, "lo"))
@@ -348,33 +403,43 @@ class _Saturation:
 
     # -- seeds
 
-    def seed(self) -> None:
-        kb, width, scale = self.kb, self.width, self.scale
-        bases = range(0, len(self.names) * width, width)  # the first bound of each individual
-        top, bottom = self.expr_ids[TOP], self.expr_ids[BOTTOM]
-        for base in bases:
-            self.set_lo(base + top, scale, "top", ())
-            self.set_hi(base + bottom, 0, "bottom", ())
-        for fa in kb.assertions:
-            b = self.individual_ids[fa.individual] * width + self.expr_ids[fa.concept]
-            self.set_lo(b, self.scaled(fa.degree), "assertion", (), source=fa)
+    def seed(self, first: int = 0) -> None:
+        """Set the bounds no rule derives from other bounds.
+
+        With ``first`` > 0 only expressions from id ``first`` on are seeded
+        (an extension's new ones): statements were seeded with the rest.
+        """
+        n, scale, ids = self.n, self.scale, self.expr_ids
+        if not first:
+            top, bottom = ids[TOP] * n, ids[BOTTOM] * n
+            for a in range(n):
+                self.set_lo(top + a, scale, "top", ())
+                self.set_hi(bottom + a, 0, "bottom", ())
+            for fa in self.kb.assertions:
+                b = ids[fa.concept] * n + self.individual_ids[fa.individual]
+                self.set_lo(b, self.scaled[fa.degree], "assertion", (), source=fa)
         for x in self.concrete_nodes:
+            if x < first:
+                continue
             node = self.closure[x]
-            for ind, cf in self.values_by_role.get(node.role, ()):
+            for a, cf in self.values_by_role.get(node.role, ()):
                 hit = node.target.evaluate(cf.value)  # type: ignore[union-attr]
                 if hit == ONE:
-                    self.set_lo(ind * width + x, scale, "concrete", (), source=cf)
+                    self.set_lo(x * n + a, scale, "concrete", (), source=cf)
                 else:
-                    self.set_hi(ind * width + x, 0, "concrete", (), source=cf)
-        for gci, cap in self.bottom_simple:
-            lhs = self.expr_ids[gci.lhs]
-            for base in bases:
-                self.set_hi(base + lhs, cap, "disjoint", (), source=gci)
+                    self.set_hi(x * n + a, 0, "concrete", (), source=cf)
+        if not first:
+            for gci, cap in self.bottom_simple:
+                lhs = ids[gci.lhs] * n
+                for a in range(n):
+                    self.set_hi(lhs + a, cap, "disjoint", (), source=gci)
         for role, nodes in self.closed_foralls.items():
             for x in nodes:
-                for a, base in enumerate(bases):
+                if x < first:
+                    continue
+                for a in range(n):
                     if not self.fillers.get((a, role)):
-                        self.set_lo(base + x, scale, "forall-up", (), note="closed role with no fillers")
+                        self.set_lo(x * n + a, scale, "forall-up", (), note="closed role with no fillers")
 
     # -- propagation
     #
@@ -382,8 +447,43 @@ class _Saturation:
     # bound it targets and only then builds premises and a witness: most
     # firings improve nothing, and set_lo/set_hi would drop them anyway.
 
-    def run(self) -> None:
+    def run(self) -> "_Saturation":
         self.seed()
+        self.propagate()
+        return self
+
+    def extended(self, e: ConceptExpression) -> "_Saturation":
+        """A copy of this saturated engine with ``e`` added, resumed to the new fixpoint.
+
+        The copy adds only the new subexpressions of ``e`` and their duals,
+        seeds only them, and re-queues the non-default bounds of the old
+        expressions that trigger a rule concluding a new one.  The rules are
+        monotone and this engine's bounds lie below the least fixpoint of
+        the larger rule set, so resuming from them reaches the fixpoint a
+        fresh run with ``e`` added reaches.  Step numbers continue from this
+        engine's; the copy writes its records over a view of these, and no
+        list, record or table of this engine changes.
+        """
+        new = {sub for sub in sub_expressions(e) if sub not in self.expr_ids}
+        _add_duals(list(new), new, self.expr_ids)
+        child = copy(self)
+        child.records = ChainMap({}, self.records)
+        child.queue = deque()
+        first, n, scale = len(self.closure), self.n, self.scale
+        triggers = child._add_expressions(sorted(new, key=sort_key))
+        child.seed(first)
+        lo, hi, queue = child.lo, child.hi, child.queue
+        # a bound still at its default (0 below, 1 above) moves no rule's conclusion
+        for x in sorted(t for t in triggers if t < first):
+            for b in range(x * n, x * n + n):
+                if lo[b]:
+                    queue.append(b)
+                if hi[b] != scale:
+                    queue.append(~b)
+        child.propagate()
+        return child
+
+    def propagate(self) -> None:
         queue = self.queue
         while queue:
             b = queue.popleft()
@@ -393,100 +493,97 @@ class _Saturation:
                 self._hi_changed(~b)
 
     def _lo_changed(self, b: int) -> None:
-        a, x = divmod(b, self.width)
-        base = b - x
+        x, a = divmod(b, self.n)
         lo = self.lo
         value = lo[b]
         premise = (b,)
         for partner in self.neg_partners[x]:
-            self.set_hi(base + partner, self.scale - value, "negation", premise)
+            self.set_hi(partner + a, self.scale - value, "negation", premise)
         for parent, parts in self.conj_parents[x]:
-            current = lo[base + parent]
+            current = lo[parent + a]
             if value <= current:
                 continue  # the minimum over the parts is at most value
-            candidate = min(lo[base + c] for c in parts)
+            candidate = min(lo[c + a] for c in parts)
             if candidate > current:
-                self.set_lo(base + parent, candidate, "conj-up", tuple(base + c for c in parts))
+                self.set_lo(parent + a, candidate, "conj-up", tuple(c + a for c in parts))
         for parent, parts in self.disj_parents[x]:
-            candidate = max(lo[base + c] for c in parts)
-            if candidate > lo[base + parent]:
-                witness = next(c for c in parts if lo[base + c] == candidate)
-                self.set_lo(base + parent, candidate, "disj-up", (base + witness,))
+            candidate = max(lo[c + a] for c in parts)
+            if candidate > lo[parent + a]:
+                witness = next(c for c in parts if lo[c + a] == candidate)
+                self.set_lo(parent + a, candidate, "disj-up", (witness + a,))
         for c in self.conj_down[x]:
-            self.set_lo(base + c, value, "conj-down", premise)
+            self.set_lo(c + a, value, "conj-down", premise)
         if self.forall_down[x] is not None:
             role, body = self.forall_down[x]
             for f in self.fillers.get((a, role), ()):
-                self.set_lo(f * self.width + body, value, "forall-down", premise, source=self.role_fact[(a, f, role)])
+                self.set_lo(body + f, value, "forall-down", premise, source=self.role_fact[(a, f, role)])
         if x in self.quantified:
             self._quantifiers_up(a, x, value)
         for gci, cap, rhs, degree in self.gcis_by_lhs[x]:
             if lo[b] > cap:  # live: an inclusion of e into itself raises it
-                self.set_lo(base + rhs, degree, "gci", premise, source=gci)
+                self.set_lo(rhs + a, degree, "gci", premise, source=gci)
         for gci, cap, parts in self.bottom_by_conjunct[x]:
             self._apply_disjoint(a, gci, cap, parts)
 
-    def _quantifiers_up(self, b: int, x: int, value: int) -> None:
-        # individual b's lower bound in expression x rose: revisit the
-        # quantifiers over x on every role edge that ends at b.
-        lo, width = self.lo, self.width
-        for subject, role in self.pointing_at[b]:
+    def _quantifiers_up(self, a: int, x: int, value: int) -> None:
+        # individual a's lower bound in expression x rose: revisit the
+        # quantifiers over x on every role edge that ends at a.
+        lo, row = self.lo, x * self.n
+        for subject, role in self.pointing_at[a]:
             node = self.exists_up.get((role, x))
             if node is not None:
                 fils = self.fillers[(subject, role)]
-                candidate = max(lo[f * width + x] for f in fils)
-                if candidate > lo[subject * width + node]:
-                    witness = next(f for f in fils if lo[f * width + x] == candidate)
+                candidate = max(lo[row + f] for f in fils)
+                if candidate > lo[node + subject]:
+                    witness = next(f for f in fils if lo[row + f] == candidate)
                     self.set_lo(
-                        subject * width + node, candidate, "exists-up", (witness * width + x,),
+                        node + subject, candidate, "exists-up", (row + witness,),
                         source=self.role_fact[(subject, witness, role)],
                     )
             node = self.forall_up.get((role, x))
             if node is not None:
-                current = lo[subject * width + node]
+                current = lo[node + subject]
                 if value <= current:
                     continue  # the minimum over the fillers is at most value
                 fils = self.fillers[(subject, role)]
-                candidate = min(lo[f * width + x] for f in fils)
+                candidate = min(lo[row + f] for f in fils)
                 if candidate > current:
                     self.set_lo(
-                        subject * width + node, candidate, "forall-up", tuple(f * width + x for f in fils),
+                        node + subject, candidate, "forall-up", tuple(row + f for f in fils),
                         note="closed role: the listed fillers are all fillers",
                     )
 
     def _apply_disjoint(self, a: int, gci: FuzzyGci, cap: int, parts: tuple[int, ...]) -> None:
         # A conjunct is capped once every other conjunct exceeds the cap.
-        base = a * self.width
-        above = [self.lo[base + c] > cap for c in parts]
+        above = [self.lo[c + a] > cap for c in parts]
         below = above.count(False)
         if below > 1:
             return
         for j, cj in enumerate(parts):
             if below == 1 and above[j]:
                 continue
-            if cap < self.hi[base + cj]:
+            if cap < self.hi[cj + a]:
                 others = parts[:j] + parts[j + 1 :]
-                self.set_hi(base + cj, cap, "disjoint", tuple(base + c for c in others), source=gci)
+                self.set_hi(cj + a, cap, "disjoint", tuple(c + a for c in others), source=gci)
 
     def _hi_changed(self, b: int) -> None:
-        x = b % self.width
-        base = b - x
+        x, a = divmod(b, self.n)
         hi = self.hi
         value = hi[b]
         for partner in self.neg_partners[x]:
-            self.set_lo(base + partner, self.scale - value, "negation", (~b,))
+            self.set_lo(partner + a, self.scale - value, "negation", (~b,))
         for parent, parts in self.conj_parents[x]:
-            candidate = min(hi[base + c] for c in parts)
-            if candidate < hi[base + parent]:
-                witness = next(c for c in parts if hi[base + c] == candidate)
-                self.set_hi(base + parent, candidate, "conj-hi", (~(base + witness),))
+            candidate = min(hi[c + a] for c in parts)
+            if candidate < hi[parent + a]:
+                witness = next(c for c in parts if hi[c + a] == candidate)
+                self.set_hi(parent + a, candidate, "conj-hi", (~(witness + a),))
         for parent, parts in self.disj_parents[x]:
-            current = hi[base + parent]
+            current = hi[parent + a]
             if value >= current:
                 continue  # the maximum over the parts is at least value
-            candidate = max(hi[base + c] for c in parts)
+            candidate = max(hi[c + a] for c in parts)
             if candidate < current:
-                self.set_hi(base + parent, candidate, "disj-hi", tuple(~(base + c) for c in parts))
+                self.set_hi(parent + a, candidate, "disj-hi", tuple(~(c + a) for c in parts))
 
 
 # --------------------------------------------------------------------------
@@ -497,24 +594,19 @@ class _Saturation:
 class SaturatedKb:
     """A knowledge base together with its saturated bounds.
 
-    Individual ``i`` (in ``kb.individuals`` order) and closure expression
-    ``x`` own the bound ``b = i * len(closure) + x``; ``_lo[b]`` and
-    ``_hi[b]`` hold its degrees scaled by ``_scale``, and ``_fractions``
-    maps each scaled degree back to its exact value.  Intervals are
-    assembled on demand.  ``_derivations`` reads the compact record of each
-    improved bound by ``(individual, expression, side)`` and builds its
-    :class:`DerivationNode` on first read.
+    ``_engine`` is the saturation that reached the fixpoint, kept so that
+    an extension can resume from it.  Closure expression ``x`` and
+    individual ``i`` (in ``kb.individuals`` order) own its bound
+    ``b = x * n + i``, whose scaled degrees ``lo[b]`` and ``hi[b]`` become a
+    :class:`DegreeInterval` on demand.  ``_derivations`` reads the compact
+    record of each improved bound by ``(individual, expression, side)`` and
+    builds its :class:`DerivationNode` on first read.
     """
 
     kb: KnowledgeBase
     closure: tuple[ConceptExpression, ...]
-    _expr_ids: Mapping[ConceptExpression, int]
-    _individual_ids: Mapping[str, int]
-    _lo: Sequence[int]
-    _hi: Sequence[int]
-    _scale: int
-    _fractions: Mapping[int, Fraction]
     _derivations: Mapping[Key, DerivationNode]
+    _engine: _Saturation = field(repr=False, compare=False)
     # saturations with one out-of-closure query expression added, by expression
     _extensions: dict[ConceptExpression, "SaturatedKb"] = field(default_factory=dict, repr=False, compare=False)
 
@@ -522,16 +614,18 @@ class SaturatedKb:
         """The entailed interval for an in-closure expression (no extension)."""
         i = self._check_individual(individual)
         e = normalize(expr)
-        x = self._expr_ids.get(e)
+        x = self._engine.expr_ids.get(e)
         if x is None:
             raise FdlbError(f"{_describe(e)} is outside the saturated closure; use instance_interval")
-        return self._interval(i * len(self.closure) + x)
+        return self._interval(x * self._engine.n + i)
 
     def instance_interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
         """The entailed membership interval of an individual in any concept.
 
-        Expressions outside the closure are answered by re-saturating with
-        the query added, which never loosens anything already entailed.  The
+        Expressions outside the closure are answered by an extension: the
+        query's new subexpressions join the closure, and saturation resumes
+        from this fixpoint to the one a fresh run with the query added
+        reaches, which never loosens anything already entailed.  The
         extension is memoized per expression, so later queries on the same
         expression, for any individual, reuse it.  If the extra expression
         exposes a contradiction the knowledge base was inconsistent all
@@ -539,9 +633,9 @@ class SaturatedKb:
         """
         i = self._check_individual(individual)
         e = normalize(expr)
-        x = self._expr_ids.get(e)
+        x = self._engine.expr_ids.get(e)
         if x is not None:
-            return self._interval(i * len(self.closure) + x)
+            return self._interval(x * self._engine.n + i)
         return self._extension(e).interval(individual, e)
 
     def entailed_lower_bound(self, individual: str, expr: ConceptExpression) -> Fraction | None:
@@ -557,18 +651,21 @@ class SaturatedKb:
 
     def interval_map(self) -> dict[tuple[str, ConceptExpression], DegreeInterval]:
         """All non-vacuous entailed intervals, keyed by (individual, expression)."""
-        width, names = len(self.closure), self.kb.individuals
+        n, lo, hi, scale = self._engine.n, self._engine.lo, self._engine.hi, self._engine.scale
         return {
-            (names[b // width], self.closure[b % width]): self._interval(b)
-            for b, (lo, hi) in enumerate(zip(self._lo, self._hi))
-            if lo or hi != self._scale
+            (name, expr): self._interval(x * n + i)
+            for i, name in enumerate(self.kb.individuals)
+            for x, expr in enumerate(self.closure)
+            if lo[x * n + i] or hi[x * n + i] != scale
         }
 
     def explain(self, individual: str, expr: ConceptExpression, kind: Bound = "lo") -> Explanation:
         """The derivations behind one bound, each listed once.
 
         Out-of-closure expressions are explained from the same memoized
-        extension :meth:`instance_interval` uses.  Raises
+        extension :meth:`instance_interval` uses; its step numbers continue
+        this saturation's, and the derivation it records for a bound may
+        differ from a fresh saturation's.  Raises
         :class:`NoDerivationError` when the bound is still at its default
         (0 from below, 1 from above) — there is nothing to show.
         """
@@ -576,7 +673,7 @@ class SaturatedKb:
             raise ValueError("kind must be 'lo' or 'hi'")
         self._check_individual(individual)
         e = normalize(expr)
-        if e not in self._expr_ids:
+        if e not in self._engine.expr_ids:
             return self._extension(e).explain(individual, e, kind)
         key = (individual, e, kind)
         if key not in self._derivations:
@@ -587,20 +684,21 @@ class SaturatedKb:
         return _explanation(self._derivations, key)
 
     def _interval(self, b: int) -> DegreeInterval:
-        lo, hi = self._lo[b], self._hi[b]
-        if lo == 0 and hi == self._scale:
+        engine = self._engine
+        lo, hi = engine.lo[b], engine.hi[b]
+        if lo == 0 and hi == engine.scale:
             return FULL_INTERVAL
-        return DegreeInterval(self._fractions[lo], self._fractions[hi])
+        return DegreeInterval(engine.fractions[lo], engine.fractions[hi])
 
     def _extension(self, e: ConceptExpression) -> "SaturatedKb":
         extended = self._extensions.get(e)
         if extended is None:
             check_concept_roles(e, self.kb.roles, "query")
-            extended = self._extensions[e] = saturate(self.kb, extra_concepts=(e,))
+            extended = self._extensions[e] = _saturated(self.kb, lambda: self._engine.extended(e))
         return extended
 
     def _check_individual(self, individual: str) -> int:
-        i = self._individual_ids.get(individual)
+        i = self._engine.individual_ids.get(individual)
         if i is None:
             raise UnknownIndividualError(f"individual {individual!r} does not occur in the knowledge base")
         return i
@@ -615,7 +713,7 @@ class _Derivations(Mapping[Key, DerivationNode]):
 
     def __init__(self, engine: _Saturation):
         self._records = engine.records
-        self._names, self._closure, self._fractions = engine.names, engine.closure, engine.fractions
+        self._names, self._closure, self._fractions, self._n = engine.names, engine.closure, engine.fractions, engine.n
         self._individual_ids, self._expr_ids = engine.individual_ids, engine.expr_ids
         self._nodes: dict[int, DerivationNode] = {}
 
@@ -626,11 +724,11 @@ class _Derivations(Mapping[Key, DerivationNode]):
         a, x = self._individual_ids.get(individual), self._expr_ids.get(expr)
         if a is None or x is None or kind not in ("lo", "hi"):
             return None
-        b = a * len(self._closure) + x
+        b = x * self._n + a
         return b if kind == "lo" else ~b
 
     def _key(self, s: int) -> Key:
-        a, x = divmod(s if s >= 0 else ~s, len(self._closure))
+        x, a = divmod(s if s >= 0 else ~s, self._n)
         return (self._names[a], self._closure[x], "lo" if s >= 0 else "hi")
 
     def __getitem__(self, key: Key) -> DerivationNode:
@@ -681,22 +779,15 @@ def saturate(kb: KnowledgeBase, extra_concepts: Sequence[ConceptExpression] = ()
     the two clashing derivations) as soon as any membership interval
     becomes empty.
     """
-    engine = _Saturation(kb, extra_concepts)
+    return _saturated(kb, lambda: _Saturation(kb, extra_concepts).run())
+
+
+def _saturated(kb: KnowledgeBase, run: Callable[[], _Saturation]) -> SaturatedKb:
     try:
-        engine.run()
+        engine = run()
     except _ConflictFound as found:
         raise InconsistencyError(ConsistencyReport(False, (found.conflict,))) from None
-    return SaturatedKb(
-        kb=kb,
-        closure=engine.closure,
-        _expr_ids=engine.expr_ids,
-        _individual_ids=engine.individual_ids,
-        _lo=engine.lo,
-        _hi=engine.hi,
-        _scale=engine.scale,
-        _fractions=engine.fractions,
-        _derivations=_Derivations(engine),
-    )
+    return SaturatedKb(kb=kb, closure=engine.closure, _derivations=_Derivations(engine), _engine=engine)
 
 
 def check_consistency(kb: KnowledgeBase) -> ConsistencyReport:

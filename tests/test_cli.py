@@ -189,7 +189,7 @@ def test_rank_inconsistent_kb(paths, capsys):
 
 @pytest.mark.parametrize("command", ["rank", "complete"])
 def test_clash_found_by_an_extension_exits_two(command, paths, tmp_path, capsys, monkeypatch):
-    # a query outside the closure re-saturates; a clash found there is the
+    # a query outside the closure extends the saturation; a clash found there is the
     # same inconsistency as one found up front
     report = check_consistency(parse_kb(Path(paths["clash"]).read_text()).kb)
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from fdlb.model import (
     Atom,
     BOTTOM,
     ConcretePredicate,
+    DegreeInterval,
     Exists,
     FdlbError,
     Forall,
@@ -432,7 +434,7 @@ def test_rank_saturates_once_per_out_of_closure_attribute(monkeypatch):
 
     monkeypatch.setattr(fdlb.reasoner, "saturate", counting)
     report = rank(fdlb.reasoner.saturate(kb), choices, box)
-    assert calls == [(), (Atom("Open1"),), (Atom("Open2"),)]
+    assert calls == [()]  # Open1 and Open2 extend that saturation in place of re-running it
     monkeypatch.undo()
     for row in report.rows:
         for c in row.contributions:
@@ -452,6 +454,139 @@ def test_memoized_extension_serves_explain_and_intervals():
     assert iv(sat, "y", query) == (ZERO, ONE)
     assert sat.explain("x", query).value == Fraction(7, 10)
     assert list(sat._extensions) == [normalize(query)]
+
+
+# -- extensions resume the parent's fixpoint
+
+
+def query_over(rng, kb, closure, depth=2):
+    """A random query over a base's atoms, closure expressions, roles and an atom it never mentions."""
+    abstract = sorted(name for name, decl in kb.roles.items() if decl.kind == "abstract")
+    atoms = sorted(kb.concept_names) + ["Unmentioned"]
+    pick = rng.random()
+    if depth == 0 or pick < 0.35:
+        return rng.choice(closure) if rng.random() < 0.5 else Atom(rng.choice(atoms))
+    if pick < 0.45:
+        return Not(query_over(rng, kb, closure, depth - 1))
+    if pick < 0.65:
+        return And(query_over(rng, kb, closure, depth - 1), query_over(rng, kb, closure, depth - 1))
+    if pick < 0.85 or not abstract:
+        return Or(query_over(rng, kb, closure, depth - 1), query_over(rng, kb, closure, depth - 1))
+    quantifier = Exists if pick < 0.93 else Forall
+    return quantifier(rng.choice(abstract), query_over(rng, kb, closure, depth - 1))
+
+
+def check_extensions(kb, queries):
+    """Extend one saturation by each out-of-closure query and compare with a fresh run.
+
+    Returns how many queries were checked against a consistent extension.
+    """
+    sat = saturate(kb)
+    before = (sat.interval_map(), sat.closure, dict(sat._derivations))
+    checked = 0
+    for query in map(normalize, queries):
+        if query in set(sat.closure):
+            continue
+        try:
+            fresh = saturate(kb, extra_concepts=(query,))
+        except InconsistencyError:
+            fresh = None
+        try:
+            extended = sat._extension(query)
+        except InconsistencyError:
+            extended = None
+        assert (extended is None) == (fresh is None), query
+        if fresh is None:
+            continue
+        assert set(extended.closure) == set(fresh.closure)
+        for individual in kb.individuals:
+            for expr in fresh.closure:
+                assert extended.interval(individual, expr) == fresh.interval(individual, expr), (individual, expr)
+        for node in extended._derivations.values():
+            assert recompute(extended, node) == node.value, (query, node.rule, node.individual)
+        checked += 1
+    assert (sat.interval_map(), sat.closure, dict(sat._derivations)) == before
+    return checked
+
+
+@pytest.mark.parametrize("block", range(20))
+def test_extension_matches_a_fresh_saturation_on_random_bases(block):
+    from kbgen import random_concept, random_kb
+
+    checked = 0
+    for seed in range(block * 20, block * 20 + 20):
+        kb = random_kb(seed)
+        try:
+            closure = list(saturate(kb).closure)
+        except InconsistencyError:
+            continue
+        rng = random.Random(seed)
+        queries = [random_concept(rng) for _ in range(4)] + [query_over(rng, kb, closure) for _ in range(4)]
+        checked += check_extensions(kb, queries)
+    assert checked >= 30
+
+
+@pytest.mark.parametrize("name", ["clash.fdlb", "tablet_crisp.fdlb", "tablet_fuzzy.fdlb", "tablet_complete.fdlb"])
+def test_extension_matches_a_fresh_saturation_on_fixtures(name, fixtures_dir):
+    from fdlb.reasoner import build_closure
+
+    kb = parse_kb((fixtures_dir / name).read_text(encoding="utf-8")).kb
+    rng = random.Random(name)
+    queries = [query_over(rng, kb, list(build_closure(kb))) for _ in range(16)]
+    if name == "clash.fdlb":  # nothing to extend, and no query removes the clash
+        for query in queries:
+            with pytest.raises(InconsistencyError):
+                saturate(kb, extra_concepts=(query,))
+    else:
+        assert check_extensions(kb, queries) >= 6
+
+
+def catalogue_text(fixtures_dir, tablets):
+    """The completed tablet TBox with ``tablets`` tablets, and one declared atom no statement uses."""
+    tbox = (fixtures_dir / "tablet_complete.fdlb").read_text(encoding="utf-8").split("\nassert ")[0]
+    lines = [tbox, "concept Unmentioned;"]
+    for k in range(tablets):
+        lines += [
+            f"assert tab_{k} : Tablet;",
+            f"assert (tab_{k}, {250 + 7 * k % 900} EUR) : hasPrice;",
+            f"assert (tab_{k}, {600 + 11 * k % 700} g) : hasWeight;",
+            f"assert eq_{k} : {'WellEquip' if k % 2 else 'PoorEquip'};",
+            f"assert (tab_{k}, eq_{k}) : equipped;",
+        ]
+    return "\n".join(lines)
+
+
+def test_unmentioned_atom_costs_two_closure_entries_and_no_saturation(fixtures_dir, monkeypatch):
+    import fdlb.reasoner
+
+    result = parse_kb(catalogue_text(fixtures_dir, 150))
+    assert result.ok, result.diagnostics
+    sat = saturate(result.kb)
+    before = dict(sat._derivations)
+    calls = []
+    for name in ("saturate", "build_closure"):
+        real = getattr(fdlb.reasoner, name)
+        counting = lambda *args, real=real, name=name, **kwargs: calls.append(name) or real(*args, **kwargs)
+        monkeypatch.setattr(fdlb.reasoner, name, counting)
+    assert sat.instance_interval("tab_3", Atom("Unmentioned")) == DegreeInterval(ZERO, ONE)
+    extended = sat._extensions[Atom("Unmentioned")]
+    assert extended.closure == sat.closure + (Atom("Unmentioned"), Not(Atom("Unmentioned")))
+    assert dict(extended._derivations) == before  # no new derivation
+    assert extended._engine.step == sat._engine.step
+
+    # a bound only the extension derives explains through the parent's steps
+    query = Or(Atom("Tablet"), Atom("Unmentioned"))
+    explanation = sat.explain("tab_3", query)
+    assert calls == []
+    assert explanation.value == sat.interval("tab_3", Atom("Tablet")).lo
+    assert explanation.steps[0].rule == "disj-up"
+    assert explanation.steps[0].step > sat._engine.step
+    extended = sat._extensions[query]
+    for node in explanation.steps:
+        assert all(premise in extended._derivations for premise in node.premises)
+    assert [node.step for node in explanation.steps[1:]] == [
+        sat._derivations[(node.individual, node.expr, node.kind)].step for node in explanation.steps[1:]
+    ]
 
 
 def test_quantifier_triggers_on_shared_roles_match_naive_engine():
