@@ -1,91 +1,14 @@
-"""Fuzzy decision bases: graded memberships, interval entailment, ranking."""
+"""Fuzzy decision bases: graded memberships, interval entailment, ranking.
 
-from .decision import (
-    AttributeContribution,
-    ChoiceScore,
-    DecisionReport,
-    EmptyChoiceSetError,
-    UnknownAttributeError,
-    UtilityBox,
-    rank,
-)
-from .kbtext import (
-    ParseDiagnostic,
-    ParseResult,
-    SourceSpan,
-    format_conflict,
-    format_explanation,
-    parse_concept_text,
-    parse_kb,
-    parse_ubox,
-    render_concept,
-    render_decimal,
-    serialize_kb,
-    serialize_ubox,
-)
-from .model import (
-    And,
-    Atom,
-    BOTTOM,
-    Bottom,
-    ConceptExpression,
-    ConcreteFact,
-    ConcretePredicate,
-    Degree,
-    DegreeInterval,
-    DegreeRangeError,
-    Exists,
-    FdlbError,
-    Forall,
-    FuzzyAssertion,
-    FuzzyGci,
-    IntervalConflictError,
-    KnowledgeBase,
-    ModelError,
-    Not,
-    Or,
-    Quantity,
-    RoleAssertion,
-    RoleDecl,
-    TOP,
-    Top,
-    UnitMismatchError,
-    build_kb,
-    kb_equal,
-    make_degree,
-    normalize,
-    to_negation_normal_form,
-)
-from .reasoner import (
-    ConsistencyReport,
-    Conflict,
-    DerivationNode,
-    Explanation,
-    InconsistencyError,
-    NoDerivationError,
-    SaturatedKb,
-    UnknownIndividualError,
-    build_closure,
-    check_consistency,
-    saturate,
-)
+The names below are the ones the README's "Library" section uses; every
+other name is imported from its submodule.
+"""
+
+from .decision import rank
+from .kbtext import parse_concept_text, parse_kb, parse_ubox
+from .model import FdlbError
+from .reasoner import InconsistencyError, saturate
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "And", "Atom", "AttributeContribution", "BOTTOM", "Bottom", "ChoiceScore",
-    "ConceptExpression", "ConcreteFact", "ConcretePredicate", "Conflict",
-    "ConsistencyReport", "DecisionReport", "Degree", "DegreeInterval",
-    "DegreeRangeError", "DerivationNode", "EmptyChoiceSetError", "Exists",
-    "Explanation", "FdlbError", "Forall", "FuzzyAssertion", "FuzzyGci",
-    "InconsistencyError", "IntervalConflictError", "KnowledgeBase",
-    "ModelError", "NoDerivationError", "Not", "Or", "ParseDiagnostic",
-    "ParseResult", "Quantity", "RoleAssertion", "RoleDecl", "SaturatedKb",
-    "SourceSpan", "TOP", "Top", "UnitMismatchError", "UnknownAttributeError",
-    "UnknownIndividualError", "UtilityBox", "build_closure", "build_kb",
-    "check_consistency", "format_conflict",
-    "format_explanation", "kb_equal", "make_degree", "normalize",
-    "parse_concept_text", "parse_kb", "parse_ubox", "rank", "render_concept",
-    "render_decimal", "saturate", "serialize_kb", "serialize_ubox",
-    "to_negation_normal_form",
-]
+__all__ = ["FdlbError", "InconsistencyError", "parse_concept_text", "parse_kb", "parse_ubox", "rank", "saturate"]

@@ -102,29 +102,23 @@ def _emit_json(payload: object) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    report = check_consistency(_load_kb(args.kb))
+    conflict = check_consistency(_load_kb(args.kb))
     if args.format == "structured":
-        payload = {
+        _emit_json({
             "kb": args.kb,
-            "consistent": report.consistent,
-            "conflicts": [
-                {
-                    "individual": c.individual,
-                    "concept": render_concept(c.expr),
-                    "lo": render_decimal(c.lo_value),
-                    "hi": render_decimal(c.hi_value),
-                }
-                for c in report.conflicts
-            ],
-        }
-        _emit_json(payload)
+            "consistent": conflict is None,
+            "conflicts": [] if conflict is None else [{
+                "individual": conflict.individual,
+                "concept": render_concept(conflict.expr),
+                "lo": render_decimal(conflict.lo_value),
+                "hi": render_decimal(conflict.hi_value),
+            }],
+        })
+    elif conflict is None:
+        print("consistent")
     else:
-        if report.consistent:
-            print("consistent")
-        else:
-            for c in report.conflicts:
-                print(format_conflict(c))
-    return EXIT_OK if report.consistent else EXIT_INCONSISTENT
+        print(format_conflict(conflict))
+    return EXIT_OK if conflict is None else EXIT_INCONSISTENT
 
 
 # --------------------------------------------------------------------------
@@ -345,8 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     except InconsistencyError as exc:
         # saturation, or a query's extension of the closure, found a clash
-        for conflict in exc.report.conflicts:
-            print(format_conflict(conflict), file=sys.stderr)
+        print(format_conflict(exc.conflict), file=sys.stderr)
         print("fdlb: error: the knowledge base is inconsistent", file=sys.stderr)
         return EXIT_INCONSISTENT
     except FdlbError as exc:

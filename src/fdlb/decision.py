@@ -44,16 +44,6 @@ class UtilityBox:
             if w < 0:
                 raise FdlbError(f"utility box {self.expert_id!r} gives {name!r} a negative weight")
 
-    @property
-    def attributes(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
-    def weight(self, attribute: str) -> Fraction:
-        for name, w in self.entries:
-            if name == attribute:
-                return w
-        raise UnknownAttributeError(f"no weight for attribute {attribute!r}")
-
 
 @dataclass(frozen=True)
 class AttributeContribution:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
 from .decision import UtilityBox
 from .model import (
@@ -61,7 +61,6 @@ from .model import (
     Top,
     build_kb,
     make_degree,
-    split_equivalence,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -184,9 +183,12 @@ def _lex(text: str, diagnostics: list[ParseDiagnostic]) -> list[Token]:
 
 
 class _StatementError(Exception):
-    """Internal: aborts the current statement; recovery resumes after ';'."""
+    """Internal: aborts the current statement; recovery resumes after ';'.
 
-    def __init__(self, message: str, span: SourceSpan):
+    Raised outside a statement, it ends the whole parse.
+    """
+
+    def __init__(self, message: str, span: SourceSpan | None):
         self.diagnostic = ParseDiagnostic("error", message, span)
         super().__init__(message)
 
@@ -256,15 +258,61 @@ class _Parser:
         if self.at_punct(";"):
             self.advance()
 
-    # -- document
+    # -- documents
 
-    def parse_document(self) -> None:
+    def parse_knowledge_base(self) -> KnowledgeBase | None:
         while self.peek().type != "eof":
             try:
                 self.parse_statement()
             except _StatementError as exc:
                 self.diagnostics.append(exc.diagnostic)
                 self._sync()
+        if any(d.severity == "error" for d in self.diagnostics):
+            return None
+        try:
+            return build_kb(
+                roles=tuple(self.roles.values()),
+                gcis=self.gcis,
+                assertions=self.assertions,
+                role_assertions=self.role_assertions,
+                concrete_facts=self.concrete_facts,
+                declared_concepts=self.declared_concepts,
+            )
+        except (ModelError, DegreeRangeError) as exc:
+            raise _StatementError(str(exc), None) from None
+
+    def parse_utility_box(self) -> UtilityBox:
+        self.take_kw("ubox")
+        expert_id = self.take_ident("an expert name").text
+        self.take_punct("{")
+        weights: dict[str, Fraction] = {}
+        while not self.at_punct("}"):
+            attr_tok = self.take_ident("an attribute name")
+            self.take_punct("=")
+            weight_tok = self.peek()
+            if weight_tok.type != "decimal":
+                self._fail("expected a weight")
+            self.advance()
+            self.take_punct(";")
+            weight = Fraction(weight_tok.text)
+            if weight < 0:
+                self.error(f"weight {weight_tok.text} is negative", weight_tok.span)
+            elif attr_tok.text in weights:
+                self.error(f"attribute {attr_tok.text!r} weighted twice", attr_tok.span)
+            else:
+                weights[attr_tok.text] = weight
+        self.take_punct("}")
+        trailing = self.peek()
+        if trailing.type != "eof":
+            self.error("unexpected content after the utility box", trailing.span)
+        return UtilityBox(expert_id, tuple(weights.items()))
+
+    def parse_query(self) -> ConceptExpression:
+        concept = self.parse_concept()
+        trailing = self.peek()
+        if trailing.type != "eof":
+            self.error("unexpected content after the concept expression", trailing.span)
+        return concept
 
     def parse_statement(self) -> None:
         tok = self.peek()
@@ -316,27 +364,21 @@ class _Parser:
             self.advance()
             return
         # sugar: declaration plus axiom(s) in one statement
-        op_tok = self.take_kw("EQUIV", "SUBSUMED-BY")
-        rhs = self.parse_concept()
-        degree = self.parse_degree_suffix()
-        self.take_punct(";")
-        lhs = Atom(name_tok.text)
-        if op_tok.text == "EQUIV":
-            self.gcis.extend(split_equivalence(lhs, rhs, degree))
-        else:
-            self.gcis.append(FuzzyGci(lhs, rhs, degree))
+        self.parse_inclusion(Atom(name_tok.text), "EQUIV", "SUBSUMED-BY")
 
     def parse_axiom(self) -> None:
         self.take_kw("axiom")
-        lhs = self.parse_concept()
-        op_tok = self.take_kw("SUBSUMED-BY", "EQUIV")
+        self.parse_inclusion(self.parse_concept(), "SUBSUMED-BY", "EQUIV")
+
+    def parse_inclusion(self, lhs: ConceptExpression, *operators: str) -> None:
+        """The rest of an inclusion after its left side: ``operators`` in the order diagnostics name them."""
+        op_tok = self.take_kw(*operators)
         rhs = self.parse_concept()
         degree = self.parse_degree_suffix()
         self.take_punct(";")
-        if op_tok.text == "EQUIV":
-            self.gcis.extend(split_equivalence(lhs, rhs, degree))
-        else:
-            self.gcis.append(FuzzyGci(lhs, rhs, degree))
+        self.gcis.append(FuzzyGci(lhs, rhs, degree))
+        if op_tok.text == "EQUIV":  # stored as the two directed inclusions
+            self.gcis.append(FuzzyGci(rhs, lhs, degree))
 
     def parse_assertion(self) -> None:
         self.take_kw("assert")
@@ -360,44 +402,31 @@ class _Parser:
         self.take_punct("(")
         subject_tok = self.take_ident("an individual name")
         self.take_punct(",")
+        unit_tok = None  # None: the filler is an individual, not a quantity
         if self.peek().type == "decimal":
-            value_tok = self.advance()
+            filler_tok = self.advance()
             unit_tok = self.take_ident("a unit symbol")
-            self.take_punct(")")
-            self.take_punct(":")
-            role_tok = self.take_ident("a role name")
-            self.take_punct(";")
-            decl = self._require_role(role_tok)
-            if decl.kind != "concrete":
-                self.error(f"role {role_tok.text!r} is abstract; the filler must be an individual", role_tok.span)
-                return
-            if unit_tok.text != decl.unit:
-                self.error(
-                    f"unit {unit_tok.text!r} does not match role {role_tok.text!r} declared in {decl.unit!r}",
-                    unit_tok.span,
-                )
-                return
-            key = (subject_tok.text, role_tok.text)
-            if key in self._fact_keys:
-                self.error(
-                    f"role {role_tok.text!r} is functional: {subject_tok.text!r} already has a value",
-                    subject_tok.span,
-                )
-                return
-            self._fact_keys.add(key)
-            quantity = Quantity(Fraction(value_tok.text), unit_tok.text)
-            self.concrete_facts.append(ConcreteFact(subject_tok.text, quantity, role_tok.text))
         else:
             filler_tok = self.take_ident("an individual name or a quantity")
-            self.take_punct(")")
-            self.take_punct(":")
-            role_tok = self.take_ident("a role name")
-            self.take_punct(";")
-            decl = self._require_role(role_tok)
-            if decl.kind != "abstract":
-                self.error(f"role {role_tok.text!r} is concrete; the filler must be a quantity", role_tok.span)
-                return
-            self.role_assertions.append(RoleAssertion(subject_tok.text, filler_tok.text, role_tok.text))
+        self.take_punct(")")
+        self.take_punct(":")
+        role_tok = self.take_ident("a role name")
+        self.take_punct(";")
+        decl = self._require_role(role_tok)
+        subject, role = subject_tok.text, role_tok.text
+        if decl.kind != ("abstract" if unit_tok is None else "concrete"):
+            filler = "an individual" if decl.kind == "abstract" else "a quantity"
+            self.error(f"role {role!r} is {decl.kind}; the filler must be {filler}", role_tok.span)
+        elif unit_tok is None:
+            self.role_assertions.append(RoleAssertion(subject, filler_tok.text, role))
+        elif unit_tok.text != decl.unit:
+            self.error(f"unit {unit_tok.text!r} does not match role {role!r} declared in {decl.unit!r}", unit_tok.span)
+        elif (subject, role) in self._fact_keys:
+            self.error(f"role {role!r} is functional: {subject!r} already has a value", subject_tok.span)
+        else:
+            self._fact_keys.add((subject, role))
+            quantity = Quantity(Fraction(filler_tok.text), unit_tok.text)
+            self.concrete_facts.append(ConcreteFact(subject, quantity, role))
 
     def parse_degree_suffix(self) -> Fraction:
         if not self.at_punct("@"):
@@ -436,27 +465,21 @@ class _Parser:
         if self.at_kw("NOT"):
             self.advance()
             return Not(self.parse_unary(depth + 1))
-        if self.at_kw("EXISTS"):
-            self.advance()
+        if self.at_kw("EXISTS", "FORALL"):
+            quantifier = self.advance().text
             role_tok = self.take_ident("a role name")
             if self.at_punct("."):
                 self.advance()
             decl = self._require_role(role_tok)
-            if decl.kind == "concrete":
-                return Exists(role_tok.text, self.parse_comparator(decl, role_tok))
-            return Exists(role_tok.text, self.parse_unary(depth + 1))
-        if self.at_kw("FORALL"):
-            self.advance()
-            role_tok = self.take_ident("a role name")
-            if self.at_punct("."):
-                self.advance()
-            decl = self._require_role(role_tok)
-            if decl.kind != "abstract":
+            if decl.kind == "abstract":
+                body = self.parse_unary(depth + 1)
+                return Exists(role_tok.text, body) if quantifier == "EXISTS" else Forall(role_tok.text, body)
+            if quantifier == "FORALL":
                 raise _StatementError(
                     f"value restrictions require an abstract role, {role_tok.text!r} is concrete",
                     role_tok.span,
                 )
-            return Forall(role_tok.text, self.parse_unary(depth + 1))
+            return Exists(role_tok.text, self.parse_comparator(decl, role_tok))
         if self.at_kw("TOP"):
             self.advance()
             return TOP
@@ -500,72 +523,43 @@ class _Parser:
         return decl
 
 
+_T = TypeVar("_T")
+
+
+def _parse(
+    text: str, body: Callable[[_Parser], _T], roles: dict[str, RoleDecl] | None = None
+) -> tuple[_T | None, tuple[ParseDiagnostic, ...]]:
+    """Lex ``text``, run ``body`` on a parser over the tokens, and collect the diagnostics.
+
+    ``body`` reports a problem by recording a diagnostic or by raising
+    :class:`_StatementError`; after any error-severity diagnostic its result
+    is dropped.
+    """
+    diagnostics: list[ParseDiagnostic] = []
+    parser = _Parser(_lex(text, diagnostics), diagnostics)
+    parser.roles.update(roles or {})
+    result = None
+    try:
+        result = body(parser)
+    except _StatementError as exc:
+        diagnostics.append(exc.diagnostic)
+    if any(d.severity == "error" for d in diagnostics):
+        result = None
+    return result, tuple(diagnostics)
+
+
 def parse_kb(text: str) -> ParseResult:
     """Parse a knowledge-base document.
 
     Returns the KB together with all diagnostics; any error-severity
     diagnostic means no KB is returned.  Warnings alone do not block.
     """
-    diagnostics: list[ParseDiagnostic] = []
-    tokens = _lex(text, diagnostics)
-    parser = _Parser(tokens, diagnostics)
-    parser.parse_document()
-    if any(d.severity == "error" for d in diagnostics):
-        return ParseResult(None, tuple(diagnostics))
-    try:
-        kb = build_kb(
-            roles=tuple(parser.roles.values()),
-            gcis=parser.gcis,
-            assertions=parser.assertions,
-            role_assertions=parser.role_assertions,
-            concrete_facts=parser.concrete_facts,
-            declared_concepts=parser.declared_concepts,
-        )
-    except (ModelError, DegreeRangeError) as exc:
-        diagnostics.append(ParseDiagnostic("error", str(exc), None))
-        return ParseResult(None, tuple(diagnostics))
-    return ParseResult(kb, tuple(diagnostics))
+    return ParseResult(*_parse(text, _Parser.parse_knowledge_base))
 
 
 def parse_ubox(text: str) -> UboxParseResult:
     """Parse a utility-box file: one ``ubox NAME { attr = weight; ... }`` block."""
-    diagnostics: list[ParseDiagnostic] = []
-    tokens = _lex(text, diagnostics)
-    parser = _Parser(tokens, diagnostics)
-    expert_id = None
-    entries: list[tuple[str, Fraction]] = []
-    seen: set[str] = set()
-    try:
-        parser.take_kw("ubox")
-        name_tok = parser.take_ident("an expert name")
-        expert_id = name_tok.text
-        parser.take_punct("{")
-        while not parser.at_punct("}"):
-            attr_tok = parser.take_ident("an attribute name")
-            parser.take_punct("=")
-            weight_tok = parser.peek()
-            if weight_tok.type != "decimal":
-                parser._fail("expected a weight")
-            parser.advance()
-            parser.take_punct(";")
-            weight = Fraction(weight_tok.text)
-            if weight < 0:
-                parser.error(f"weight {weight_tok.text} is negative", weight_tok.span)
-                continue
-            if attr_tok.text in seen:
-                parser.error(f"attribute {attr_tok.text!r} weighted twice", attr_tok.span)
-                continue
-            seen.add(attr_tok.text)
-            entries.append((attr_tok.text, weight))
-        parser.take_punct("}")
-        trailing = parser.peek()
-        if trailing.type != "eof":
-            parser.error("unexpected content after the utility box", trailing.span)
-    except _StatementError as exc:
-        diagnostics.append(exc.diagnostic)
-    if any(d.severity == "error" for d in diagnostics) or expert_id is None:
-        return UboxParseResult(None, tuple(diagnostics))
-    return UboxParseResult(UtilityBox(expert_id, tuple(entries)), tuple(diagnostics))
+    return UboxParseResult(*_parse(text, _Parser.parse_utility_box))
 
 
 @dataclass(frozen=True)
@@ -584,22 +578,7 @@ def parse_concept_text(text: str, roles: dict[str, RoleDecl] | None = None) -> C
     Role uses are checked against the given role table (typically the one
     from an already-parsed knowledge base).
     """
-    diagnostics: list[ParseDiagnostic] = []
-    tokens = _lex(text, diagnostics)
-    parser = _Parser(tokens, diagnostics)
-    if roles:
-        parser.roles.update(roles)
-    concept = None
-    try:
-        concept = parser.parse_concept()
-        trailing = parser.peek()
-        if trailing.type != "eof":
-            parser.error("unexpected content after the concept expression", trailing.span)
-    except _StatementError as exc:
-        diagnostics.append(exc.diagnostic)
-    if any(d.severity == "error" for d in diagnostics):
-        return ConceptParseResult(None, tuple(diagnostics))
-    return ConceptParseResult(concept, tuple(diagnostics))
+    return ConceptParseResult(*_parse(text, _Parser.parse_query, roles))
 
 
 # --------------------------------------------------------------------------

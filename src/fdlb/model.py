@@ -13,6 +13,7 @@ exactly — binary floating point never enters the pipeline.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence, Union
@@ -40,12 +41,10 @@ class DegreeRangeError(FdlbError):
 class IntervalConflictError(FdlbError):
     """An interval would be empty (lo > hi)."""
 
-    def __init__(self, lo: Fraction, hi: Fraction, context: str = ""):
+    def __init__(self, lo: Fraction, hi: Fraction):
         self.lo = lo
         self.hi = hi
-        self.context = context
-        detail = f" ({context})" if context else ""
-        super().__init__(f"empty degree interval: lo {lo} > hi {hi}{detail}")
+        super().__init__(f"empty degree interval: lo {lo} > hi {hi}")
 
 
 class UnitMismatchError(FdlbError):
@@ -142,9 +141,10 @@ def _memoize_hash(cls):
     return cls
 
 
-# Comparator symbols for concrete restrictions.  Surface keywords GT/GE/LT/LE
-# map onto these.
-COMPARATORS = (">", ">=", "<", "<=")
+# Comparator symbols for concrete restrictions and the comparison each
+# makes.  Surface keywords GT/GE/LT/LE map onto these.
+_COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
+COMPARATORS = tuple(_COMPARISONS)
 
 
 @_memoize_hash
@@ -161,15 +161,7 @@ class ConcretePredicate:
 
     def evaluate(self, value: Quantity) -> Degree:
         """Crisp evaluation: exactly 0 or 1."""
-        if self.op == ">":
-            hit = value > self.threshold
-        elif self.op == ">=":
-            hit = value >= self.threshold
-        elif self.op == "<":
-            hit = value < self.threshold
-        else:
-            hit = value <= self.threshold
-        return ONE if hit else ZERO
+        return ONE if _COMPARISONS[self.op](value, self.threshold) else ZERO
 
 
 # --------------------------------------------------------------------------
@@ -437,11 +429,6 @@ class ConcreteFact:
     role: str
 
 
-def split_equivalence(lhs: ConceptExpression, rhs: ConceptExpression, degree: Degree = ONE) -> tuple[FuzzyGci, FuzzyGci]:
-    """An equivalence is stored as the two directed inclusions."""
-    return (FuzzyGci(lhs, rhs, degree), FuzzyGci(rhs, lhs, degree))
-
-
 @dataclass(frozen=True)
 class KnowledgeBase:
     """A validated, normalized knowledge base.
@@ -463,39 +450,28 @@ class KnowledgeBase:
     declared_concepts: frozenset[str] = field(default_factory=frozenset)
 
 
-def _role_uses(expr: ConceptExpression) -> Iterator[tuple[str, str, ConcretePredicate | None]]:
-    """Yield (role, context, predicate) for every quantifier in the expression."""
-    for sub in sub_expressions(expr):
-        if isinstance(sub, Exists):
-            if isinstance(sub.target, ConcretePredicate):
-                yield sub.role, "exists-concrete", sub.target
-            else:
-                yield sub.role, "exists-abstract", None
-        elif isinstance(sub, Forall):
-            yield sub.role, "forall", None
-
-
 def check_concept_roles(expr: ConceptExpression, roles: Mapping[str, RoleDecl], where: str) -> None:
     """Validate every quantifier in the expression against the role table."""
-    for role, context, pred in _role_uses(expr):
+    for sub in sub_expressions(expr):
+        if not isinstance(sub, (Exists, Forall)):
+            continue
+        role = sub.role
         decl = roles.get(role)
         if decl is None:
             raise ModelError(f"{where}: role {role!r} is not declared")
-        if context == "exists-concrete":
-            if decl.kind != "concrete":
-                raise ModelError(f"{where}: role {role!r} is abstract but used with a comparator")
-            assert pred is not None
-            if pred.threshold.unit != decl.unit:
-                raise ModelError(
-                    f"{where}: threshold unit {pred.threshold.unit!r} does not match "
-                    f"role {role!r} declared in {decl.unit!r}"
-                )
-        elif context == "exists-abstract":
-            if decl.kind != "abstract":
-                raise ModelError(f"{where}: role {role!r} is concrete; use a comparator restriction")
-        else:  # forall
+        if isinstance(sub, Forall):
             if decl.kind != "abstract":
                 raise ModelError(f"{where}: value restrictions require an abstract role, {role!r} is concrete")
+        elif isinstance(sub.target, ConcretePredicate):
+            if decl.kind != "concrete":
+                raise ModelError(f"{where}: role {role!r} is abstract but used with a comparator")
+            if sub.target.threshold.unit != decl.unit:
+                raise ModelError(
+                    f"{where}: threshold unit {sub.target.threshold.unit!r} does not match "
+                    f"role {role!r} declared in {decl.unit!r}"
+                )
+        elif decl.kind != "abstract":
+            raise ModelError(f"{where}: role {role!r} is concrete; use a comparator restriction")
 
 
 def _desugar(gci: FuzzyGci) -> FuzzyGci:

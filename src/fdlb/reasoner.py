@@ -74,7 +74,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .kbtext import render_concept
 from .model import (
@@ -163,18 +163,15 @@ class Conflict:
     hi_explanation: Explanation
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    consistent: bool
-    conflicts: tuple[Conflict, ...] = ()
-
-
 class InconsistencyError(FdlbError):
-    """Saturation found bounds that cannot be satisfied together."""
+    """Saturation found bounds that cannot be satisfied together.
 
-    def __init__(self, report: ConsistencyReport):
-        self.report = report
-        conflict = report.conflicts[0]
+    ``conflict`` holds the two clashing derivations of the first bound that
+    became empty.
+    """
+
+    def __init__(self, conflict: Conflict):
+        self.conflict = conflict
         super().__init__(
             f"inconsistent knowledge base: membership of {conflict.individual!r} is forced "
             f"both >= {conflict.lo_value} and <= {conflict.hi_value} in the same class"
@@ -223,12 +220,6 @@ def _add_duals(todo: list[ConceptExpression], seen: set[ConceptExpression], know
 
 # --------------------------------------------------------------------------
 # Saturation engine
-
-
-class _ConflictFound(Exception):
-    def __init__(self, conflict: Conflict):
-        self.conflict = conflict
-        super().__init__("conflict")
 
 
 class _Saturation:
@@ -385,7 +376,7 @@ class _Saturation:
         self.step += 1
         self.records[b] = (rule, value, premises, source, note, self.step)
         if value > self.hi[b]:
-            raise _ConflictFound(self._conflict(b))
+            raise InconsistencyError(self._conflict(b))
         self.lo[b] = value
         self.queue.append(b)
 
@@ -397,7 +388,7 @@ class _Saturation:
         self.step += 1
         self.records[~b] = (rule, value, premises, source, note, self.step)
         if value < self.lo[b]:
-            raise _ConflictFound(self._conflict(b))
+            raise InconsistencyError(self._conflict(b))
         self.hi[b] = value
         self.queue.append(~b)
 
@@ -694,7 +685,7 @@ class SaturatedKb:
         extended = self._extensions.get(e)
         if extended is None:
             check_concept_roles(e, self.kb.roles, "query")
-            extended = self._extensions[e] = _saturated(self.kb, lambda: self._engine.extended(e))
+            extended = self._extensions[e] = _saturated(self._engine.extended(e))
         return extended
 
     def _check_individual(self, individual: str) -> int:
@@ -775,26 +766,21 @@ def saturate(kb: KnowledgeBase, extra_concepts: Sequence[ConceptExpression] = ()
     """Run saturation to its fixpoint.
 
     Returns the saturated knowledge base, or raises
-    :class:`InconsistencyError` (carrying a :class:`ConsistencyReport` with
-    the two clashing derivations) as soon as any membership interval
-    becomes empty.
+    :class:`InconsistencyError` as soon as any membership interval becomes
+    empty; its ``conflict`` holds the two clashing derivations.
     """
-    return _saturated(kb, lambda: _Saturation(kb, extra_concepts).run())
+    return _saturated(_Saturation(kb, extra_concepts).run())
 
 
-def _saturated(kb: KnowledgeBase, run: Callable[[], _Saturation]) -> SaturatedKb:
-    try:
-        engine = run()
-    except _ConflictFound as found:
-        raise InconsistencyError(ConsistencyReport(False, (found.conflict,))) from None
-    return SaturatedKb(kb=kb, closure=engine.closure, _derivations=_Derivations(engine), _engine=engine)
+def _saturated(engine: _Saturation) -> SaturatedKb:
+    return SaturatedKb(kb=engine.kb, closure=engine.closure, _derivations=_Derivations(engine), _engine=engine)
 
 
-def check_consistency(kb: KnowledgeBase) -> ConsistencyReport:
-    """Saturate and report, without raising on inconsistency."""
+def check_consistency(kb: KnowledgeBase) -> Conflict | None:
+    """Saturate without raising: the :class:`Conflict` found, or None when consistent."""
     try:
         saturate(kb)
     except InconsistencyError as exc:
-        return exc.report
-    return ConsistencyReport(True, ())
+        return exc.conflict
+    return None
 

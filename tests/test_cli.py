@@ -191,10 +191,10 @@ def test_rank_inconsistent_kb(paths, capsys):
 def test_clash_found_by_an_extension_exits_two(command, paths, tmp_path, capsys, monkeypatch):
     # a query outside the closure extends the saturation; a clash found there is the
     # same inconsistency as one found up front
-    report = check_consistency(parse_kb(Path(paths["clash"]).read_text()).kb)
+    conflict = check_consistency(parse_kb(Path(paths["clash"]).read_text()).kb)
 
     def clashing(self, expr):
-        raise InconsistencyError(report)
+        raise InconsistencyError(conflict)
 
     monkeypatch.setattr(SaturatedKb, "_extension", clashing)
     kb = tmp_path / "open.fdlb"
@@ -204,7 +204,7 @@ def test_clash_found_by_an_extension_exits_two(command, paths, tmp_path, capsys,
     code, out, err = run(capsys, command, str(kb), "--ubox", str(ubox))
     assert code == 2
     assert out == ""
-    assert err == format_conflict(report.conflicts[0]) + "\nfdlb: error: the knowledge base is inconsistent\n"
+    assert err == format_conflict(conflict) + "\nfdlb: error: the knowledge base is inconsistent\n"
 
 
 # -- complete

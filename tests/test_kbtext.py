@@ -93,6 +93,10 @@ def test_degree_zero_assertion_warns_but_parses():
     ("role m : concrete(u);\nassert (x, y) : m;", "filler must be a quantity"),
     ("ubox e { A = 1; }", "belong in their own file"),
     ("axiom A ~ B;", "expected 'SUBSUMED-BY' or 'EQUIV'"),
+    ("concept A B;", "expected 'EQUIV' or 'SUBSUMED-BY'"),
+    ("role m : concrete(u);\nassert x : FORALL m . A;", "value restrictions require an abstract role"),
+    ("role m : concrete(u);\nassert (x, 5 g) : m;", "unit 'g' does not match role 'm'"),
+    ("role r : abstract;\nassert x : EXISTS . A;", "expected a role name"),
 ])
 def test_parse_errors(text, fragment):
     result = parse_kb(text)
@@ -110,6 +114,10 @@ def test_error_spans_point_at_the_problem():
     ("concept A;\naxiom A B;\n", (2, 9, 1)),  # at an identifier
     ("concept A;\n  assert x : SUBSUMED-BY B;\n", (2, 14, 11)),  # at SUBSUMED-BY
     ("concept A;\naxiom A SUBSUMED-BY", (2, 20, 0)),  # at end of input
+    ("concept A B;", (1, 11, 1)),
+    ("role m : concrete(u);\nassert x : FORALL m . A;", (2, 19, 1)),  # at the role
+    ("role m : concrete(u);\nassert (x, 5 g) : m;", (2, 14, 1)),  # at the unit
+    ("role r : abstract;\nassert x : EXISTS . A;", (2, 19, 1)),
 ])
 def test_diagnostic_spans_cover_the_offending_token(text, span):
     (diagnostic,) = parse_kb(text).diagnostics
@@ -159,6 +167,9 @@ def test_concept_nested_past_the_limit_is_a_diagnostic():
     concept = parse_concept_text("(" * (MAX_CONCEPT_DEPTH + 1) + "A" + ")" * (MAX_CONCEPT_DEPTH + 1))
     assert concept.concept is None
     assert concept.diagnostics[0].span.column == MAX_CONCEPT_DEPTH + 2
+    (trailing,) = parse_concept_text("A B").diagnostics
+    assert trailing.message == "unexpected content after the concept expression"
+    assert (trailing.span.line, trailing.span.column) == (1, 3)
 
 
 def test_lex_error_is_reported_with_position():
@@ -234,7 +245,7 @@ def test_parse_ubox(expert1):
     assert expert1.entries == (("InexpensiveTablet", Fraction(50)),
                                ("UpperclassTablet", Fraction(40)),
                                ("LightweightTablet", Fraction(40)))
-    assert expert1.weight("UpperclassTablet") == 40
+    assert dict(expert1.entries)["UpperclassTablet"] == 40
 
 
 def test_ubox_round_trip(expert2):

@@ -1,0 +1,72 @@
+"""The package surface: the README's library example, ``fdlb.__all__``, and imports.
+
+    python3 -m pytest tests/test_package.py
+"""
+
+import ast
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import fdlb
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "fdlb").glob("*.py"))
+
+
+def test_readme_library_example_runs_and_names_every_export(monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    (block,) = re.findall(r"```python\n(.*?)```", library, re.DOTALL)
+    monkeypatch.chdir(ROOT)
+    namespace: dict = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    # the same answers as the README's `explain` and `complete` examples on this base
+    assert namespace["sat"].instance_interval("tab_3", namespace["query"]).lo == Fraction(3, 5)
+    assert set(namespace["report"].undecided) == {("tab_3", "InexpensiveTablet"), ("tab_2", "LightweightTablet")}
+    for name in fdlb.__all__:
+        assert getattr(fdlb, name) is not None
+        assert re.search(rf"\b{name}\b", readme), f"fdlb.__all__ exports {name}, which README.md never names"
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree) -> set[str]:
+    """Every name the code reads, including names inside string annotations."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+def _exported(tree) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_unused_imports_in_the_package():
+    unused = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _used_names(tree) | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert not unused, unused

@@ -173,9 +173,8 @@ def test_top_and_bottom_are_pinned():
 
 def test_clash_fixture_reports_conflict(fixtures_dir):
     result = parse_kb((fixtures_dir / "clash.fdlb").read_text())
-    report = check_consistency(result.kb)
-    assert not report.consistent
-    conflict = report.conflicts[0]
+    conflict = check_consistency(result.kb)
+    assert conflict is not None
     assert conflict.individual == "e_1"
     assert format_conflict(conflict) == (
         "conflict on 'e_1' in PoorEquip: membership forced >= 1 and <= 0\n"
@@ -189,19 +188,18 @@ def test_clash_fixture_reports_conflict(fixtures_dir):
 
 def test_asserting_bottom_is_inconsistent():
     result = parse_kb("assert x : BOTTOM @ 0.5;")
-    assert not check_consistency(result.kb).consistent
+    assert check_consistency(result.kb) is not None
 
 
 def test_check_consistency_on_consistent_kb(crisp_kb):
-    report = check_consistency(crisp_kb)
-    assert report.consistent and report.conflicts == ()
+    assert check_consistency(crisp_kb) is None
 
 
 def test_saturate_raises_on_inconsistency():
     result = parse_kb("axiom A AND B SUBSUMED-BY BOTTOM;\nassert x : A;\nassert x : B;")
     with pytest.raises(InconsistencyError) as excinfo:
         saturate(result.kb)
-    assert not excinfo.value.report.consistent
+    assert excinfo.value.conflict.individual == "x"
 
 
 def test_statement_order_does_not_change_entailment(fuzzy_kb):
@@ -768,7 +766,7 @@ def test_mixed_precision_degrees_stay_exact():
     """).kb
     with pytest.raises(InconsistencyError) as caught:
         saturate(clash)
-    conflict = caught.value.report.conflicts[0]
+    conflict = caught.value.conflict
     assert (conflict.lo_value, conflict.hi_value) == (Fraction(667001, 1000000), Fraction(667, 1000))
     assert type(conflict.lo_value) is Fraction and type(conflict.hi_value) is Fraction
     assert conflict.expr == Atom("A")
