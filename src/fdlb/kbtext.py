@@ -22,6 +22,13 @@ Parsing never throws on bad input: every problem becomes a
 :class:`ParseDiagnostic` with a source span, the parser resynchronizes at
 the next ``;``, and a document with any error yields no knowledge base.
 
+Lexing is one ``findall`` whose every match is a token and the whitespace and
+comments after it.  A token is its text, whose kind follows from it (an
+identifier spelled like a keyword is the keyword); ``""`` ends the input.
+Positions are not tracked: the first diagnostic of a parse runs the pattern
+again for token offsets and builds a table of line starts.  Each distinct
+number literal becomes a ``Fraction`` once.
+
 Utility boxes live in their own files::
 
     ubox expert1 {
@@ -33,9 +40,11 @@ Utility boxes live in their own files::
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable, TypeVar
 
 from .decision import UtilityBox
 from .model import (
@@ -53,6 +62,7 @@ from .model import (
     KnowledgeBase,
     ModelError,
     Not,
+    ONE,
     Or,
     Quantity,
     RoleAssertion,
@@ -77,24 +87,12 @@ class SourceSpan:
     length: int = 1
 
 
-class Token(NamedTuple):
-    type: str  # "kw" | "ident" | "decimal" | "punct" | "eof"
-    text: str
-    line: int
-    column: int
-
-    @property
-    def span(self) -> SourceSpan:
-        """Built on demand: only a diagnostic reads a token's span."""
-        return SourceSpan(self.line, self.column, len(self.text))
-
-
 _KEYWORDS = frozenset(
     {
         "role", "concept", "axiom", "assert", "ubox",
         "abstract", "concrete", "closed",
         "TOP", "BOTTOM", "NOT", "AND", "OR", "EXISTS", "FORALL",
-        "GT", "GE", "LT", "LE", "EQUIV",
+        "GT", "GE", "LT", "LE", "EQUIV", "SUBSUMED-BY",
     }
 )
 
@@ -107,18 +105,23 @@ MAX_CONCEPT_DEPTH = 100
 _COMPARATOR_KW = {"GT": ">", "GE": ">=", "LT": "<", "LE": "<="}
 _COMPARATOR_TEXT = {op: kw for kw, op in _COMPARATOR_KW.items()}
 
+# Whitespace, then comments each followed by whitespace.  Nothing follows
+# the skip in either pattern, so it never backtracks.
+_SKIP = r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+_LEADING_SKIP_RE = re.compile(_SKIP)
+# One match per token, together with the skipped text after it.  Group 1 is
+# the token; a match without it is one character that starts no token.
 _TOKEN_RE = re.compile(
-    r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<comment>\#[^\n]*)
-    | (?P<newline>\n)
-    | (?P<subsumed>SUBSUMED-BY(?![A-Za-z0-9_]))
-    | (?P<decimal>-?\d+(?:\.\d+)?)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<punct>[:;(),@={}.])
-    """,
-    re.VERBOSE,
+    r"(?:(SUBSUMED-BY(?![A-Za-z0-9_])|[A-Za-z_][A-Za-z0-9_]*|[:;(),@={}.]|-?\d+(?:\.\d+)?)|.)" + _SKIP
 )
+
+
+def _is_ident(tok: str) -> bool:
+    return tok.isidentifier() and tok not in _KEYWORDS
+
+
+def _is_number(tok: str) -> bool:
+    return tok[:1].isdigit() or tok[:1] == "-"
 
 
 @dataclass(frozen=True)
@@ -148,36 +151,6 @@ class UboxParseResult:
         return self.ubox is not None
 
 
-def _lex(text: str, diagnostics: list[ParseDiagnostic]) -> list[Token]:
-    tokens: list[Token] = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            diagnostics.append(
-                ParseDiagnostic("error", f"unexpected character {text[pos]!r}", SourceSpan(line, col))
-            )
-            pos += 1
-            col += 1
-            continue
-        kind = m.lastgroup
-        lexeme = m.group()
-        if kind == "newline":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(lexeme)
-        else:
-            if kind == "subsumed" or lexeme in _KEYWORDS:
-                kind = "kw"
-            tokens.append(Token(kind, lexeme, line, col))  # kind: "kw", "ident", "decimal" or "punct"
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
-    return tokens
-
-
 # --------------------------------------------------------------------------
 # Parser
 
@@ -194,10 +167,15 @@ class _StatementError(Exception):
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], diagnostics: list[ParseDiagnostic]):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the token texts of ``text``; ``""`` is the end of input."""
+
+    def __init__(self, text: str, diagnostics: list[ParseDiagnostic]):
+        self.text = text
         self.diagnostics = diagnostics
+        self._start = _LEADING_SKIP_RE.match(text).end()
+        self._numbers: dict[str, Fraction] = {}
+        self.tokens = self._lex()
+        self.pos = 0
         self.roles: dict[str, RoleDecl] = {}
         self.declared_concepts: list[str] = []
         self.gcis: list[FuzzyGci] = []
@@ -206,45 +184,80 @@ class _Parser:
         self.concrete_facts: list[ConcreteFact] = []
         self._fact_keys: set[tuple[str, str]] = set()
 
+    # -- tokens and their positions
+
+    def _lex(self) -> list[str]:
+        tokens = _TOKEN_RE.findall(self.text, self._start)
+        if "" in tokens:  # characters that start no token
+            for m in _TOKEN_RE.finditer(self.text, self._start):
+                if m.lastindex is None:
+                    self.error(f"unexpected character {self.text[m.start()]!r}", self._span_at(m.start(), 1))
+            tokens = [tok for tok in tokens if tok]
+        tokens.append("")
+        return tokens
+
+    @cached_property
+    def _offsets(self) -> list[int]:
+        """Where each token starts, found by scanning again: only a diagnostic asks."""
+        return [m.start() for m in _TOKEN_RE.finditer(self.text, self._start) if m.lastindex] + [len(self.text)]
+
+    @cached_property
+    def _line_starts(self) -> list[int]:
+        return [0, *(m.end() for m in re.finditer("\n", self.text))]
+
+    def span(self, i: int) -> SourceSpan:
+        return self._span_at(self._offsets[i], len(self.tokens[i]))
+
+    def _span_at(self, offset: int, length: int) -> SourceSpan:
+        line = bisect_right(self._line_starts, offset)
+        return SourceSpan(line, offset - self._line_starts[line - 1] + 1, length)
+
+    def number(self, literal: str) -> Fraction:
+        """The value of a number literal, converted once per distinct text."""
+        value = self._numbers.get(literal)
+        if value is None:
+            value = self._numbers[literal] = Fraction(literal)
+        return value
+
     # -- token plumbing
 
-    def peek(self) -> Token:
+    def peek(self) -> str:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> str:
         tok = self.tokens[self.pos]
-        if tok.type != "eof":
+        if tok:
             self.pos += 1
         return tok
 
-    def at_kw(self, *words: str) -> bool:
-        tok = self.peek()
-        return tok.type == "kw" and tok.text in words
+    def at(self, *texts: str) -> bool:
+        return self.tokens[self.pos] in texts
 
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.type == "punct" and tok.text == text
+    def take(self, *texts: str) -> str:
+        tok = self.tokens[self.pos]
+        if tok not in texts:
+            self._fail(f"expected {' or '.join(repr(t) for t in texts)}")
+        self.pos += 1
+        return tok
 
-    def take_kw(self, *words: str) -> Token:
-        if not self.at_kw(*words):
-            self._fail(f"expected {' or '.join(repr(w) for w in words)}")
-        return self.advance()
-
-    def take_punct(self, text: str) -> Token:
-        if not self.at_punct(text):
-            self._fail(f"expected {text!r}")
-        return self.advance()
-
-    def take_ident(self, what: str) -> Token:
-        tok = self.peek()
-        if tok.type != "ident":
+    def take_ident(self, what: str) -> str:
+        tok = self.tokens[self.pos]
+        if not _is_ident(tok):
             self._fail(f"expected {what}")
-        return self.advance()
+        self.pos += 1
+        return tok
+
+    def take_number(self, what: str) -> str:
+        tok = self.tokens[self.pos]
+        if not _is_number(tok):
+            self._fail(f"expected {what}")
+        self.pos += 1
+        return tok
 
     def _fail(self, message: str) -> None:
-        tok = self.peek()
-        found = "end of input" if tok.type == "eof" else repr(tok.text)
-        raise _StatementError(f"{message}, found {found}", tok.span)
+        tok = self.tokens[self.pos]
+        found = repr(tok) if tok else "end of input"
+        raise _StatementError(f"{message}, found {found}", self.span(self.pos))
 
     def error(self, message: str, span: SourceSpan) -> None:
         self.diagnostics.append(ParseDiagnostic("error", message, span))
@@ -253,15 +266,15 @@ class _Parser:
         self.diagnostics.append(ParseDiagnostic("warning", message, span))
 
     def _sync(self) -> None:
-        while not self.at_punct(";") and self.peek().type != "eof":
-            self.advance()
-        if self.at_punct(";"):
-            self.advance()
+        try:  # to just after the next ';', or to the end of input
+            self.pos = self.tokens.index(";", self.pos) + 1
+        except ValueError:
+            self.pos = len(self.tokens) - 1
 
     # -- documents
 
     def parse_knowledge_base(self) -> KnowledgeBase | None:
-        while self.peek().type != "eof":
+        while self.tokens[self.pos]:
             try:
                 self.parse_statement()
             except _StatementError as exc:
@@ -282,244 +295,240 @@ class _Parser:
             raise _StatementError(str(exc), None) from None
 
     def parse_utility_box(self) -> UtilityBox:
-        self.take_kw("ubox")
-        expert_id = self.take_ident("an expert name").text
-        self.take_punct("{")
+        self.take("ubox")
+        expert_id = self.take_ident("an expert name")
+        self.take("{")
         weights: dict[str, Fraction] = {}
-        while not self.at_punct("}"):
-            attr_tok = self.take_ident("an attribute name")
-            self.take_punct("=")
-            weight_tok = self.peek()
-            if weight_tok.type != "decimal":
-                self._fail("expected a weight")
-            self.advance()
-            self.take_punct(";")
-            weight = Fraction(weight_tok.text)
+        while not self.at("}"):
+            attr_at = self.pos
+            attr = self.take_ident("an attribute name")
+            self.take("=")
+            weight_at = self.pos
+            literal = self.take_number("a weight")
+            self.take(";")
+            weight = self.number(literal)
             if weight < 0:
-                self.error(f"weight {weight_tok.text} is negative", weight_tok.span)
-            elif attr_tok.text in weights:
-                self.error(f"attribute {attr_tok.text!r} weighted twice", attr_tok.span)
+                self.error(f"weight {literal} is negative", self.span(weight_at))
+            elif attr in weights:
+                self.error(f"attribute {attr!r} weighted twice", self.span(attr_at))
             else:
-                weights[attr_tok.text] = weight
-        self.take_punct("}")
-        trailing = self.peek()
-        if trailing.type != "eof":
-            self.error("unexpected content after the utility box", trailing.span)
+                weights[attr] = weight
+        self.take("}")
+        if self.peek():
+            self.error("unexpected content after the utility box", self.span(self.pos))
         return UtilityBox(expert_id, tuple(weights.items()))
 
     def parse_query(self) -> ConceptExpression:
         concept = self.parse_concept()
-        trailing = self.peek()
-        if trailing.type != "eof":
-            self.error("unexpected content after the concept expression", trailing.span)
+        if self.peek():
+            self.error("unexpected content after the concept expression", self.span(self.pos))
         return concept
 
     def parse_statement(self) -> None:
-        tok = self.peek()
-        if self.at_kw("role"):
+        tok = self.tokens[self.pos]
+        if tok == "role":
             self.parse_role_decl()
-        elif self.at_kw("concept"):
+        elif tok == "concept":
             self.parse_concept_decl()
-        elif self.at_kw("axiom"):
+        elif tok == "axiom":
             self.parse_axiom()
-        elif self.at_kw("assert"):
+        elif tok == "assert":
             self.parse_assertion()
-        elif self.at_kw("ubox"):
-            raise _StatementError("utility boxes belong in their own file, not in a knowledge base", tok.span)
+        elif tok == "ubox":
+            raise _StatementError(
+                "utility boxes belong in their own file, not in a knowledge base", self.span(self.pos)
+            )
         else:
             self._fail("expected a statement ('role', 'concept', 'axiom', or 'assert')")
 
     # -- statements
 
     def parse_role_decl(self) -> None:
-        self.take_kw("role")
-        name_tok = self.take_ident("a role name")
-        self.take_punct(":")
-        if self.at_kw("abstract"):
+        self.take("role")
+        name_at = self.pos
+        name = self.take_ident("a role name")
+        self.take(":")
+        if self.at("abstract"):
             self.advance()
-            closed = False
-            if self.at_kw("closed"):
+            closed = self.at("closed")
+            if closed:
                 self.advance()
-                closed = True
-            decl = RoleDecl(name_tok.text, "abstract", closed=closed)
-        elif self.at_kw("concrete"):
+            decl = RoleDecl(name, "abstract", closed=closed)
+        elif self.at("concrete"):
             self.advance()
-            self.take_punct("(")
-            unit_tok = self.take_ident("a unit symbol")
-            self.take_punct(")")
-            decl = RoleDecl(name_tok.text, "concrete", unit=unit_tok.text)
+            self.take("(")
+            unit = self.take_ident("a unit symbol")
+            self.take(")")
+            decl = RoleDecl(name, "concrete", unit=unit)
         else:
             self._fail("expected 'abstract' or 'concrete'")
-        self.take_punct(";")
-        if name_tok.text in self.roles:
-            self.error(f"role {name_tok.text!r} declared twice", name_tok.span)
+        self.take(";")
+        if name in self.roles:
+            self.error(f"role {name!r} declared twice", self.span(name_at))
             return
-        self.roles[name_tok.text] = decl
+        self.roles[name] = decl
 
     def parse_concept_decl(self) -> None:
-        self.take_kw("concept")
-        name_tok = self.take_ident("a concept name")
-        self.declared_concepts.append(name_tok.text)
-        if self.at_punct(";"):
+        self.take("concept")
+        name = self.take_ident("a concept name")
+        self.declared_concepts.append(name)
+        if self.at(";"):
             self.advance()
             return
         # sugar: declaration plus axiom(s) in one statement
-        self.parse_inclusion(Atom(name_tok.text), "EQUIV", "SUBSUMED-BY")
+        self.parse_inclusion(Atom(name), "EQUIV", "SUBSUMED-BY")
 
     def parse_axiom(self) -> None:
-        self.take_kw("axiom")
+        self.take("axiom")
         self.parse_inclusion(self.parse_concept(), "SUBSUMED-BY", "EQUIV")
 
     def parse_inclusion(self, lhs: ConceptExpression, *operators: str) -> None:
         """The rest of an inclusion after its left side: ``operators`` in the order diagnostics name them."""
-        op_tok = self.take_kw(*operators)
+        op = self.take(*operators)
         rhs = self.parse_concept()
         degree = self.parse_degree_suffix()
-        self.take_punct(";")
+        self.take(";")
         self.gcis.append(FuzzyGci(lhs, rhs, degree))
-        if op_tok.text == "EQUIV":  # stored as the two directed inclusions
+        if op == "EQUIV":  # stored as the two directed inclusions
             self.gcis.append(FuzzyGci(rhs, lhs, degree))
 
     def parse_assertion(self) -> None:
-        self.take_kw("assert")
-        if self.at_punct("("):
+        self.take("assert")
+        if self.at("("):
             self.parse_pair_assertion()
             return
-        subject_tok = self.take_ident("an individual name")
-        self.take_punct(":")
+        subject = self.take_ident("an individual name")
+        self.take(":")
         concept = self.parse_concept()
-        degree_tok = self.peek()
+        degree_at = self.pos
         degree = self.parse_degree_suffix()
-        self.take_punct(";")
+        self.take(";")
         if degree == 0:
             self.warn(
                 "membership at degree 0 asserts nothing (every membership is at least 0)",
-                degree_tok.span,
+                self.span(degree_at),
             )
-        self.assertions.append(FuzzyAssertion(subject_tok.text, concept, degree))
+        self.assertions.append(FuzzyAssertion(subject, concept, degree))
 
     def parse_pair_assertion(self) -> None:
-        self.take_punct("(")
-        subject_tok = self.take_ident("an individual name")
-        self.take_punct(",")
-        unit_tok = None  # None: the filler is an individual, not a quantity
-        if self.peek().type == "decimal":
-            filler_tok = self.advance()
-            unit_tok = self.take_ident("a unit symbol")
+        self.take("(")
+        subject_at = self.pos
+        subject = self.take_ident("an individual name")
+        self.take(",")
+        unit = None  # None: the filler is an individual, not a quantity
+        if _is_number(self.peek()):
+            filler = self.advance()
+            unit_at = self.pos
+            unit = self.take_ident("a unit symbol")
         else:
-            filler_tok = self.take_ident("an individual name or a quantity")
-        self.take_punct(")")
-        self.take_punct(":")
-        role_tok = self.take_ident("a role name")
-        self.take_punct(";")
-        decl = self._require_role(role_tok)
-        subject, role = subject_tok.text, role_tok.text
-        if decl.kind != ("abstract" if unit_tok is None else "concrete"):
-            filler = "an individual" if decl.kind == "abstract" else "a quantity"
-            self.error(f"role {role!r} is {decl.kind}; the filler must be {filler}", role_tok.span)
-        elif unit_tok is None:
-            self.role_assertions.append(RoleAssertion(subject, filler_tok.text, role))
-        elif unit_tok.text != decl.unit:
-            self.error(f"unit {unit_tok.text!r} does not match role {role!r} declared in {decl.unit!r}", unit_tok.span)
+            filler = self.take_ident("an individual name or a quantity")
+        self.take(")")
+        self.take(":")
+        role_at = self.pos
+        role = self.take_ident("a role name")
+        self.take(";")
+        decl = self._require_role(role, role_at)
+        if decl.kind != ("abstract" if unit is None else "concrete"):
+            expected = "an individual" if decl.kind == "abstract" else "a quantity"
+            self.error(f"role {role!r} is {decl.kind}; the filler must be {expected}", self.span(role_at))
+        elif unit is None:
+            self.role_assertions.append(RoleAssertion(subject, filler, role))
+        elif unit != decl.unit:
+            self.error(f"unit {unit!r} does not match role {role!r} declared in {decl.unit!r}", self.span(unit_at))
         elif (subject, role) in self._fact_keys:
-            self.error(f"role {role!r} is functional: {subject!r} already has a value", subject_tok.span)
+            self.error(f"role {role!r} is functional: {subject!r} already has a value", self.span(subject_at))
         else:
             self._fact_keys.add((subject, role))
-            quantity = Quantity(Fraction(filler_tok.text), unit_tok.text)
-            self.concrete_facts.append(ConcreteFact(subject, quantity, role))
+            self.concrete_facts.append(ConcreteFact(subject, Quantity(self.number(filler), unit), role))
 
     def parse_degree_suffix(self) -> Fraction:
-        if not self.at_punct("@"):
-            return Fraction(1)
+        if not self.at("@"):
+            return ONE
         self.advance()
-        tok = self.peek()
-        if tok.type != "decimal":
-            self._fail("expected a degree after '@'")
-        self.advance()
+        degree_at = self.pos
+        literal = self.take_number("a degree after '@'")
         try:
-            return make_degree(Fraction(tok.text), tok.text)
+            return make_degree(self.number(literal), literal)
         except DegreeRangeError as exc:
-            raise _StatementError(str(exc), tok.span) from None
+            raise _StatementError(str(exc), self.span(degree_at)) from None
 
     # -- concepts (precedence: NOT/quantifiers > AND > OR); ``depth`` counts
     # the NOTs, quantifiers and parentheses around the expression being parsed
 
     def parse_concept(self, depth: int = 0) -> ConceptExpression:
         parts = [self.parse_and(depth)]
-        while self.at_kw("OR"):
-            self.advance()
+        while self.tokens[self.pos] == "OR":
+            self.pos += 1
             parts.append(self.parse_and(depth))
         return parts[0] if len(parts) == 1 else Or(*parts)
 
     def parse_and(self, depth: int) -> ConceptExpression:
         parts = [self.parse_unary(depth)]
-        while self.at_kw("AND"):
-            self.advance()
+        while self.tokens[self.pos] == "AND":
+            self.pos += 1
             parts.append(self.parse_unary(depth))
         return parts[0] if len(parts) == 1 else And(*parts)
 
     def parse_unary(self, depth: int) -> ConceptExpression:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if depth > MAX_CONCEPT_DEPTH:
-            raise _StatementError(f"concept expression nested deeper than {MAX_CONCEPT_DEPTH} levels", tok.span)
-        if self.at_kw("NOT"):
-            self.advance()
+            message = f"concept expression nested deeper than {MAX_CONCEPT_DEPTH} levels"
+            raise _StatementError(message, self.span(self.pos))
+        if _is_ident(tok):
+            self.pos += 1
+            return Atom(tok)
+        if tok == "NOT":
+            self.pos += 1
             return Not(self.parse_unary(depth + 1))
-        if self.at_kw("EXISTS", "FORALL"):
-            quantifier = self.advance().text
-            role_tok = self.take_ident("a role name")
-            if self.at_punct("."):
+        if tok == "EXISTS" or tok == "FORALL":
+            self.pos += 1
+            role_at = self.pos
+            role = self.take_ident("a role name")
+            if self.at("."):
                 self.advance()
-            decl = self._require_role(role_tok)
+            decl = self._require_role(role, role_at)
             if decl.kind == "abstract":
                 body = self.parse_unary(depth + 1)
-                return Exists(role_tok.text, body) if quantifier == "EXISTS" else Forall(role_tok.text, body)
-            if quantifier == "FORALL":
+                return Exists(role, body) if tok == "EXISTS" else Forall(role, body)
+            if tok == "FORALL":
                 raise _StatementError(
-                    f"value restrictions require an abstract role, {role_tok.text!r} is concrete",
-                    role_tok.span,
+                    f"value restrictions require an abstract role, {role!r} is concrete", self.span(role_at)
                 )
-            return Exists(role_tok.text, self.parse_comparator(decl, role_tok))
-        if self.at_kw("TOP"):
-            self.advance()
+            return Exists(role, self.parse_comparator(decl, role))
+        if tok == "TOP":
+            self.pos += 1
             return TOP
-        if self.at_kw("BOTTOM"):
-            self.advance()
+        if tok == "BOTTOM":
+            self.pos += 1
             return BOTTOM
-        if self.at_punct("("):
-            self.advance()
+        if tok == "(":
+            self.pos += 1
             expr = self.parse_concept(depth + 1)
-            self.take_punct(")")
+            self.take(")")
             return expr
-        if tok.type == "ident":
-            self.advance()
-            return Atom(tok.text)
         self._fail("expected a concept expression")
         raise AssertionError("unreachable")
 
-    def parse_comparator(self, decl: RoleDecl, role_tok: Token) -> ConcretePredicate:
-        if not self.at_kw("GT", "GE", "LT", "LE"):
+    def parse_comparator(self, decl: RoleDecl, role: str) -> ConcretePredicate:
+        op = self.peek()
+        if op not in _COMPARATOR_KW:
             raise _StatementError(
-                f"role {role_tok.text!r} is concrete: expected a comparator (GT, GE, LT, or LE)",
-                self.peek().span,
+                f"role {role!r} is concrete: expected a comparator (GT, GE, LT, or LE)", self.span(self.pos)
             )
-        op_tok = self.advance()
-        value_tok = self.peek()
-        if value_tok.type != "decimal":
-            self._fail("expected a threshold value")
         self.advance()
-        unit_tok = self.take_ident("a unit symbol")
-        if unit_tok.text != decl.unit:
+        literal = self.take_number("a threshold value")
+        unit_at = self.pos
+        unit = self.take_ident("a unit symbol")
+        if unit != decl.unit:
             raise _StatementError(
-                f"unit {unit_tok.text!r} does not match role {role_tok.text!r} declared in {decl.unit!r}",
-                unit_tok.span,
+                f"unit {unit!r} does not match role {role!r} declared in {decl.unit!r}", self.span(unit_at)
             )
-        return ConcretePredicate(_COMPARATOR_KW[op_tok.text], Quantity(Fraction(value_tok.text), unit_tok.text))
+        return ConcretePredicate(_COMPARATOR_KW[op], Quantity(self.number(literal), unit))
 
-    def _require_role(self, role_tok: Token) -> RoleDecl:
-        decl = self.roles.get(role_tok.text)
+    def _require_role(self, role: str, at: int) -> RoleDecl:
+        decl = self.roles.get(role)
         if decl is None:
-            raise _StatementError(f"role {role_tok.text!r} is not declared", role_tok.span)
+            raise _StatementError(f"role {role!r} is not declared", self.span(at))
         return decl
 
 
@@ -536,7 +545,7 @@ def _parse(
     is dropped.
     """
     diagnostics: list[ParseDiagnostic] = []
-    parser = _Parser(_lex(text, diagnostics), diagnostics)
+    parser = _Parser(text, diagnostics)
     parser.roles.update(roles or {})
     result = None
     try:

@@ -56,9 +56,9 @@ class ModelError(FdlbError):
 
 
 def make_degree(value: Union[Fraction, int, str], literal: str | None = None) -> Degree:
-    """Validate and return a degree.  Raises DegreeRangeError outside [0, 1]."""
-    d = Fraction(value)
-    if d < ZERO or d > ONE:
+    """Validate and return a degree, a Fraction as it is.  Raises DegreeRangeError outside [0, 1]."""
+    d = value if isinstance(value, Fraction) else Fraction(value)
+    if not 0 <= d.numerator <= d.denominator:
         raise DegreeRangeError(d, literal)
     return d
 
@@ -509,14 +509,14 @@ def build_kb(
         rhs = normalize(gci.rhs)
         check_concept_roles(lhs, role_map, "axiom")
         check_concept_roles(rhs, role_map, "axiom")
-        out_gcis.append(_desugar(FuzzyGci(lhs, rhs, gci.degree)))
+        out_gcis.append(_desugar(gci if lhs is gci.lhs and rhs is gci.rhs else FuzzyGci(lhs, rhs, gci.degree)))
 
     out_assertions = []
     for fa in assertions:
         make_degree(fa.degree)
         concept = normalize(fa.concept)
         check_concept_roles(concept, role_map, f"assertion on {fa.individual}")
-        out_assertions.append(FuzzyAssertion(fa.individual, concept, fa.degree))
+        out_assertions.append(fa if concept is fa.concept else FuzzyAssertion(fa.individual, concept, fa.degree))
 
     for ra in role_assertions:
         decl = role_map.get(ra.role)

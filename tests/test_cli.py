@@ -378,9 +378,12 @@ def test_mutated_fixtures_always_exit_with_a_code(name, paths, tmp_path, capsys)
     rng = random.Random(f"mutants:{name}")
     individual, concept = QUERIES.get(name, ("tab_1", "UpperclassTablet"))
     kb = tmp_path / "mutant.fdlb"
+    position = re.compile(rf"^{re.escape(str(kb))}:(\d+):(\d+): ", re.M)
     codes = set()
+    positions = 0
     for text in mutants(Path(paths[name]).read_text(), rng, MUTANTS_PER_FIXTURE):
         kb.write_text(text)
+        lines = text.splitlines()
         for argv in (
             ("check", str(kb)),
             ("rank", str(kb), "--ubox", paths["e1"]),
@@ -389,5 +392,11 @@ def test_mutated_fixtures_always_exit_with_a_code(name, paths, tmp_path, capsys)
             code, _, err = run(capsys, *argv)
             assert code in range(5), (argv, text)
             codes.add(code)
+            for line, column in position.findall(err):  # every position is inside the file
+                line, column = int(line), int(column)
+                assert 1 <= line <= len(lines) + 1, (err, text)
+                assert 1 <= column <= len((lines + [""])[line - 1]) + 1, (err, text)
+                positions += 1
     assert {0, 1} <= codes  # some mutants still parse, most do not
+    assert positions
 

@@ -1,7 +1,10 @@
+import ast
+import random
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fdlb.kbtext import (
     MAX_CONCEPT_DEPTH,
@@ -14,7 +17,7 @@ from fdlb.kbtext import (
     serialize_kb,
     serialize_ubox,
 )
-from fdlb.model import And, Atom, Exists, Forall, FuzzyGci, Not, Or, kb_equal
+from fdlb.model import And, Atom, Exists, Forall, FuzzyGci, Not, Or, RoleDecl, kb_equal
 from fdlb.reasoner import saturate
 
 GOOD = """
@@ -180,6 +183,132 @@ def test_lex_error_is_reported_with_position():
 
 def test_crlf_and_comments_tolerated():
     assert parse_kb("# top\r\nassert x : A; # tail\r\n").ok
+
+
+# -- source positions, against positions counted while a text is generated
+
+# Each entry is a piece of text and the lexemes in it (with their offsets)
+# that a diagnostic may point at: tokens, and characters that start no token.
+PIECES = [(w, ((w, 0),)) for w in (
+    "role", "concept", "axiom", "assert", "ubox", "abstract", "concrete", "closed",
+    "TOP", "BOTTOM", "NOT", "AND", "OR", "EXISTS", "FORALL", "GT", "LE", "EQUIV", "SUBSUMED-BY",
+    "r", "m", "A", "x", "u", "_a1", "0", "0.5", "1", "1.5", "-1", "007",
+    ":", ";", "(", ")", ",", "@", "=", "{", "}", ".",
+    "%", "$", "é", "~", "-",
+)] + [("SUBSUMED-BYx", (("SUBSUMED", 0), ("-", 8), ("BYx", 9)))]
+SEPARATORS = (" ", "\t", "  ", "\n", "\r\n", " # note\n", "\t# a # b;\r\n")
+ROLE_DECLS = "role r : abstract ; role m : concrete ( u ) ;".split()
+ROLES = {"r": RoleDecl("r", "abstract"), "m": RoleDecl("m", "concrete", unit="u")}
+
+
+def generated_text(rng):
+    """(text, {(line, column): lexeme}, (line, column) of the end of input)."""
+    pieces = [next(p for p in PIECES if p[0] == w) for w in ROLE_DECLS] if rng.random() < 0.5 else []
+    pieces += rng.choices(PIECES, k=rng.randint(0, 30))
+    chunks, lexemes = [], {}
+    line = column = 1
+    for i, (piece, inside) in enumerate(pieces):
+        for lexeme, offset in inside:
+            lexemes[(line, column + offset)] = lexeme
+        last = i == len(pieces) - 1
+        separator = rng.choice(("", "# no newline at the end")) if last else rng.choice(SEPARATORS)
+        chunks += [piece, separator]
+        for ch in piece + separator:
+            line, column = (line + 1, 1) if ch == "\n" else (line, column + 1)
+    return "".join(chunks), lexemes, (line, column)
+
+
+def spanned_text(text, span):
+    return (text.splitlines() + [""])[span.line - 1][span.column - 1:span.column - 1 + span.length]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_diagnostic_spans_slice_out_the_offending_lexeme(seed):
+    rng = random.Random(f"spans:{seed}")
+    seen = set()
+    for _ in range(150):
+        text, lexemes, end = generated_text(rng)
+        for parse in (parse_kb, parse_ubox, lambda t: parse_concept_text(t, ROLES)):
+            for d in parse(text).diagnostics:
+                if d.span is None:  # a knowledge-base error found after parsing
+                    continue
+                where = (d.span.line, d.span.column)
+                sliced = spanned_text(text, d.span)
+                if d.span.length == 0:
+                    assert (where, sliced) == (end, ""), (text, d)
+                    seen.add("end of input")
+                    continue
+                assert lexemes.get(where) == sliced, (text, d)
+                quoted = re.search(r"(?:found|unexpected character) ('.*')$", d.message)
+                if quoted:
+                    assert ast.literal_eval(quoted.group(1)) == sliced, (text, d)
+                    seen.add(d.message.split(" ")[0])
+    assert seen == {"end of input", "unexpected", "expected"}
+
+
+def test_end_of_input_span_of_an_empty_text():
+    assert parse_kb("").ok and not parse_kb("").diagnostics
+    for result in (parse_concept_text(""), parse_ubox("")):
+        (d,) = result.diagnostics
+        assert d.message.endswith("found end of input")
+        assert (d.span.line, d.span.column, d.span.length) == (1, 1, 0)
+
+
+def test_a_megabyte_of_blanks_and_comments_before_a_bad_character():
+    chunk = "  \t# a # b ## \r\n\n \t#\n"
+    text = chunk * (2**20 // len(chunk)) + "\t # c\n  %"
+    (d,) = parse_kb(text).diagnostics
+    assert d.message == "unexpected character '%'"
+    assert (d.span.line, d.span.column, d.span.length) == (text.count("\n") + 1, 3, 1)
+    assert parse_kb(chunk * (2**20 // len(chunk)) + "# no newline").ok
+
+
+# -- deep and wide inputs
+
+WRAPS = ("({})", "NOT {}", "EXISTS r . {}", "FORALL r . {}")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WRAPS), st.integers(min_value=0, max_value=MAX_CONCEPT_DEPTH))
+@example("({})", MAX_CONCEPT_DEPTH)
+@example("FORALL r . {}", MAX_CONCEPT_DEPTH)
+def test_nesting_up_to_the_limit_parses(wrap, depth):
+    concept = nested(wrap, 1, depth)
+    result = parse_kb(f"role r : abstract;\naxiom {concept} SUBSUMED-BY G;\nassert a : {concept} @ 0.5;")
+    assert result.ok, result.diagnostics
+    assert parse_concept_text(concept, ROLES).ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WRAPS), st.integers(min_value=MAX_CONCEPT_DEPTH + 1, max_value=4 * MAX_CONCEPT_DEPTH))
+@example("NOT {}", MAX_CONCEPT_DEPTH + 1)
+@example("EXISTS r . {}", MAX_CONCEPT_DEPTH + 1)
+def test_nesting_past_the_limit_is_a_diagnostic(wrap, depth):
+    concept = nested(wrap, 1, depth)
+    for result in (
+        parse_kb(f"role r : abstract;\naxiom {concept} SUBSUMED-BY G;\nassert a : G;"),
+        parse_concept_text(concept, ROLES),
+    ):
+        assert not result.ok
+        (err,) = result.diagnostics
+        assert err.message == f"concept expression nested deeper than {MAX_CONCEPT_DEPTH} levels"
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(("AND", "OR")), st.integers(min_value=2, max_value=1000), st.integers(0, 2**16))
+@example("AND", 1000, 0)
+@example("OR", 1000, 0)
+def test_wide_connectives_round_trip(op, width, seed):
+    names = [f"A{k}" for k in range(width)]
+    random.Random(seed).shuffle(names)
+    wide = f" {op} ".join(names)
+    result = parse_kb(f"axiom {wide} SUBSUMED-BY G @ 0.5;\naxiom G SUBSUMED-BY {wide};\nassert x : {wide} @ 0.25;")
+    assert result.ok, result.diagnostics
+    again = parse_kb(serialize_kb(result.kb))
+    assert again.ok and kb_equal(again.kb, result.kb)
+    concept = parse_concept_text(wide).concept
+    assert len(concept.parts) == width
+    assert parse_concept_text(render_concept(concept)).concept == concept
 
 
 # -- round-trips
