@@ -6,17 +6,22 @@ the knowledge-base container shared by the parser, the reasoner, and the
 decision layer.
 
 Everything here is an immutable value; instances may be shared freely once
-constructed.  All numeric fields hold :class:`fractions.Fraction` so that
-decimal literals like ``0.6`` survive every min/max/complement/product step
-exactly — binary floating point never enters the pipeline.
+constructed.  Concept expressions are interned: structurally equal ones are
+one object, so equal means identical.  All numeric fields hold
+:class:`fractions.Fraction` so that decimal literals like ``0.6`` survive
+every min/max/complement/product step exactly — binary floating point never
+enters the pipeline.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Mapping, Sequence, Union
+from weakref import ref
 
 # A membership degree is a rational in [0, 1].
 Degree = Fraction
@@ -112,42 +117,12 @@ class Quantity:
         return self.magnitude >= other.magnitude
 
 
-def _memoized_hash(self) -> int:
-    try:
-        return self._hash
-    except AttributeError:
-        h = hash((type(self).__name__, *(getattr(self, name) for name in self.__dataclass_fields__)))
-        object.__setattr__(self, "_hash", h)
-        return h
-
-
-def _state_without_hash(self) -> dict:
-    state = dict(self.__dict__)
-    state.pop("_hash", None)
-    state.pop("_sort_key", None)
-    return state
-
-
-def _memoize_hash(cls):
-    """Give a frozen dataclass a structural hash computed once per instance.
-
-    Expressions key every bound and derivation map, and the generated hash
-    would walk the whole tree on each lookup.  String hashes differ between
-    processes, so the memo is left out of the pickled state; so is
-    :func:`sort_key`'s, so that equal expressions pickle alike.
-    """
-    cls.__hash__ = _memoized_hash
-    cls.__getstate__ = _state_without_hash
-    return cls
-
-
 # Comparator symbols for concrete restrictions and the comparison each
 # makes.  Surface keywords GT/GE/LT/LE map onto these.
 _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 COMPARATORS = tuple(_COMPARISONS)
 
 
-@_memoize_hash
 @dataclass(frozen=True)
 class ConcretePredicate:
     """A crisp comparison against a threshold quantity on a concrete role."""
@@ -167,75 +142,163 @@ class ConcretePredicate:
 # --------------------------------------------------------------------------
 # Concept expressions
 
-
-@_memoize_hash
-@dataclass(frozen=True)
-class Top:
-    pass
-
-
-@_memoize_hash
-@dataclass(frozen=True)
-class Bottom:
-    pass
+# Every node, held weakly and keyed by its class and fields, a child node by
+# its ``id``: a live node holds its children, so their ids stay theirs, and a
+# key that held them would keep a node and its cached dual, which refer to
+# each other, alive once nothing else does.
+_INTERNED: dict[tuple, ref] = {}
 
 
-@_memoize_hash
-@dataclass(frozen=True)
-class Atom:
+def _intern(cls: type, fields: tuple, key: tuple) -> "ConceptExpression":
+    entry = _INTERNED.get(key)
+    node = None if entry is None else entry()
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            object.__setattr__(node, name, value)
+        for name, value in zip(("_key", "_normal", "_children", "_dual"), (*node._derive(), None)):
+            object.__setattr__(node, name, value)
+        _INTERNED[key] = ref(node, partial(_forget, key))
+    return node
+
+
+def _forget(key: tuple, entry: ref) -> None:
+    if _INTERNED.get(key) is entry:  # not yet replaced by a new node's entry
+        del _INTERNED[key]
+
+
+class _Concept:
+    """A concept expression node, built only through the interning constructor.
+
+    Structurally equal expressions are one node, so ``==`` and ``hash`` are
+    identity's and no dict or set lookup walks a tree.  ``_key`` (the
+    :func:`sort_key`), ``_normal`` (the :func:`normalize`d form, None when
+    that is the node itself) and ``_children`` (the concept nodes directly
+    beneath) are set at construction, ``_dual`` by the first :func:`dual`
+    call.  Pickling and copying call the constructor, so they return the
+    interned node.
+    """
+
+    __slots__ = ("_key", "_normal", "_children", "_dual", "__weakref__")
+    _fields: tuple[str, ...] = ()
+    _tag: int
+
+    def __new__(cls, *fields):
+        return _intern(cls, fields, (cls, *[id(f) if isinstance(f, _Concept) else f for f in fields]))
+
+    def _derive(self) -> tuple[tuple, "ConceptExpression | None", tuple]:
+        """The sort key, the normal form unless it is this node, and the child nodes."""
+        fields = tuple([getattr(self, name) for name in self._fields])
+        normal = tuple([normalize(f) if isinstance(f, _Concept) else f for f in fields])
+        key = (self._tag, *[f._key if isinstance(f, _Concept) else f for f in fields])
+        children = tuple([f for f in fields if isinstance(f, _Concept)])
+        return key, None if normal == fields else type(self)(*normal), children
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class Top(_Concept):
+    __slots__ = ()
+    _tag = 0
+
+
+class Bottom(_Concept):
+    __slots__ = ()
+    _tag = 1
+
+
+class Atom(_Concept):
+    __slots__ = _fields = ("name",)
     name: str
 
+    def __new__(cls, name: str):  # the common case, without the generic key's scan
+        return _intern(cls, (name,), (cls, name))
 
-@_memoize_hash
-@dataclass(frozen=True)
-class Not:
+    def _derive(self):
+        return (2, self.name), None, ()
+
+
+class Not(_Concept):
+    __slots__ = _fields = ("body",)
     body: "ConceptExpression"
+    _tag = 3
 
 
-def _init_parts(self, *parts: "ConceptExpression") -> None:
-    object.__setattr__(self, "parts", parts)
+class _Connective(_Concept):
+    """``And`` and ``Or``: one field, ``parts``, built as ``And(a, b, ...)``."""
+
+    __slots__ = _fields = ("parts",)
+    parts: tuple["ConceptExpression", ...]
+
+    def __new__(cls, *parts: "ConceptExpression"):
+        return _intern(cls, (parts,), (cls, *map(id, parts)))
+
+    def __reduce__(self) -> tuple:
+        return type(self), self.parts
+
+    def _derive(self):
+        kind = type(self)
+        parts: set[ConceptExpression] = set()
+        for part in self.parts:
+            child = normalize(part)  # already flat: one level to lift
+            parts.update(child.parts if type(child) is kind else (child,))
+        ordered = tuple(sorted(parts, key=sort_key))
+        normal = ordered[0] if len(ordered) == 1 else None if ordered == self.parts else kind(*ordered)
+        return (self._tag, len(self.parts), *(part._key for part in self.parts)), normal, self.parts
 
 
-@_memoize_hash
-@dataclass(frozen=True, init=False)
-class And:
+class And(_Connective):
     """Conjunction of ``parts``, built as ``And(a, b, ...)``.
 
     Normalized, the parts are unique, sorted by :func:`sort_key`, at least
     two, and none is itself an ``And``.
     """
 
-    parts: tuple["ConceptExpression", ...]
-    __init__ = _init_parts
+    __slots__ = ()
+    _tag = 7
 
 
-@_memoize_hash
-@dataclass(frozen=True, init=False)
-class Or:
+class Or(_Connective):
     """Disjunction of ``parts``, with the same normalized invariant as ``And``."""
 
-    parts: tuple["ConceptExpression", ...]
-    __init__ = _init_parts
+    __slots__ = ()
+    _tag = 8
 
 
-@_memoize_hash
-@dataclass(frozen=True)
-class Exists:
+class Exists(_Concept):
     """Existential restriction.
 
     Over an abstract role the target is a concept; over a concrete-functional
     role it is a ConcretePredicate (a crisp threshold comparison).
     """
 
+    __slots__ = _fields = ("role", "target")
     role: str
     target: Union["ConceptExpression", ConcretePredicate]
+    _tag = 5
+
+    def _derive(self):
+        target = self.target
+        if isinstance(target, ConcretePredicate):
+            return (4, self.role, target.op, target.threshold.unit, target.threshold.magnitude), None, ()
+        return super()._derive()
 
 
-@_memoize_hash
-@dataclass(frozen=True)
-class Forall:
+class Forall(_Concept):
+    __slots__ = _fields = ("role", "body")
     role: str
     body: "ConceptExpression"
+    _tag = 6
 
 
 ConceptExpression = Union[Top, Bottom, Atom, Not, And, Or, Exists, Forall]
@@ -245,124 +308,81 @@ BOTTOM = Bottom()
 
 
 def sort_key(expr: ConceptExpression) -> tuple:
-    """A total structural order on normalized expressions, computed once per instance."""
-    try:
-        return expr._sort_key
-    except AttributeError:
-        key = _sort_key_of(expr)
-        object.__setattr__(expr, "_sort_key", key)
-        return key
-
-
-def _sort_key_of(expr: ConceptExpression) -> tuple:
-    if isinstance(expr, Top):
-        return (0,)
-    if isinstance(expr, Bottom):
-        return (1,)
-    if isinstance(expr, Atom):
-        return (2, expr.name)
-    if isinstance(expr, Not):
-        return (3, sort_key(expr.body))
-    if isinstance(expr, Exists):
-        if isinstance(expr.target, ConcretePredicate):
-            t = expr.target
-            return (4, expr.role, t.op, t.threshold.unit, t.threshold.magnitude)
-        return (5, expr.role, sort_key(expr.target))
-    if isinstance(expr, Forall):
-        return (6, expr.role, sort_key(expr.body))
-    if isinstance(expr, (And, Or)):
-        keys = tuple(sort_key(c) for c in expr.parts)
-        return (7 if isinstance(expr, And) else 8, len(keys)) + keys
-    raise ModelError(f"not a concept expression: {expr!r}")
+    """A total structural order on normalized expressions, set when the node is built."""
+    return expr._key
 
 
 def normalize(expr: ConceptExpression) -> ConceptExpression:
     """Canonical structural form: ⊓/⊔ flattened into one n-ary node, deduplicated, sorted.
 
     Purely structural — no logical rewriting beyond dropping duplicate
-    children of an associative-commutative-idempotent connective.  Structural
+    children of an associative-commutative-idempotent connective.  Set when
+    the node is built, from its children's normal forms; structural
     equality of normalized expressions is the identity used everywhere
     downstream (interval keys, axiom matching, round-trips).
     """
-    if isinstance(expr, (Top, Bottom, Atom)):
-        return expr
-    if isinstance(expr, Not):
-        return Not(normalize(expr.body))
-    if isinstance(expr, Exists):
-        if isinstance(expr.target, ConcretePredicate):
-            return expr
-        return Exists(expr.role, normalize(expr.target))
-    if isinstance(expr, Forall):
-        return Forall(expr.role, normalize(expr.body))
-    if isinstance(expr, (And, Or)):
-        ctor = type(expr)
-        parts: set[ConceptExpression] = set()
-        for part in expr.parts:
-            child = normalize(part)  # already flat: one level to lift
-            parts.update(child.parts if isinstance(child, ctor) else (child,))
-        ordered = sorted(parts, key=sort_key)
-        return ordered[0] if len(ordered) == 1 else ctor(*ordered)
-    raise ModelError(f"not a concept expression: {expr!r}")
+    return expr._normal or expr
 
 
-def to_negation_normal_form(expr: ConceptExpression) -> ConceptExpression:
-    """Push negation inward (De Morgan, quantifier duals, involution).
+def sub_expressions(expr: ConceptExpression, seen: set | None = None) -> Iterator[ConceptExpression]:
+    """The expression and every distinct concept node beneath it, each once.
 
-    Negation directly above a concrete restriction stays put: threshold
-    predicates have no complemented comparator form here, and the interval
-    semantics handles the outer negation exactly.
+    Nodes in ``seen`` are skipped with what lies beneath them, and every
+    node yielded is added to it.
     """
-    if isinstance(expr, (Top, Bottom, Atom)):
-        return expr
-    if isinstance(expr, (And, Or)):
-        return type(expr)(*map(to_negation_normal_form, expr.parts))
-    if isinstance(expr, Exists):
-        if isinstance(expr.target, ConcretePredicate):
-            return expr
-        return Exists(expr.role, to_negation_normal_form(expr.target))
-    if isinstance(expr, Forall):
-        return Forall(expr.role, to_negation_normal_form(expr.body))
-    if isinstance(expr, Not):
-        body = expr.body
-        if isinstance(body, Top):
-            return BOTTOM
-        if isinstance(body, Bottom):
-            return TOP
-        if isinstance(body, Atom):
-            return expr
-        if isinstance(body, Not):
-            return to_negation_normal_form(body.body)
-        if isinstance(body, (And, Or)):
-            dual = Or if isinstance(body, And) else And
-            return dual(*(to_negation_normal_form(Not(c)) for c in body.parts))
-        if isinstance(body, Exists):
-            if isinstance(body.target, ConcretePredicate):
-                return expr  # negation retained above the concrete restriction
-            return Forall(body.role, to_negation_normal_form(Not(body.target)))
-        if isinstance(body, Forall):
-            return Exists(body.role, to_negation_normal_form(Not(body.body)))
-    raise ModelError(f"not a concept expression: {expr!r}")
+    seen = set() if seen is None else seen
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if node not in seen:
+            seen.add(node)
+            yield node
+            stack += node._children
 
 
-def sub_expressions(expr: ConceptExpression) -> Iterator[ConceptExpression]:
-    """The expression and every concept node beneath it (predicates excluded)."""
-    yield expr
-    if isinstance(expr, Not):
-        yield from sub_expressions(expr.body)
-    elif isinstance(expr, (And, Or)):
-        for part in expr.parts:
-            yield from sub_expressions(part)
-    elif isinstance(expr, Exists):
-        if not isinstance(expr.target, ConcretePredicate):
-            yield from sub_expressions(expr.target)
-    elif isinstance(expr, Forall):
-        yield from sub_expressions(expr.body)
+def _is_literal(expr: ConceptExpression) -> bool:
+    return isinstance(expr, Atom) or (isinstance(expr, Exists) and isinstance(expr.target, ConcretePredicate))
 
 
-def atom_names(expr: ConceptExpression) -> Iterator[str]:
-    for sub in sub_expressions(expr):
-        if isinstance(sub, Atom):
-            yield sub.name
+def _dual_inputs(node: ConceptExpression) -> tuple[ConceptExpression, ...]:
+    """The nodes whose duals ``node``'s dual is built from."""
+    body_dual = node.body._dual if isinstance(node, Not) and not _is_literal(node.body) else None
+    return node._children if body_dual is None else (body_dual,)
+
+
+def _dual_of(node: ConceptExpression) -> ConceptExpression:
+    # every node of _dual_inputs(node) has its dual
+    if isinstance(node, (And, Or)):
+        return normalize((Or if isinstance(node, And) else And)(*(part._dual for part in node.parts)))
+    if isinstance(node, Forall):
+        return Exists(node.role, node.body._dual)
+    if isinstance(node, Not):
+        return node.body if _is_literal(node.body) else node.body._dual._dual
+    if _is_literal(node):
+        return Not(node)
+    if isinstance(node, Exists):
+        return Forall(node.role, node.target._dual)
+    return BOTTOM if node is TOP else TOP
+
+
+def dual(expr: ConceptExpression) -> ConceptExpression:
+    """``NOT expr`` with negation pushed inward, normalized; built once per node.
+
+    ``AND``/``OR`` swap over their parts' duals, and so do the quantifiers
+    over their body's dual.  An atom or a concrete restriction becomes its
+    ``NOT`` (a threshold predicate has no complemented comparator, and the
+    interval semantics handles the outer negation exactly), and that ``NOT``
+    becomes it again; any other ``NOT x`` becomes the dual of ``x``'s dual.
+    The duals a dual is built from are settled first, on an explicit stack.
+    """
+    stack = [expr]
+    while stack:
+        missing = [c for c in _dual_inputs(stack[-1]) if c._dual is None]
+        if missing:
+            stack += missing
+        elif (node := stack.pop())._dual is None:
+            object.__setattr__(node, "_dual", _dual_of(node))
+    return expr._dual
 
 
 # --------------------------------------------------------------------------
@@ -450,9 +470,18 @@ class KnowledgeBase:
     declared_concepts: frozenset[str] = field(default_factory=frozenset)
 
 
-def check_concept_roles(expr: ConceptExpression, roles: Mapping[str, RoleDecl], where: str) -> None:
-    """Validate every quantifier in the expression against the role table."""
-    for sub in sub_expressions(expr):
+def check_concept_roles(
+    expr: ConceptExpression, roles: Mapping[str, RoleDecl], where: str, seen: set | None = None
+) -> list[str]:
+    """Validate every quantifier in the expression against the role table; return its atom names.
+
+    Nodes in ``seen`` were validated before, and are skipped with what lies
+    beneath them; every node walked is added to it.
+    """
+    names = []
+    for sub in sub_expressions(expr, seen):
+        if isinstance(sub, Atom):
+            names.append(sub.name)
         if not isinstance(sub, (Exists, Forall)):
             continue
         role = sub.role
@@ -472,6 +501,7 @@ def check_concept_roles(expr: ConceptExpression, roles: Mapping[str, RoleDecl], 
                 )
         elif decl.kind != "abstract":
             raise ModelError(f"{where}: role {role!r} is concrete; use a comparator restriction")
+    return names
 
 
 def _desugar(gci: FuzzyGci) -> FuzzyGci:
@@ -502,20 +532,23 @@ def build_kb(
             raise ModelError(f"role {decl.name!r} declared twice")
         role_map[decl.name] = decl
 
+    # every concept is walked once: ``seen`` holds the nodes already validated
+    seen: set[ConceptExpression] = set()
+    concepts: set[str] = set(declared_concepts)
     out_gcis = []
     for gci in gcis:
         make_degree(gci.degree)
         lhs = normalize(gci.lhs)
         rhs = normalize(gci.rhs)
-        check_concept_roles(lhs, role_map, "axiom")
-        check_concept_roles(rhs, role_map, "axiom")
+        concepts.update(check_concept_roles(lhs, role_map, "axiom", seen))
+        concepts.update(check_concept_roles(rhs, role_map, "axiom", seen))
         out_gcis.append(_desugar(gci if lhs is gci.lhs and rhs is gci.rhs else FuzzyGci(lhs, rhs, gci.degree)))
 
     out_assertions = []
     for fa in assertions:
         make_degree(fa.degree)
         concept = normalize(fa.concept)
-        check_concept_roles(concept, role_map, f"assertion on {fa.individual}")
+        concepts.update(check_concept_roles(concept, role_map, f"assertion on {fa.individual}", seen))
         out_assertions.append(fa if concept is fa.concept else FuzzyAssertion(fa.individual, concept, fa.degree))
 
     for ra in role_assertions:
@@ -551,13 +584,6 @@ def build_kb(
     for cf in concrete_facts:
         names.add(cf.subject)
 
-    concepts: set[str] = set(declared_concepts)
-    for gci in out_gcis:
-        concepts.update(atom_names(gci.lhs))
-        concepts.update(atom_names(gci.rhs))
-    for fa in out_assertions:
-        concepts.update(atom_names(fa.concept))
-
     return KnowledgeBase(
         roles=dict(sorted(role_map.items())),
         gcis=tuple(out_gcis),
@@ -572,16 +598,10 @@ def build_kb(
 
 def kb_equal(a: KnowledgeBase, b: KnowledgeBase) -> bool:
     """Structural equality up to statement order."""
+    statements = ("gcis", "assertions", "role_assertions", "concrete_facts")
     return (
         dict(a.roles) == dict(b.roles)
-        and sorted(a.gcis, key=lambda g: (sort_key(g.lhs), sort_key(g.rhs), g.degree))
-        == sorted(b.gcis, key=lambda g: (sort_key(g.lhs), sort_key(g.rhs), g.degree))
-        and sorted(a.assertions, key=lambda f: (f.individual, sort_key(f.concept), f.degree))
-        == sorted(b.assertions, key=lambda f: (f.individual, sort_key(f.concept), f.degree))
-        and sorted(a.role_assertions, key=lambda r: (r.subject, r.role, r.filler))
-        == sorted(b.role_assertions, key=lambda r: (r.subject, r.role, r.filler))
-        and sorted(a.concrete_facts, key=lambda c: (c.subject, c.role))
-        == sorted(b.concrete_facts, key=lambda c: (c.subject, c.role))
+        and all(Counter(getattr(a, part)) == Counter(getattr(b, part)) for part in statements)
         and a.concept_names == b.concept_names
         and a.individuals == b.individuals
     )

@@ -31,6 +31,11 @@ Inclusions never propagate right-to-left (no contrapositive rule): what the
 knowledge base does not determine stays at the vacuous interval [0, 1]
 rather than being guessed.
 
+Closure: the pinned classes, the axiom sides and asserted concepts, and all
+they reach through subexpressions and duals (:func:`~fdlb.model.dual`, the
+normalized negation normal form of the complement).  Expressions are
+interned, so building it is one worklist of identity lookups.
+
 Bound storage: closure expression ``x`` and individual ``i`` (in
 ``kb.individuals`` order) own the bound ``b = x * n + i``, ``n`` being the
 number of individuals, held in two flat integer lists ``lo[b]``/``hi[b]``
@@ -48,17 +53,17 @@ premises as signed bounds, source, note and step number.
 value, only when an explanation, a conflict or ``_derivations`` reads it.
 
 Extensions: a query on an expression outside the closure extends the
-saturation instead of re-running it.  Only the query's new subexpressions
-and their duals join the closure, numbered after the old ones, so every
-old bound, record and premise keeps its number; they get index entries
-and seeds of their own, the old bounds that trigger a rule concluding a
-new expression are queued again, and the worklist runs from the parent's
-fixpoint to the new one.  The rules are monotone and the parent's bounds
-lie below the least fixpoint of the larger rule set, so the result equals
-a fresh saturation with the query added (the additions-only case of
-Kazakov & Klinov, *Incremental Reasoning in OWL EL without Bookkeeping*,
-ISWC 2013).  The extension's step numbers continue the parent's, and the
-derivation it records for a bound may differ from a fresh run's; the
+saturation instead of re-running it.  The closure expressions the query
+adds are numbered after the old ones, so every old bound, record and
+premise keeps its number; they get index entries and seeds of their own,
+the old bounds that trigger a rule concluding a new expression are queued
+again, and the worklist runs from the parent's fixpoint to the new one.
+The rules are monotone and the parent's bounds lie below the least
+fixpoint of the larger rule set, so the bounds equal those of a fresh
+saturation of the base with the query asserted at degree 0 (the
+additions-only case of Kazakov & Klinov, *Incremental Reasoning in OWL EL
+without Bookkeeping*, ISWC 2013).  Step numbers continue the parent's, the
+derivation recorded for a bound may differ from a fresh run's, and the
 parent's lists, records and indexes never change.  Each
 :class:`SaturatedKb` memoizes its extensions per normalized expression,
 shared by ``instance_interval`` and ``explain``, so an attribute no
@@ -68,13 +73,13 @@ statement mentions costs its two closure entries and no derivation.
 from __future__ import annotations
 
 from collections import ChainMap, deque
-from collections.abc import Container, Iterator, Mapping, MutableMapping
+from collections.abc import Iterator, Mapping, MutableMapping
 from copy import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .kbtext import render_concept
 from .model import (
@@ -94,10 +99,10 @@ from .model import (
     Or,
     TOP,
     check_concept_roles,
+    dual,
     normalize,
     sort_key,
     sub_expressions,
-    to_negation_normal_form,
 )
 
 Bound = str  # "lo" | "hi"
@@ -182,40 +187,23 @@ class InconsistencyError(FdlbError):
 # Closure
 
 
-def _dual(expr: ConceptExpression) -> ConceptExpression:
-    return normalize(to_negation_normal_form(Not(expr)))
+def build_closure(kb: KnowledgeBase) -> tuple[ConceptExpression, ...]:
+    """Every expression saturation tracks (see Closure in the module docstring), in a deterministic order.
 
-
-def build_closure(kb: KnowledgeBase, extra: Iterable[ConceptExpression] = ()) -> tuple[ConceptExpression, ...]:
-    """Every expression saturation tracks, in a deterministic order.
-
-    All subexpressions of axiom sides and asserted concepts, the pinned
-    classes, any extra query expressions, and the complement-normal dual of
-    each — closed under subexpressions until stable.  Sharing one closure
-    across individuals keeps interval keys comparable everywhere.
+    Sharing one closure across individuals keeps interval keys comparable everywhere.
     """
-    seen: set[ConceptExpression] = {TOP, BOTTOM}
-    for gci in kb.gcis:
-        seen.update(sub_expressions(gci.lhs))
-        seen.update(sub_expressions(gci.rhs))
-    for fa in kb.assertions:
-        seen.update(sub_expressions(fa.concept))
-    for e in extra:
-        seen.update(sub_expressions(normalize(e)))
-    _add_duals(list(seen), seen)
-    return tuple(sorted(seen, key=sort_key))
+    sides = (side for gci in kb.gcis for side in (gci.lhs, gci.rhs))
+    return tuple(sorted(_close([TOP, BOTTOM, *sides, *(fa.concept for fa in kb.assertions)], set()), key=sort_key))
 
 
-def _add_duals(todo: list[ConceptExpression], seen: set[ConceptExpression], known: Container = ()) -> None:
-    """Add to ``seen`` the subexpressions of each dual of ``todo``, and of theirs, until stable.
+def _close(todo: list[ConceptExpression], seen: set[ConceptExpression]) -> set[ConceptExpression]:
+    """Add to ``seen``, a closed set, all that ``todo`` reaches through subexpressions and duals.
 
-    ``known`` holds expressions of an already closed set, which are skipped.
+    One worklist: each expression not seen yet is walked once, and its dual queued.  Returns ``seen``.
     """
     while todo:
-        for sub in sub_expressions(_dual(todo.pop())):
-            if sub not in seen and sub not in known:
-                seen.add(sub)
-                todo.append(sub)
+        todo += map(dual, sub_expressions(todo.pop(), seen))
+    return seen
 
 
 # --------------------------------------------------------------------------
@@ -223,7 +211,7 @@ def _add_duals(todo: list[ConceptExpression], seen: set[ConceptExpression], know
 
 
 class _Saturation:
-    def __init__(self, kb: KnowledgeBase, extra: Iterable[ConceptExpression] = ()):
+    def __init__(self, kb: KnowledgeBase):
         self.kb = kb
         self.names = kb.individuals
         self.individual_ids = {a: i for i, a in enumerate(self.names)}
@@ -257,7 +245,7 @@ class _Saturation:
         # gci: (inclusion, scaled cap = 1 - degree, rhs row, scaled degree)
         self.gcis_by_lhs: list[list[tuple[FuzzyGci, int, int, int]]] = []
         self.bottom_by_conjunct: list[list[tuple[FuzzyGci, int, tuple[int, ...]]]] = []
-        self._add_expressions(build_closure(kb, extra))
+        self._add_expressions(build_closure(kb))
         self._index_gcis()
 
     # -- indexes: by expression id, or individual id for role edges; an
@@ -446,17 +434,11 @@ class _Saturation:
     def extended(self, e: ConceptExpression) -> "_Saturation":
         """A copy of this saturated engine with ``e`` added, resumed to the new fixpoint.
 
-        The copy adds only the new subexpressions of ``e`` and their duals,
-        seeds only them, and re-queues the non-default bounds of the old
-        expressions that trigger a rule concluding a new one.  The rules are
-        monotone and this engine's bounds lie below the least fixpoint of
-        the larger rule set, so resuming from them reaches the fixpoint a
-        fresh run with ``e`` added reaches.  Step numbers continue from this
-        engine's; the copy writes its records over a view of these, and no
-        list, record or table of this engine changes.
+        See Extensions in the module docstring.  The copy writes its records
+        over a view of these, and no list, record or table of this engine
+        changes.
         """
-        new = {sub for sub in sub_expressions(e) if sub not in self.expr_ids}
-        _add_duals(list(new), new, self.expr_ids)
+        new = _close([e], set(self.expr_ids)).difference(self.expr_ids)
         child = copy(self)
         child.records = ChainMap({}, self.records)
         child.queue = deque()
@@ -613,14 +595,11 @@ class SaturatedKb:
     def instance_interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
         """The entailed membership interval of an individual in any concept.
 
-        Expressions outside the closure are answered by an extension: the
-        query's new subexpressions join the closure, and saturation resumes
-        from this fixpoint to the one a fresh run with the query added
-        reaches, which never loosens anything already entailed.  The
-        extension is memoized per expression, so later queries on the same
-        expression, for any individual, reuse it.  If the extra expression
-        exposes a contradiction the knowledge base was inconsistent all
-        along and :class:`InconsistencyError` is raised.
+        Expressions outside the closure are answered by an extension (see
+        the module docstring), which never loosens anything already
+        entailed and is memoized per expression, for any individual.  If
+        the query exposes a contradiction the knowledge base was
+        inconsistent all along and :class:`InconsistencyError` is raised.
         """
         i = self._check_individual(individual)
         e = normalize(expr)
@@ -654,11 +633,9 @@ class SaturatedKb:
         """The derivations behind one bound, each listed once.
 
         Out-of-closure expressions are explained from the same memoized
-        extension :meth:`instance_interval` uses; its step numbers continue
-        this saturation's, and the derivation it records for a bound may
-        differ from a fresh saturation's.  Raises
-        :class:`NoDerivationError` when the bound is still at its default
-        (0 from below, 1 from above) — there is nothing to show.
+        extension :meth:`instance_interval` uses (see the module docstring).
+        Raises :class:`NoDerivationError` when the bound is still at its
+        default (0 from below, 1 from above) — there is nothing to show.
         """
         if kind not in ("lo", "hi"):
             raise ValueError("kind must be 'lo' or 'hi'")
@@ -762,14 +739,14 @@ def _explanation(derivations: Mapping[Key, DerivationNode], key: Key) -> Explana
     return Explanation(root.individual, root.expr, root.kind, root.value, tuple(steps))
 
 
-def saturate(kb: KnowledgeBase, extra_concepts: Sequence[ConceptExpression] = ()) -> SaturatedKb:
+def saturate(kb: KnowledgeBase) -> SaturatedKb:
     """Run saturation to its fixpoint.
 
     Returns the saturated knowledge base, or raises
     :class:`InconsistencyError` as soon as any membership interval becomes
     empty; its ``conflict`` holds the two clashing derivations.
     """
-    return _saturated(_Saturation(kb, extra_concepts).run())
+    return _saturated(_Saturation(kb).run())
 
 
 def _saturated(engine: _Saturation) -> SaturatedKb:

@@ -6,20 +6,28 @@ until nothing moves.  No worklist, no indexes, no provenance.  The package
 engine and this one share only the closure definition and the normalized
 expression types; the rule logic here is written directly from the
 min/max/complement semantics so the two can check each other.
+
+:func:`to_negation_normal_form` is the recursive tree rewrite that
+``fdlb.model.dual`` replaced; it stays here as that function's reference.
 """
 
 from fractions import Fraction
 
 from fdlb.model import (
     And,
+    Atom,
     BOTTOM,
+    Bottom,
     ConcretePredicate,
     DegreeInterval,
     Exists,
     Forall,
+    FuzzyAssertion,
     Not,
     Or,
     TOP,
+    Top,
+    build_kb,
 )
 from fdlb.reasoner import build_closure
 
@@ -31,10 +39,63 @@ class Inconsistent(Exception):
     pass
 
 
+def to_negation_normal_form(expr):
+    """Push negation inward (De Morgan, quantifier duals, involution).
+
+    Negation directly above a concrete restriction stays put: threshold
+    predicates have no complemented comparator form, and the interval
+    semantics handles the outer negation exactly.
+    """
+    if isinstance(expr, (Top, Bottom, Atom)):
+        return expr
+    if isinstance(expr, (And, Or)):
+        return type(expr)(*map(to_negation_normal_form, expr.parts))
+    if isinstance(expr, Exists):
+        if isinstance(expr.target, ConcretePredicate):
+            return expr
+        return Exists(expr.role, to_negation_normal_form(expr.target))
+    if isinstance(expr, Forall):
+        return Forall(expr.role, to_negation_normal_form(expr.body))
+    body = expr.body  # a Not
+    if isinstance(body, Top):
+        return BOTTOM
+    if isinstance(body, Bottom):
+        return TOP
+    if isinstance(body, Atom):
+        return expr
+    if isinstance(body, Not):
+        return to_negation_normal_form(body.body)
+    if isinstance(body, (And, Or)):
+        dual = Or if isinstance(body, And) else And
+        return dual(*(to_negation_normal_form(Not(c)) for c in body.parts))
+    if isinstance(body, Exists):
+        if isinstance(body.target, ConcretePredicate):
+            return expr  # negation retained above the concrete restriction
+        return Forall(body.role, to_negation_normal_form(Not(body.target)))
+    return Exists(body.role, to_negation_normal_form(Not(body.body)))  # a Forall
+
+
+def with_queries(kb, queries):
+    """``kb`` with each query asserted at degree 0 on its first individual.
+
+    A degree-0 assertion raises no bound, so the base entails what it did;
+    it only brings the query and its closure into the saturation.
+    """
+    extra = tuple(FuzzyAssertion(kb.individuals[0], query, Fraction(0)) for query in queries)
+    return build_kb(
+        roles=tuple(kb.roles.values()),
+        gcis=kb.gcis,
+        assertions=kb.assertions + extra,
+        role_assertions=kb.role_assertions,
+        concrete_facts=kb.concrete_facts,
+        declared_concepts=tuple(kb.declared_concepts),
+    )
+
+
 class NaiveEngine:
-    def __init__(self, kb, extra=()):
+    def __init__(self, kb):
         self.kb = kb
-        self.closure = build_closure(kb, extra)
+        self.closure = build_closure(kb)
         self.individuals = list(kb.individuals)
         self.lo = {(a, e): ZERO for a in self.individuals for e in self.closure}
         self.hi = {(a, e): ONE for a in self.individuals for e in self.closure}
@@ -149,8 +210,8 @@ class NaiveEngine:
 
 
 def naive_saturate(kb, extra=()):
-    """(consistent, non-vacuous interval map or None)."""
-    engine = NaiveEngine(kb, extra)
+    """(consistent, non-vacuous interval map or None), with the ``extra`` query expressions in the closure."""
+    engine = NaiveEngine(with_queries(kb, extra) if extra else kb)
     if not engine.run():
         return False, None
     return True, engine.interval_map()

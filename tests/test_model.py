@@ -1,7 +1,11 @@
+import copy
+import gc
+import pickle
 from fractions import Fraction
 
 import pytest
 
+import fdlb.model as model
 from fdlb.model import (
     And,
     Atom,
@@ -24,12 +28,12 @@ from fdlb.model import (
     TOP,
     UnitMismatchError,
     build_kb,
+    dual,
     kb_equal,
     make_degree,
     normalize,
     sort_key,
     sub_expressions,
-    to_negation_normal_form,
 )
 
 H = Fraction(1, 2)
@@ -104,49 +108,77 @@ def test_sort_key_total_on_distinct_shapes():
     assert len(set(keys)) == len(keys)
 
 
-def test_normalize_keys_each_node_once(monkeypatch):
-    import pickle
-
-    import fdlb.model as model
-
-    expr = Atom("B")
+def test_normal_form_and_sort_key_are_set_once_per_node():
+    expr = Atom("D")
     for _ in range(49):  # B AND (C OR (...)), 98 levels of parentheses
         expr = And(Atom("B"), Or(Atom("C"), expr))
-    keyed = []  # held, so that no keyed node's id is reused
-    real = model._sort_key_of
-
-    def counting(e):
-        keyed.append(e)
-        return real(e)
-
-    monkeypatch.setattr(model, "_sort_key_of", counting)
-    result = normalize(expr)
-    assert keyed
-    assert len({id(e) for e in keyed}) == len(keyed)
-    assert len(keyed) <= len(list(sub_expressions(result)))
-    monkeypatch.undo()
-    copy = pickle.loads(pickle.dumps(result))
-    assert "_sort_key" not in result.__getstate__()
-    assert copy == result and sort_key(copy) == sort_key(result)
+    assert normalize(expr) is expr  # built normalized: its normal form is itself
+    inner = expr.parts[1]
+    assert sort_key(expr) == (7, 2, (2, "B"), sort_key(inner))
+    assert sort_key(expr)[3] is sort_key(inner)  # a node's key holds its children's keys, not copies
+    messy = And(Or(expr, Atom("C")), And(TOP, Or(Atom("C"), expr)))
+    assert normalize(messy) is And(TOP, Or(Atom("C"), expr))
+    assert pickle.loads(pickle.dumps(expr)) is expr
 
 
-# -- negation normal form
+# -- interning
 
 
-def test_nnf_de_morgan_and_quantifiers():
+def test_equal_expressions_are_one_node():
+    price = ConcretePredicate("<=", Quantity(Fraction(500), "EUR"))
+    assert Exists("p", price) is Exists("p", ConcretePredicate("<=", Quantity(Fraction(500), "EUR")))
+    assert And(Atom("A"), Atom("B")) is not And(Atom("B"), Atom("A"))  # built as given; normalize sorts
+    assert normalize(And(Atom("A"), Atom("B"))) is normalize(And(Atom("B"), Atom("A")))
+    with pytest.raises(AttributeError):
+        Atom("A").name = "B"
+
+
+def test_pickle_and_deepcopy_return_the_interned_node():
+    expr = normalize(And(Atom("A"), Exists("r", Or(Atom("B"), Not(Atom("C")))), Forall("s", TOP)))
+    assert pickle.loads(pickle.dumps(expr)) is expr
+    assert copy.deepcopy(expr) is expr and copy.copy(expr) is expr
+    kb = build_kb(roles=_roles(),
+                  gcis=[FuzzyGci(expr, Exists("m", ConcretePredicate(">", Quantity(Fraction(1), "u"))), H)],
+                  assertions=[FuzzyAssertion("x", Not(expr))])
+    again = pickle.loads(pickle.dumps(kb))
+    assert kb_equal(again, kb) and again.gcis[0].lhs is expr
+
+
+def test_the_table_drops_nodes_nothing_else_holds():
+    from kbgen import random_kb
+    from fdlb.reasoner import InconsistencyError, saturate
+
+    gc.collect()
+    before = len(model._INTERNED)
+    for seed in range(50):
+        kb = random_kb(seed)
+        try:
+            saturate(kb).instance_interval(kb.individuals[0], Atom("Unmentioned"))
+        except InconsistencyError:
+            pass
+    del kb
+    gc.collect()
+    assert len(model._INTERNED) == before
+
+
+# -- duals
+
+
+def test_dual_de_morgan_and_quantifiers():
     a, b, c = Atom("A"), Atom("B"), Atom("C")
-    assert to_negation_normal_form(Not(And(a, b))) == Or(Not(a), Not(b))
-    assert to_negation_normal_form(Not(Or(a, b))) == And(Not(a), Not(b))
-    assert to_negation_normal_form(Not(And(a, b, c))) == Or(Not(a), Not(b), Not(c))
-    assert to_negation_normal_form(Not(Exists("r", a))) == Forall("r", Not(a))
-    assert to_negation_normal_form(Not(Forall("r", a))) == Exists("r", Not(a))
-    assert to_negation_normal_form(Not(Not(a))) == a
-    assert to_negation_normal_form(Not(TOP)) == BOTTOM
+    assert dual(And(a, b)) is Or(Not(a), Not(b))
+    assert dual(Or(a, b)) is And(Not(a), Not(b))
+    assert dual(And(a, b, c)) is Or(Not(a), Not(b), Not(c))
+    assert dual(Exists("r", a)) is Forall("r", Not(a))
+    assert dual(Forall("r", a)) is Exists("r", Not(a))
+    assert dual(Not(a)) is a
+    assert dual(TOP) is BOTTOM
 
 
-def test_nnf_keeps_negated_threshold_restrictions():
+def test_dual_keeps_negated_threshold_restrictions():
     restriction = Exists("m", ConcretePredicate("<=", Quantity(Fraction(900), "g")))
-    assert to_negation_normal_form(Not(restriction)) == Not(restriction)
+    assert dual(restriction) is Not(restriction)
+    assert dual(Not(restriction)) is restriction
 
 
 def test_sub_expressions_covers_nested():

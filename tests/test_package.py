@@ -70,3 +70,36 @@ def test_no_unused_imports_in_the_package():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno}: {name}")
     assert not unused, unused
+
+
+# Top-level names of ``src/fdlb`` that no other code there refers to, each
+# with the reason it exists anyway.
+UNREFERENCED_ALLOWED = {
+    "kb_equal": "tests check parse/serialize round trips up to statement order with it",
+    "serialize_kb": "tests round-trip knowledge bases through the text format with it",
+    "serialize_ubox": "tests round-trip utility boxes through the text format with it",
+}
+
+
+def _referenced_names(tree) -> set[str]:
+    """Names the code reads, as a name, an attribute or an import."""
+    names = _used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_top_level_name_has_a_caller_or_a_stated_reason():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    unreferenced = set()
+    for path, tree in trees.items():
+        elsewhere = set().union(*(_referenced_names(other) for p, other in trees.items() if p != path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                rest = ast.Module(body=[n for n in tree.body if n is not node], type_ignores=[])
+                if node.name not in elsewhere | _referenced_names(rest):  # its own body does not count
+                    unreferenced.add(node.name)
+    assert unreferenced == set(UNREFERENCED_ALLOWED)

@@ -6,11 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from fdlb.model import Atom, FuzzyAssertion, build_kb, normalize, to_negation_normal_form, Not
+import random
+
+from fdlb.model import Atom, FuzzyAssertion, Not, build_kb, dual, normalize
 from fdlb.reasoner import InconsistencyError, build_closure, check_consistency, saturate
 
-from kbgen import random_kb
-from naive_engine import NaiveEngine, naive_saturate
+from kbgen import random_concept, random_kb
+from naive_engine import NaiveEngine, naive_saturate, to_negation_normal_form
 
 SEEDS = range(140)
 
@@ -129,13 +131,23 @@ def test_bounds_never_contradict_the_complemented_form(fixture, request):
     sat = saturate(kb)
     closure_set = set(sat.closure)
     for expr in sat.closure:
-        dual = normalize(to_negation_normal_form(Not(expr)))
-        assert dual in closure_set
+        complement = dual(expr)
+        assert complement in closure_set
         for ind in kb.individuals:
             mine = sat.interval(ind, expr)
-            theirs = sat.interval(ind, dual)
+            theirs = sat.interval(ind, complement)
             assert mine.lo + theirs.lo <= ONE
             assert mine.hi + theirs.hi >= ONE
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_dual_is_the_normalized_negation_normal_form(block):
+    # the O(1)-per-node dual against the recursive tree rewrite it replaced
+    rng = random.Random(block)
+    for seed in range(block * 50, block * 50 + 50):
+        exprs = list(build_closure(random_kb(seed))) + [random_concept(rng, depth=4) for _ in range(10)]
+        for expr in exprs:
+            assert dual(expr) is normalize(to_negation_normal_form(Not(expr))), expr
 
 
 def test_closure_is_deterministic_and_self_contained(fuzzy_kb):
