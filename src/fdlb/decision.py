@@ -10,9 +10,9 @@ and is reported so the knowledge base can be completed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .model import Atom, FdlbError, ZERO
 
@@ -28,33 +28,30 @@ class EmptyChoiceSetError(FdlbError):
     """Ranking needs at least one choice."""
 
 
-@dataclass(frozen=True)
-class UtilityBox:
+class UtilityBox(namedtuple("UtilityBox", "expert_id entries")):
     """One expert's attribute weights, in file order."""
 
-    expert_id: str
-    entries: tuple[tuple[str, Fraction], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, expert_id: str, entries: tuple[tuple[str, Fraction], ...]) -> UtilityBox:
         seen = set()
-        for name, w in self.entries:
+        for name, w in entries:
             if name in seen:
-                raise FdlbError(f"utility box {self.expert_id!r} weights attribute {name!r} twice")
+                raise FdlbError(f"utility box {expert_id!r} weights attribute {name!r} twice")
             seen.add(name)
             if w < 0:
-                raise FdlbError(f"utility box {self.expert_id!r} gives {name!r} a negative weight")
+                raise FdlbError(f"utility box {expert_id!r} gives {name!r} a negative weight")
+        return super().__new__(cls, expert_id, entries)
 
 
-@dataclass(frozen=True)
-class AttributeContribution:
+class AttributeContribution(NamedTuple):
     attribute: str
     weight: Fraction
     bound: Fraction | None  # entailed lower membership bound; None = undecided
     contribution: Fraction  # weight * bound, or 0 when undecided
 
 
-@dataclass(frozen=True)
-class ChoiceScore:
+class ChoiceScore(NamedTuple):
     choice: str
     score: Fraction
     contributions: tuple[AttributeContribution, ...]
@@ -64,8 +61,7 @@ class ChoiceScore:
         return tuple(c.attribute for c in self.contributions if c.bound is None)
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(NamedTuple):
     expert_id: str
     rows: tuple[ChoiceScore, ...]  # best score first, ties broken by name
 

@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, TypeVar
+from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
 from .decision import UtilityBox
 from .model import (
@@ -80,8 +79,7 @@ if TYPE_CHECKING:  # pragma: no cover
 # Tokens
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     line: int  # 1-based
     column: int  # 1-based
     length: int = 1
@@ -97,9 +95,11 @@ _KEYWORDS = frozenset(
 )
 
 # How deeply NOTs, quantifiers and parentheses may nest in one concept
-# expression.  Parsing, saturation and rendering recurse once or twice per
-# level, so a base at this depth runs under Python's default recursion limit
-# of 1000; one level deeper is a parse error, not a RecursionError.
+# expression.  Parsing recurses a few frames per level, and comparing two
+# sort keys (``model.sort_key``, nested tuples) one C-level call per level,
+# so a base at this depth runs under Python's default recursion limit of
+# 1000; one level deeper is a parse error, not a RecursionError.  Building
+# and rendering an expression do not recurse.
 MAX_CONCEPT_DEPTH = 100
 
 _COMPARATOR_KW = {"GT": ">", "GE": ">=", "LT": "<", "LE": "<="}
@@ -124,15 +124,13 @@ def _is_number(tok: str) -> bool:
     return tok[:1].isdigit() or tok[:1] == "-"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     message: str
     span: SourceSpan | None = None
 
 
-@dataclass(frozen=True)
-class ParseResult:
+class ParseResult(NamedTuple):
     kb: KnowledgeBase | None
     diagnostics: tuple[ParseDiagnostic, ...]
 
@@ -141,8 +139,7 @@ class ParseResult:
         return self.kb is not None
 
 
-@dataclass(frozen=True)
-class UboxParseResult:
+class UboxParseResult(NamedTuple):
     ubox: UtilityBox | None
     diagnostics: tuple[ParseDiagnostic, ...]
 
@@ -571,8 +568,7 @@ def parse_ubox(text: str) -> UboxParseResult:
     return UboxParseResult(*_parse(text, _Parser.parse_utility_box))
 
 
-@dataclass(frozen=True)
-class ConceptParseResult:
+class ConceptParseResult(NamedTuple):
     concept: ConceptExpression | None
     diagnostics: tuple[ParseDiagnostic, ...]
 
@@ -633,44 +629,52 @@ _LEVEL_AND = 1
 _LEVEL_UNARY = 2
 
 
-def _level(expr: ConceptExpression) -> int:
-    if isinstance(expr, Or):
-        return _LEVEL_OR
-    if isinstance(expr, And):
-        return _LEVEL_AND
-    return _LEVEL_UNARY
-
-
-def _render(expr: ConceptExpression, minimum: int) -> str:
-    # a child of its parent's own kind (unnormalized input) renders flat
-    if isinstance(expr, Or):
-        text = " OR ".join(_render(c, _LEVEL_OR) for c in expr.parts)
-    elif isinstance(expr, And):
-        text = " AND ".join(_render(c, _LEVEL_AND) for c in expr.parts)
-    elif isinstance(expr, Not):
-        text = f"NOT {_render(expr.body, _LEVEL_UNARY)}"
-    elif isinstance(expr, Exists):
-        if isinstance(expr.target, ConcretePredicate):
-            p = expr.target
-            text = f"EXISTS {expr.role} . {_COMPARATOR_TEXT[p.op]} {render_quantity(p.threshold)}"
-        else:
-            text = f"EXISTS {expr.role} . {_render(expr.target, _LEVEL_UNARY)}"
-    elif isinstance(expr, Forall):
-        text = f"FORALL {expr.role} . {_render(expr.body, _LEVEL_UNARY)}"
-    elif isinstance(expr, Atom):
-        text = expr.name
-    elif isinstance(expr, Top):
-        text = "TOP"
-    else:
-        text = "BOTTOM"
-    if _level(expr) < minimum:
-        return f"({text})"
-    return text
-
-
 def render_concept(expr: ConceptExpression) -> str:
-    """Concept expression as surface text, minimally parenthesized."""
-    return _render(expr, _LEVEL_OR)
+    """Concept expression as surface text, minimally parenthesized.
+
+    Written without recursion, so no nesting depth reaches Python's
+    recursion limit: each node's first or only child is written next, and
+    the text and the other parts that follow it wait on an explicit stack.
+    Only an ``AND`` or ``OR`` below its level is parenthesized.
+    """
+    out: list[str] = []
+    todo: list[str | tuple[ConceptExpression, int]] = [(expr, _LEVEL_OR)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, minimum = item  # minimum: the lowest level written without parentheses
+        while node is not None:
+            if isinstance(node, Atom):
+                out.append(node.name)
+                node = None
+            elif isinstance(node, (And, Or)):
+                level, joint = (_LEVEL_AND, " AND ") if isinstance(node, And) else (_LEVEL_OR, " OR ")
+                if level < minimum:
+                    out.append("(")
+                    todo.append(")")
+                # a part of the node's own kind (unnormalized input) renders flat
+                for part in reversed(node.parts[1:]):
+                    todo += ((part, level), joint)
+                node, minimum = (node.parts[0], level) if node.parts else (None, level)
+            elif isinstance(node, Not):
+                out.append("NOT ")
+                node, minimum = node.body, _LEVEL_UNARY
+            elif isinstance(node, Forall):
+                out.append(f"FORALL {node.role} . ")
+                node, minimum = node.body, _LEVEL_UNARY
+            elif isinstance(node, Exists) and isinstance(node.target, ConcretePredicate):
+                p = node.target
+                out.append(f"EXISTS {node.role} . {_COMPARATOR_TEXT[p.op]} {render_quantity(p.threshold)}")
+                node = None
+            elif isinstance(node, Exists):
+                out.append(f"EXISTS {node.role} . ")
+                node, minimum = node.target, _LEVEL_UNARY
+            else:
+                out.append("TOP" if isinstance(node, Top) else "BOTTOM")
+                node = None
+    return "".join(out)
 
 
 def _degree_suffix(degree: Fraction) -> str:

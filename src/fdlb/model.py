@@ -7,20 +7,26 @@ decision layer.
 
 Everything here is an immutable value; instances may be shared freely once
 constructed.  Concept expressions are interned: structurally equal ones are
-one object, so equal means identical.  All numeric fields hold
-:class:`fractions.Fraction` so that decimal literals like ``0.6`` survive
-every min/max/complement/product step exactly — binary floating point never
-enters the pipeline.
+one object, so equal means identical.  Every other record (here and in the
+other modules) is a :class:`typing.NamedTuple`: it is built positionally or
+by keyword, compares and hashes by value, pickles and copies, and refuses
+attribute assignment.  Being a tuple, a record also unpacks, and compares
+equal to a plain tuple of the same values.  A record that validates its
+fields is a thin subclass of a :func:`collections.namedtuple` that checks
+them in ``__new__``; ``_make`` and ``_replace`` skip that check.
+
+All numeric fields hold :class:`fractions.Fraction` so that decimal
+literals like ``0.6`` survive every min/max/complement/product step
+exactly — binary floating point never enters the pipeline.
 """
 
 from __future__ import annotations
 
 import operator
-from collections import Counter
-from dataclasses import dataclass, field
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import partial
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 from weakref import ref
 
 # A membership degree is a rational in [0, 1].
@@ -68,29 +74,27 @@ def make_degree(value: Union[Fraction, int, str], literal: str | None = None) ->
     return d
 
 
-@dataclass(frozen=True)
-class DegreeInterval:
+class DegreeInterval(namedtuple("DegreeInterval", "lo hi")):
     """A closed interval of membership degrees, ``lo <= hi``.
 
     [0, 1] is the vacuous interval (nothing known); construction of an empty
     interval raises, it is never silently produced.
     """
 
-    lo: Degree
-    hi: Degree
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        make_degree(self.lo)
-        make_degree(self.hi)
-        if self.lo > self.hi:
-            raise IntervalConflictError(self.lo, self.hi)
+    def __new__(cls, lo: Degree, hi: Degree) -> DegreeInterval:
+        make_degree(lo)
+        make_degree(hi)
+        if lo > hi:
+            raise IntervalConflictError(lo, hi)
+        return super().__new__(cls, lo, hi)
 
 
 FULL_INTERVAL = DegreeInterval(ZERO, ONE)
 
 
-@dataclass(frozen=True)
-class Quantity:
+class Quantity(NamedTuple):
     """A magnitude tagged with a unit symbol (``999 EUR``, ``710 g``)."""
 
     magnitude: Fraction
@@ -123,16 +127,15 @@ _COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": ope
 COMPARATORS = tuple(_COMPARISONS)
 
 
-@dataclass(frozen=True)
-class ConcretePredicate:
+class ConcretePredicate(namedtuple("ConcretePredicate", "op threshold")):
     """A crisp comparison against a threshold quantity on a concrete role."""
 
-    op: str
-    threshold: Quantity
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.op not in COMPARATORS:
-            raise ModelError(f"unknown comparator {self.op!r}")
+    def __new__(cls, op: str, threshold: Quantity) -> ConcretePredicate:
+        if op not in COMPARATORS:
+            raise ModelError(f"unknown comparator {op!r}")
+        return super().__new__(cls, op, threshold)
 
     def evaluate(self, value: Quantity) -> Degree:
         """Crisp evaluation: exactly 0 or 1."""
@@ -389,28 +392,24 @@ def dual(expr: ConceptExpression) -> ConceptExpression:
 # Knowledge bases
 
 
-@dataclass(frozen=True)
-class RoleDecl:
+class RoleDecl(namedtuple("RoleDecl", "name kind unit closed", defaults=(None, False))):
     """A declared role: abstract (optionally closed-world) or concrete."""
 
-    name: str
-    kind: str  # "abstract" | "concrete"
-    unit: str | None = None
-    closed: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("abstract", "concrete"):
-            raise ModelError(f"role {self.name}: unknown kind {self.kind!r}")
-        if self.kind == "concrete" and not self.unit:
-            raise ModelError(f"concrete role {self.name} needs a unit")
-        if self.kind == "abstract" and self.unit:
-            raise ModelError(f"abstract role {self.name} cannot carry a unit")
-        if self.kind == "concrete" and self.closed:
-            raise ModelError(f"concrete role {self.name} cannot be closed")
+    def __new__(cls, name: str, kind: str, unit: str | None = None, closed: bool = False) -> RoleDecl:
+        if kind not in ("abstract", "concrete"):
+            raise ModelError(f"role {name}: unknown kind {kind!r}")
+        if kind == "concrete" and not unit:
+            raise ModelError(f"concrete role {name} needs a unit")
+        if kind == "abstract" and unit:
+            raise ModelError(f"abstract role {name} cannot carry a unit")
+        if kind == "concrete" and closed:
+            raise ModelError(f"concrete role {name} cannot be closed")
+        return super().__new__(cls, name, kind, unit, closed)
 
 
-@dataclass(frozen=True)
-class FuzzyGci:
+class FuzzyGci(NamedTuple):
     """A graded inclusion axiom ⟨lhs ⊑ rhs, degree⟩."""
 
     lhs: ConceptExpression
@@ -418,8 +417,7 @@ class FuzzyGci:
     degree: Degree = ONE
 
 
-@dataclass(frozen=True)
-class FuzzyAssertion:
+class FuzzyAssertion(NamedTuple):
     """A graded membership assertion ⟨individual : concept, degree⟩.
 
     The degree is a lower bound on membership; asserting a negated concept
@@ -431,8 +429,7 @@ class FuzzyAssertion:
     degree: Degree = ONE
 
 
-@dataclass(frozen=True)
-class RoleAssertion:
+class RoleAssertion(NamedTuple):
     """A crisp abstract-role fact (subject, filler) : role."""
 
     subject: str
@@ -440,8 +437,7 @@ class RoleAssertion:
     role: str
 
 
-@dataclass(frozen=True)
-class ConcreteFact:
+class ConcreteFact(NamedTuple):
     """The (unique) value of a concrete-functional role on an individual."""
 
     subject: str
@@ -449,15 +445,15 @@ class ConcreteFact:
     role: str
 
 
-@dataclass(frozen=True)
-class KnowledgeBase:
+class KnowledgeBase(NamedTuple):
     """A validated, normalized knowledge base.
 
     Invariants guaranteed by :func:`build_kb`: every concept is normalized,
-    every role use matches its declaration, degree-0 inclusions are already
-    desugared into degree-1 inclusions of the negated right side, concrete
-    facts are unique per (individual, role), and the registries cover every
-    name mentioned anywhere.
+    every degree is a :class:`~fractions.Fraction`, every role use matches
+    its declaration, degree-0 inclusions are already desugared into
+    degree-1 inclusions of the negated right side, concrete facts are
+    unique per (individual, role), and the registries cover every name
+    mentioned anywhere.
     """
 
     roles: Mapping[str, RoleDecl]
@@ -467,7 +463,7 @@ class KnowledgeBase:
     concrete_facts: tuple[ConcreteFact, ...]
     concept_names: frozenset[str]
     individuals: tuple[str, ...]  # sorted registry of every name mentioned
-    declared_concepts: frozenset[str] = field(default_factory=frozenset)
+    declared_concepts: frozenset[str] = frozenset()
 
 
 def check_concept_roles(
@@ -537,19 +533,21 @@ def build_kb(
     concepts: set[str] = set(declared_concepts)
     out_gcis = []
     for gci in gcis:
-        make_degree(gci.degree)
+        degree = make_degree(gci.degree)
         lhs = normalize(gci.lhs)
         rhs = normalize(gci.rhs)
         concepts.update(check_concept_roles(lhs, role_map, "axiom", seen))
         concepts.update(check_concept_roles(rhs, role_map, "axiom", seen))
-        out_gcis.append(_desugar(gci if lhs is gci.lhs and rhs is gci.rhs else FuzzyGci(lhs, rhs, gci.degree)))
+        same = lhs is gci.lhs and rhs is gci.rhs and degree is gci.degree
+        out_gcis.append(_desugar(gci if same else FuzzyGci(lhs, rhs, degree)))
 
     out_assertions = []
     for fa in assertions:
-        make_degree(fa.degree)
+        degree = make_degree(fa.degree)
         concept = normalize(fa.concept)
         concepts.update(check_concept_roles(concept, role_map, f"assertion on {fa.individual}", seen))
-        out_assertions.append(fa if concept is fa.concept else FuzzyAssertion(fa.individual, concept, fa.degree))
+        same = concept is fa.concept and degree is fa.degree
+        out_assertions.append(fa if same else FuzzyAssertion(fa.individual, concept, degree))
 
     for ra in role_assertions:
         decl = role_map.get(ra.role)

@@ -48,9 +48,10 @@ lower bound and ``~b`` for a lowered upper one.  Each improvement
 overwrites one compact record under its signed bound — rule, scaled value,
 premises as signed bounds, source, note and step number.
 :class:`SaturatedKb` keeps both lists and the records, and builds a
-:class:`DegreeInterval` only when a query returns one and a
-:class:`DerivationNode`, with its exact :class:`~fractions.Fraction`
-value, only when an explanation, a conflict or ``_derivations`` reads it.
+:class:`DegreeInterval` only when a query first returns its pair of
+bounds and a :class:`DerivationNode`, with its exact
+:class:`~fractions.Fraction` value, only when an explanation, a conflict
+or ``_derivations`` reads it.
 
 Extensions: a query on an expression outside the closure extends the
 saturation instead of re-running it.  The closure expressions the query
@@ -74,12 +75,10 @@ from __future__ import annotations
 
 from collections import ChainMap, deque
 from collections.abc import Iterator, Mapping, MutableMapping
-from copy import copy
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .kbtext import render_concept
 from .model import (
@@ -117,8 +116,7 @@ class NoDerivationError(FdlbError):
     """The queried bound is still at its default; there is nothing to explain."""
 
 
-@dataclass(frozen=True)
-class DerivationNode:
+class DerivationNode(NamedTuple):
     """One recorded bound improvement.
 
     ``premises`` are (individual, expression, bound-side) references into
@@ -139,8 +137,7 @@ class DerivationNode:
     step: int = 0
 
 
-@dataclass(frozen=True)
-class Explanation:
+class Explanation(NamedTuple):
     """The derivations behind one bound, each listed once.
 
     ``steps[0]`` derives the explained bound itself; the rest are every
@@ -156,8 +153,7 @@ class Explanation:
     steps: tuple[DerivationNode, ...]
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(NamedTuple):
     """Two derivations that squeeze one membership into an empty interval."""
 
     individual: str
@@ -216,14 +212,16 @@ class _Saturation:
         self.names = kb.individuals
         self.individual_ids = {a: i for i, a in enumerate(self.names)}
         self.n = len(self.names)
-        # each distinct asserted or inclusion degree, converted once, and its scaled value
-        distinct = set(chain((fa.degree for fa in kb.assertions), (g.degree for g in kb.gcis)))
-        degrees = {d: Fraction(d) for d in distinct}
-        self.scale = scale = lcm(*(d.denominator for d in degrees.values()))
-        self.scaled = {d: f.numerator * (scale // f.denominator) for d, f in degrees.items()}
+        # a degree d (a Fraction: see build_kb) is scaled where it is used, as
+        # d.numerator * (scale // d.denominator), so no Fraction is hashed
+        degrees = [*(fa.degree for fa in kb.assertions), *(g.degree for g in kb.gcis)]
+        self.scale = scale = lcm(*{d.denominator for d in degrees})
         # every degree saturation can reach: 0, 1, and each input degree and its complement
-        levels = set(self.scaled.values())
+        levels = {d.numerator * (scale // d.denominator) for d in degrees}
         self.fractions = {v: Fraction(v, scale) for v in chain((0, scale), levels, (scale - v for v in levels))}
+        # (lo, hi) scaled -> its DegreeInterval, built on the first query that
+        # returns it; extensions keep the scale and share this table
+        self.intervals = {(0, scale): FULL_INTERVAL}
         # signed bound -> (rule, scaled value, signed premises, source, note, step) of its latest improvement
         self.records: MutableMapping[int, tuple] = {}
         self.queue: deque[int] = deque()  # b: lo[b] rose; ~b: hi[b] fell
@@ -331,7 +329,7 @@ class _Saturation:
         ids, n = self.expr_ids, self.n
         self.bottom_simple: list[tuple[FuzzyGci, int]] = []
         for gci in self.kb.gcis:
-            degree = self.scaled[gci.degree]
+            degree = gci.degree.numerator * (self.scale // gci.degree.denominator)
             cap = self.scale - degree
             if gci.rhs == BOTTOM:
                 if isinstance(gci.lhs, And):
@@ -396,7 +394,7 @@ class _Saturation:
                 self.set_hi(bottom + a, 0, "bottom", ())
             for fa in self.kb.assertions:
                 b = ids[fa.concept] * n + self.individual_ids[fa.individual]
-                self.set_lo(b, self.scaled[fa.degree], "assertion", (), source=fa)
+                self.set_lo(b, fa.degree.numerator * (scale // fa.degree.denominator), "assertion", (), source=fa)
         for x in self.concrete_nodes:
             if x < first:
                 continue
@@ -439,7 +437,8 @@ class _Saturation:
         changes.
         """
         new = _close([e], set(self.expr_ids)).difference(self.expr_ids)
-        child = copy(self)
+        child = object.__new__(_Saturation)  # a shallow copy
+        vars(child).update(vars(self))
         child.records = ChainMap({}, self.records)
         child.queue = deque()
         first, n, scale = len(self.closure), self.n, self.scale
@@ -563,25 +562,27 @@ class _Saturation:
 # Public API
 
 
-@dataclass(frozen=True)
 class SaturatedKb:
-    """A knowledge base together with its saturated bounds.
+    """A knowledge base together with its saturated bounds, built from the engine that saturated it.
 
     ``_engine`` is the saturation that reached the fixpoint, kept so that
     an extension can resume from it.  Closure expression ``x`` and
     individual ``i`` (in ``kb.individuals`` order) own its bound
     ``b = x * n + i``, whose scaled degrees ``lo[b]`` and ``hi[b]`` become a
-    :class:`DegreeInterval` on demand.  ``_derivations`` reads the compact
-    record of each improved bound by ``(individual, expression, side)`` and
-    builds its :class:`DerivationNode` on first read.
+    :class:`DegreeInterval` on demand, one per distinct pair, kept by the
+    engine.  ``_derivations`` reads the compact record of each improved
+    bound by ``(individual, expression, side)`` and builds its
+    :class:`DerivationNode` on first read.  ``_extensions`` memoizes the
+    saturations with one out-of-closure query expression added, by
+    expression.  Equality is identity.
     """
 
-    kb: KnowledgeBase
-    closure: tuple[ConceptExpression, ...]
-    _derivations: Mapping[Key, DerivationNode]
-    _engine: _Saturation = field(repr=False, compare=False)
-    # saturations with one out-of-closure query expression added, by expression
-    _extensions: dict[ConceptExpression, "SaturatedKb"] = field(default_factory=dict, repr=False, compare=False)
+    def __init__(self, engine: _Saturation):
+        self.kb = engine.kb
+        self.closure = engine.closure
+        self._derivations: Mapping[Key, DerivationNode] = _Derivations(engine)
+        self._engine = engine
+        self._extensions: dict[ConceptExpression, SaturatedKb] = {}
 
     def interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
         """The entailed interval for an in-closure expression (no extension)."""
@@ -654,15 +655,16 @@ class SaturatedKb:
     def _interval(self, b: int) -> DegreeInterval:
         engine = self._engine
         lo, hi = engine.lo[b], engine.hi[b]
-        if lo == 0 and hi == engine.scale:
-            return FULL_INTERVAL
-        return DegreeInterval(engine.fractions[lo], engine.fractions[hi])
+        interval = engine.intervals.get((lo, hi))
+        if interval is None:
+            interval = engine.intervals[lo, hi] = DegreeInterval(engine.fractions[lo], engine.fractions[hi])
+        return interval
 
     def _extension(self, e: ConceptExpression) -> "SaturatedKb":
         extended = self._extensions.get(e)
         if extended is None:
             check_concept_roles(e, self.kb.roles, "query")
-            extended = self._extensions[e] = _saturated(self._engine.extended(e))
+            extended = self._extensions[e] = SaturatedKb(self._engine.extended(e))
         return extended
 
     def _check_individual(self, individual: str) -> int:
@@ -746,11 +748,7 @@ def saturate(kb: KnowledgeBase) -> SaturatedKb:
     :class:`InconsistencyError` as soon as any membership interval becomes
     empty; its ``conflict`` holds the two clashing derivations.
     """
-    return _saturated(_Saturation(kb).run())
-
-
-def _saturated(engine: _Saturation) -> SaturatedKb:
-    return SaturatedKb(kb=engine.kb, closure=engine.closure, _derivations=_Derivations(engine), _engine=engine)
+    return SaturatedKb(_Saturation(kb).run())
 
 
 def check_consistency(kb: KnowledgeBase) -> Conflict | None:

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fdlb.kbtext import (
     MAX_CONCEPT_DEPTH,
+    format_conflict,
     format_explanation,
     parse_concept_text,
     parse_kb,
@@ -17,8 +18,24 @@ from fdlb.kbtext import (
     serialize_kb,
     serialize_ubox,
 )
-from fdlb.model import And, Atom, Exists, Forall, FuzzyGci, Not, Or, RoleDecl, kb_equal
-from fdlb.reasoner import saturate
+from fdlb.model import (
+    And,
+    Atom,
+    BOTTOM,
+    ConcretePredicate,
+    Exists,
+    FdlbError,
+    Forall,
+    FuzzyGci,
+    Not,
+    Or,
+    Quantity,
+    RoleDecl,
+    TOP,
+    kb_equal,
+    normalize,
+)
+from fdlb.reasoner import Conflict, DerivationNode, Explanation, saturate
 
 GOOD = """
 # a comment
@@ -334,6 +351,64 @@ def test_render_concept_minimal_parens():
     assert render_concept(Not(And(a, b))) == "NOT (A AND B)"
     assert render_concept(Forall("r", Or(a, b))) == "FORALL r . (A OR B)"
     assert render_concept(Exists("r", Not(a))) == "EXISTS r . NOT A"
+
+
+def _render_recursively(expr, minimum=0):
+    """The renderer as a recursion: parts at their connective's level, everything else unary."""
+    if isinstance(expr, (And, Or)):
+        level = 1 if isinstance(expr, And) else 0
+        text = (" AND " if level else " OR ").join(_render_recursively(c, level) for c in expr.parts)
+        return f"({text})" if level < minimum else text
+    if isinstance(expr, Not):
+        return f"NOT {_render_recursively(expr.body, 2)}"
+    if isinstance(expr, Forall):
+        return f"FORALL {expr.role} . {_render_recursively(expr.body, 2)}"
+    if isinstance(expr, Exists):
+        if isinstance(expr.target, ConcretePredicate):
+            p = expr.target
+            op = {">": "GT", ">=": "GE", "<": "LT", "<=": "LE"}[p.op]
+            return f"EXISTS {expr.role} . {op} {render_decimal(p.threshold.magnitude)} {p.threshold.unit}"
+        return f"EXISTS {expr.role} . {_render_recursively(expr.target, 2)}"
+    return expr.name if isinstance(expr, Atom) else "TOP" if expr is TOP else "BOTTOM"
+
+
+def _chain(levels):
+    """NOT, EXISTS, AND and OR in turn, ``levels`` deep, over a mix of leaves; every level is kept."""
+    leaves = [Atom("A"), TOP, BOTTOM, Exists("m", ConcretePredicate(">=", Quantity(Fraction(1), "u")))]
+    expr, chain = Atom("Z"), []
+    for level in range(levels):
+        leaf = leaves[level % len(leaves)]
+        expr = (Not(expr), Exists("r", expr), And(leaf, expr, Forall("s", leaf)), Or(expr, leaf))[level % 4]
+        chain.append(expr)
+    return chain
+
+
+def test_render_concept_matches_the_recursive_renderer_up_to_300_levels():
+    for expr in _chain(300):
+        assert render_concept(expr) == _render_recursively(expr)
+
+
+def test_a_concept_1000_levels_deep_renders_in_every_message(fuzzy_kb):
+    deep = _chain(1000)[-1]
+    text = render_concept(deep)
+    # the chain's text, built level by level: only each OR under the next NOT is parenthesized
+    leaves, expected = ["A", "TOP", "BOTTOM", "EXISTS m . GE 1 u"], "Z"
+    for level in range(1000):
+        leaf = leaves[level % 4]
+        expected = (
+            f"NOT ({expected})" if level else "NOT Z",
+            f"EXISTS r . {expected}",
+            f"{leaf} AND {expected} AND FORALL s . {leaf}",
+            f"{expected} OR {leaf}",
+        )[level % 4]
+    assert text == expected and text.count("(") == 249
+    node = DerivationNode("assertion", "x", deep, "lo", Fraction(1), ())
+    explanation = Explanation("x", deep, "lo", Fraction(1), (node,))
+    assert format_explanation(explanation) == f"lo(x, {text}) >= 1   [assertion]"
+    assert text in format_conflict(Conflict("x", deep, Fraction(1), Fraction(0), explanation, explanation))
+    with pytest.raises(FdlbError) as info:
+        saturate(fuzzy_kb).interval("tab_1", deep)
+    assert str(info.value).startswith(f"concept '{render_concept(normalize(deep))}' is outside the saturated closure")
 
 
 def test_rendered_concepts_reparse(fuzzy_kb):

@@ -249,3 +249,167 @@ def test_kb_equal_ignores_statement_order():
     assert kb_equal(kb1, kb2)
     kb3 = build_kb(**{**kwargs, "assertions": [FuzzyAssertion("x", Atom("A"))]})
     assert not kb_equal(kb1, kb3)
+
+
+# -- records: every value type other than a concept expression is a NamedTuple
+
+
+RECORD_NAMES = (
+    "DegreeInterval", "Quantity", "ConcretePredicate", "RoleDecl", "FuzzyGci", "FuzzyAssertion", "RoleAssertion",
+    "ConcreteFact", "KnowledgeBase", "SourceSpan", "ParseDiagnostic", "ParseResult", "UboxParseResult",
+    "ConceptParseResult", "DerivationNode", "Explanation", "Conflict", "UtilityBox", "AttributeContribution",
+    "ChoiceScore", "DecisionReport",
+)
+
+
+def _records():
+    """One instance of every record class, by class name, with the arguments it was built from.
+
+    Built per test: a node held for the whole session would keep its dual alive.
+    """
+    from fdlb import decision, kbtext, reasoner
+    q = Quantity(Fraction(710), "g")
+    gci = FuzzyGci(Atom("A"), Atom("B"), H)
+    kb = build_kb(roles=_roles(), gcis=[gci], assertions=[FuzzyAssertion("x", Atom("A"))],
+                  role_assertions=[RoleAssertion("x", "y", "r")])
+    node = reasoner.DerivationNode("gci", "x", Atom("B"), "lo", H, (("x", Atom("A"), "lo"),), gci, "", 2)
+    explanation = reasoner.Explanation("x", Atom("B"), "lo", H, (node,))
+    contribution = decision.AttributeContribution("A", Fraction(5), H, Fraction(5, 2))
+    score = decision.ChoiceScore("x", Fraction(5, 2), (contribution,))
+    ubox = decision.UtilityBox("e", (("A", Fraction(5)),))
+    span = kbtext.SourceSpan(3, 7, 2)
+    args = {
+        DegreeInterval: (Fraction(1, 4), Fraction(3, 4)),
+        Quantity: (Fraction(710), "g"),
+        ConcretePredicate: (">", q),
+        RoleDecl: ("s", "abstract", None, True),
+        FuzzyGci: (Atom("A"), Atom("B"), H),
+        FuzzyAssertion: ("x", Atom("A"), H),
+        RoleAssertion: ("x", "y", "r"),
+        model.ConcreteFact: ("x", q, "m"),
+        model.KnowledgeBase: tuple(kb),
+        kbtext.SourceSpan: (3, 7, 2),
+        kbtext.ParseDiagnostic: ("error", "bad", span),
+        kbtext.ParseResult: (kb, ()),
+        kbtext.UboxParseResult: (ubox, ()),
+        kbtext.ConceptParseResult: (Atom("A"), (kbtext.ParseDiagnostic("warning", "w"),)),
+        reasoner.DerivationNode: tuple(node),
+        reasoner.Explanation: tuple(explanation),
+        reasoner.Conflict: ("x", Atom("B"), H, Fraction(1, 4), explanation, explanation),
+        decision.UtilityBox: ("e", (("A", Fraction(5)),)),
+        decision.AttributeContribution: tuple(contribution),
+        decision.ChoiceScore: tuple(score),
+        decision.DecisionReport: ("e", (score,)),
+    }
+    return {cls.__name__: (cls(*a), a) for cls, a in args.items()}
+
+
+def _hashable(record):
+    # a knowledge base's roles are a dict, as they always were
+    return not any(isinstance(value, model.KnowledgeBase) for value in (record, *record))
+
+
+def test_the_record_list_covers_every_record_class():
+    from fdlb import decision, kbtext, reasoner
+    classes = {
+        obj for module in (model, kbtext, reasoner, decision) for name, obj in vars(module).items()
+        if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__
+        and not name.startswith("_")
+    }
+    assert sorted(cls.__name__ for cls in classes) == sorted(_records()) == sorted(RECORD_NAMES)
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_record_construction_by_position_keyword_and_default(name):
+    record, args = _records()[name]
+    cls = type(record)
+    assert cls.__name__ == name and tuple(record) == args
+    assert cls(**dict(zip(cls._fields, args))) == record
+    required = len(cls._fields) - len(cls._field_defaults)
+    if cls._field_defaults:
+        partial = cls(*args[:required])
+        assert tuple(partial)[required:] == tuple(cls._field_defaults.values())
+    with pytest.raises(TypeError):
+        cls(*args[:required - 1])
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_record_equality_and_hash_are_by_value(name):
+    record, args = _records()[name]
+    cls = type(record)
+    again = cls(*copy.deepcopy(args))
+    assert again == record and not again != record
+    if _hashable(record):
+        assert hash(again) == hash(record) and len({record, again}) == 1
+    assert record._replace(**{cls._fields[-1]: None}) != record
+    # a record is a tuple: it unpacks, and equals a plain tuple of its values
+    *rest, last = record
+    assert (*rest, last) == args and record == args
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_record_attributes_cannot_be_assigned(name):
+    record, args = _records()[name]
+    cls = type(record)
+    for field in (*cls._fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    with pytest.raises(AttributeError):
+        delattr(record, cls._fields[0])
+    assert tuple(record) == args
+
+
+@pytest.mark.parametrize("name", RECORD_NAMES)
+def test_record_pickle_and_copy_round_trips(name):
+    record, _ = _records()[name]
+    cls = type(record)
+    for again in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(again) is cls and again == record
+        if isinstance(record, model.KnowledgeBase):
+            assert kb_equal(again, record)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: DegreeInterval(Fraction(3, 4), Fraction(1, 4)), IntervalConflictError,
+     "empty degree interval: lo 3/4 > hi 1/4"),
+    (lambda: DegreeInterval(lo=Fraction(3, 2), hi=Fraction(2)), DegreeRangeError, "degree 3/2 is outside [0, 1]"),
+    (lambda: ConcretePredicate("!=", Quantity(Fraction(1), "u")), ModelError, "unknown comparator '!='"),
+    (lambda: RoleDecl("r", "fuzzy"), ModelError, "role r: unknown kind 'fuzzy'"),
+    (lambda: RoleDecl("m", kind="concrete"), ModelError, "concrete role m needs a unit"),
+    (lambda: RoleDecl("r", "abstract", "u"), ModelError, "abstract role r cannot carry a unit"),
+    (lambda: RoleDecl("m", "concrete", unit="u", closed=True), ModelError, "concrete role m cannot be closed"),
+])
+def test_record_validation_errors(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_utility_box_validation_errors_and_unpickling_validates_again():
+    from fdlb.decision import UtilityBox
+    from fdlb.model import FdlbError
+    with pytest.raises(FdlbError, match="^utility box 'e' weights attribute 'A' twice$"):
+        UtilityBox("e", (("A", Fraction(1)), ("A", Fraction(2))))
+    negative = (("A", Fraction(-1)),)
+    with pytest.raises(FdlbError, match="^utility box 'e' gives 'A' a negative weight$"):
+        UtilityBox(expert_id="e", entries=negative)
+    unchecked = pickle.dumps(UtilityBox._make(("e", negative)))  # _make skips the check
+    with pytest.raises(FdlbError, match="negative weight"):
+        pickle.loads(unchecked)
+
+
+def test_no_record_is_read_as_a_derivation_key():
+    from fdlb.reasoner import saturate
+    records = _records()
+    derivations = saturate(records["KnowledgeBase"][0])._derivations
+    assert ("x", Atom("A"), "lo") in derivations
+    for record, _ in records.values():
+        assert record not in derivations
+        with pytest.raises(KeyError):
+            derivations[record]
+
+
+def test_build_kb_stores_every_degree_as_a_fraction():
+    kb = build_kb(gcis=[FuzzyGci(Atom("A"), Atom("B"), 1)], assertions=[FuzzyAssertion("x", Atom("A"), "0.5")])
+    assert [type(s.degree) for s in (*kb.gcis, *kb.assertions)] == [Fraction, Fraction]
+    assert kb.assertions == (FuzzyAssertion("x", Atom("A"), H),)

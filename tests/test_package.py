@@ -4,7 +4,10 @@
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -70,6 +73,30 @@ def test_no_unused_imports_in_the_package():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno}: {name}")
     assert not unused, unused
+
+
+def test_no_dataclasses_import_in_the_package():
+    # the package's records are NamedTuples: a dataclass costs start-up time in every ``fdlb`` process
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "dataclasses" for module in modules):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, fdlb.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.strip() == "[]"
 
 
 # Top-level names of ``src/fdlb`` that no other code there refers to, each

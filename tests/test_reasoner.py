@@ -644,6 +644,32 @@ def test_interval_map_holds_only_non_vacuous_intervals(fuzzy_kb):
         assert sat.interval(ind, expr) == value
 
 
+def test_each_distinct_interval_is_built_once_and_shared_with_extensions(fuzzy_kb, monkeypatch):
+    import fdlb.reasoner
+    from fdlb.model import FULL_INTERVAL
+
+    sat = saturate(fuzzy_kb)
+    intervals = list(sat.interval_map().values())
+    assert len(set(intervals)) < len(intervals)
+    one_each = {FULL_INTERVAL: FULL_INTERVAL}
+    for interval in intervals + list(sat.interval_map().values()):
+        assert one_each.setdefault(interval, interval) is interval
+    assert sat.interval("tab_2", Atom("LightweightTablet")) is FULL_INTERVAL
+    built = []
+    monkeypatch.setattr(fdlb.reasoner, "DegreeInterval", lambda *bounds: built.append(bounds))
+    for ind in fuzzy_kb.individuals:  # an extension's bounds: here, only pairs the base already reached
+        interval = sat.instance_interval(ind, Or(Atom("Tablet"), Atom("Unmentioned")))
+        assert one_each[interval] is interval
+    assert built == []
+
+
+def test_saturation_hashes_no_fraction(fuzzy_kb, monkeypatch):
+    hashed, fraction_hash = [], Fraction.__hash__
+    monkeypatch.setattr(Fraction, "__hash__", lambda f: hashed.append(f) or fraction_hash(f))
+    sat = saturate(fuzzy_kb)
+    assert sat.interval_map() and hashed == []
+
+
 def test_equal_expressions_hash_equal():
     import pickle
 
