@@ -53,28 +53,26 @@ bounds and a :class:`DerivationNode`, with its exact
 :class:`~fractions.Fraction` value, only when an explanation, a conflict
 or ``_derivations`` reads it.
 
-Extensions: a query on an expression outside the closure extends the
-saturation instead of re-running it.  The closure expressions the query
-adds are numbered after the old ones, so every old bound, record and
+Extensions: a query on an expression outside the closure grows the
+saturation in place instead of re-running it.  The closure expressions the
+query adds are numbered after the old ones, so every old bound, record and
 premise keeps its number; they get index entries and seeds of their own,
 the old bounds that trigger a rule concluding a new expression are queued
-again, and the worklist runs from the parent's fixpoint to the new one.
-The rules are monotone and the parent's bounds lie below the least
-fixpoint of the larger rule set, so the bounds equal those of a fresh
-saturation of the base with the query asserted at degree 0 (the
+again, and the worklist runs from the old fixpoint to the new one.  The
+rules are monotone and the old bounds lie below the least fixpoint of the
+larger rule set, so the bounds equal those of a fresh saturation of the
+base with every query so far asserted at degree 0, in any order (the
 additions-only case of Kazakov & Klinov, *Incremental Reasoning in OWL EL
-without Bookkeeping*, ISWC 2013).  Step numbers continue the parent's, the
-derivation recorded for a bound may differ from a fresh run's, and the
-parent's lists, records and indexes never change.  Each
-:class:`SaturatedKb` memoizes its extensions per normalized expression,
-shared by ``instance_interval`` and ``explain``, so an attribute no
-statement mentions costs its two closure entries and no derivation.
+without Bookkeeping*, ISWC 2013).  The query's expressions stay in the
+closure, step numbers continue across queries, and the derivation recorded
+for a bound may differ from a fresh run's.  An attribute no statement
+mentions costs its two closure entries and no derivation.
 """
 
 from __future__ import annotations
 
-from collections import ChainMap, deque
-from collections.abc import Iterator, Mapping, MutableMapping
+from collections import deque
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -219,11 +217,10 @@ class _Saturation:
         # every degree saturation can reach: 0, 1, and each input degree and its complement
         levels = {d.numerator * (scale // d.denominator) for d in degrees}
         self.fractions = {v: Fraction(v, scale) for v in chain((0, scale), levels, (scale - v for v in levels))}
-        # (lo, hi) scaled -> its DegreeInterval, built on the first query that
-        # returns it; extensions keep the scale and share this table
+        # (lo, hi) scaled -> its DegreeInterval, built on the first query that returns it
         self.intervals = {(0, scale): FULL_INTERVAL}
         # signed bound -> (rule, scaled value, signed premises, source, note, step) of its latest improvement
-        self.records: MutableMapping[int, tuple] = {}
+        self.records: dict[int, tuple] = {}
         self.queue: deque[int] = deque()  # b: lo[b] rose; ~b: hi[b] fell
         self.step = 0
         self._index_roles()
@@ -240,6 +237,8 @@ class _Saturation:
         self.forall_up: dict[tuple[str, int], int] = {}
         self.closed_foralls: dict[str, list[int]] = {}
         self.concrete_nodes: list[int] = []
+        # expressions whose lower bound on a filler can move a quantifier
+        self.quantified: set[int] = set()
         # gci: (inclusion, scaled cap = 1 - degree, rhs row, scaled degree)
         self.gcis_by_lhs: list[list[tuple[FuzzyGci, int, int, int]]] = []
         self.bottom_by_conjunct: list[list[tuple[FuzzyGci, int, tuple[int, ...]]]] = []
@@ -270,27 +269,19 @@ class _Saturation:
     def _add_expressions(self, exprs: Sequence[ConceptExpression]) -> set[int]:
         """Number ``exprs`` after the closure, with default bounds and their index entries.
 
-        Every table is replaced rather than changed in place, so an engine
-        this one was copied from keeps its own.  Returns the expressions
-        whose bounds trigger a newly indexed rule.
+        Returns the expressions whose bounds trigger a newly indexed rule.
         """
         first, n = len(self.closure), self.n
         new = range(first, first + len(exprs))
         self.closure += tuple(exprs)
-        self.expr_ids = ids = {**self.expr_ids, **dict(zip(exprs, new))}
-        self.lo = self.lo + [0] * (n * len(new))
-        self.hi = self.hi + [self.scale] * (n * len(new))
-        self.neg_partners, self.conj_parents, self.disj_parents = (
-            [list(entries) for entries in table] + [[] for _ in new]
-            for table in (self.neg_partners, self.conj_parents, self.disj_parents)
-        )
-        self.conj_down = self.conj_down + [()] * len(new)
-        self.forall_down = self.forall_down + [None] * len(new)
-        self.gcis_by_lhs = self.gcis_by_lhs + [[] for _ in new]
-        self.bottom_by_conjunct = self.bottom_by_conjunct + [[] for _ in new]
-        self.exists_up, self.forall_up = dict(self.exists_up), dict(self.forall_up)
-        self.closed_foralls = {role: list(nodes) for role, nodes in self.closed_foralls.items()}
-        self.concrete_nodes = list(self.concrete_nodes)
+        ids = self.expr_ids
+        ids.update(zip(exprs, new))
+        self.lo += [0] * (n * len(new))
+        self.hi += [self.scale] * (n * len(new))
+        for table in (self.neg_partners, self.conj_parents, self.disj_parents, self.gcis_by_lhs, self.bottom_by_conjunct):
+            table += ([] for _ in new)
+        self.conj_down += [()] * len(new)
+        self.forall_down += [None] * len(new)
         triggers: set[int] = set()
         for x in new:
             e, row = self.closure[x], x * n
@@ -313,6 +304,7 @@ class _Saturation:
                     self.concrete_nodes.append(x)
                 else:
                     self.exists_up[(e.role, ids[e.target])] = row
+                    self.quantified.add(ids[e.target])
                     triggers.add(ids[e.target])
             elif isinstance(e, Forall):
                 self.forall_down[x] = (e.role, ids[e.body] * n)
@@ -320,9 +312,8 @@ class _Saturation:
                 if decl is not None and decl.closed:
                     self.forall_up[(e.role, ids[e.body])] = row
                     self.closed_foralls.setdefault(e.role, []).append(x)
+                    self.quantified.add(ids[e.body])
                     triggers.add(ids[e.body])
-        # expressions whose lower bound on a filler can move a quantifier
-        self.quantified = {target for _, target in self.exists_up} | {body for _, body in self.forall_up}
         return triggers
 
     def _index_gcis(self) -> None:
@@ -429,22 +420,17 @@ class _Saturation:
         self.propagate()
         return self
 
-    def extended(self, e: ConceptExpression) -> "_Saturation":
-        """A copy of this saturated engine with ``e`` added, resumed to the new fixpoint.
+    def extend(self, e: ConceptExpression) -> None:
+        """Add ``e`` and all it reaches to the closure, and propagate to the new fixpoint.
 
-        See Extensions in the module docstring.  The copy writes its records
-        over a view of these, and no list, record or table of this engine
-        changes.
+        See Extensions in the module docstring.  Raises
+        :class:`InconsistencyError` on a clash, leaving the engine part-way.
         """
         new = _close([e], set(self.expr_ids)).difference(self.expr_ids)
-        child = object.__new__(_Saturation)  # a shallow copy
-        vars(child).update(vars(self))
-        child.records = ChainMap({}, self.records)
-        child.queue = deque()
         first, n, scale = len(self.closure), self.n, self.scale
-        triggers = child._add_expressions(sorted(new, key=sort_key))
-        child.seed(first)
-        lo, hi, queue = child.lo, child.hi, child.queue
+        triggers = self._add_expressions(sorted(new, key=sort_key))
+        self.seed(first)
+        lo, hi, queue = self.lo, self.hi, self.queue
         # a bound still at its default (0 below, 1 above) moves no rule's conclusion
         for x in sorted(t for t in triggers if t < first):
             for b in range(x * n, x * n + n):
@@ -452,8 +438,7 @@ class _Saturation:
                     queue.append(b)
                 if hi[b] != scale:
                     queue.append(~b)
-        child.propagate()
-        return child
+        self.propagate()
 
     def propagate(self) -> None:
         queue = self.queue
@@ -565,27 +550,33 @@ class _Saturation:
 class SaturatedKb:
     """A knowledge base together with its saturated bounds, built from the engine that saturated it.
 
-    ``_engine`` is the saturation that reached the fixpoint, kept so that
-    an extension can resume from it.  Closure expression ``x`` and
-    individual ``i`` (in ``kb.individuals`` order) own its bound
-    ``b = x * n + i``, whose scaled degrees ``lo[b]`` and ``hi[b]`` become a
-    :class:`DegreeInterval` on demand, one per distinct pair, kept by the
-    engine.  ``_derivations`` reads the compact record of each improved
-    bound by ``(individual, expression, side)`` and builds its
-    :class:`DerivationNode` on first read.  ``_extensions`` memoizes the
-    saturations with one out-of-closure query expression added, by
-    expression.  Equality is identity.
+    ``_engine`` is the saturation that reached the fixpoint, kept so that a
+    query outside the closure can grow it (see Extensions in the module
+    docstring): ``closure``, :meth:`interval_map` and :meth:`interval` then
+    include the query's expressions, and the engine's step numbers continue.
+    Closure expression ``x`` and individual ``i`` (in ``kb.individuals``
+    order) own the bound ``b = x * n + i``, whose scaled degrees ``lo[b]``
+    and ``hi[b]`` become a :class:`DegreeInterval` on demand, one per
+    distinct pair, kept by the engine.  ``_derivations`` reads the compact
+    record of each improved bound by ``(individual, expression, side)`` and
+    builds its :class:`DerivationNode` on first read.  A clash found while
+    growing is kept in ``_clash`` and raised again by every later query.
+    Equality is identity.
     """
 
     def __init__(self, engine: _Saturation):
         self.kb = engine.kb
-        self.closure = engine.closure
         self._derivations: Mapping[Key, DerivationNode] = _Derivations(engine)
         self._engine = engine
-        self._extensions: dict[ConceptExpression, SaturatedKb] = {}
+        self._clash: InconsistencyError | None = None
+
+    @property
+    def closure(self) -> tuple[ConceptExpression, ...]:
+        """The expressions with bounds, in row order; a query outside them adds its own."""
+        return self._engine.closure
 
     def interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
-        """The entailed interval for an in-closure expression (no extension)."""
+        """The entailed interval for an expression in the closure, which this never grows."""
         i = self._check_individual(individual)
         e = normalize(expr)
         x = self._engine.expr_ids.get(e)
@@ -596,18 +587,13 @@ class SaturatedKb:
     def instance_interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
         """The entailed membership interval of an individual in any concept.
 
-        Expressions outside the closure are answered by an extension (see
-        the module docstring), which never loosens anything already
-        entailed and is memoized per expression, for any individual.  If
-        the query exposes a contradiction the knowledge base was
-        inconsistent all along and :class:`InconsistencyError` is raised.
+        An expression outside the closure first grows it (see the module
+        docstring), which never loosens anything already entailed.  If the
+        query exposes a contradiction the knowledge base was inconsistent
+        all along and :class:`InconsistencyError` is raised, by this query
+        and every later one.
         """
-        i = self._check_individual(individual)
-        e = normalize(expr)
-        x = self._engine.expr_ids.get(e)
-        if x is not None:
-            return self._interval(x * self._engine.n + i)
-        return self._extension(e).interval(individual, e)
+        return self.interval(individual, self._grow(individual, expr))
 
     def entailed_lower_bound(self, individual: str, expr: ConceptExpression) -> Fraction | None:
         """The entailed lower membership bound, or None when undecided.
@@ -633,17 +619,14 @@ class SaturatedKb:
     def explain(self, individual: str, expr: ConceptExpression, kind: Bound = "lo") -> Explanation:
         """The derivations behind one bound, each listed once.
 
-        Out-of-closure expressions are explained from the same memoized
-        extension :meth:`instance_interval` uses (see the module docstring).
-        Raises :class:`NoDerivationError` when the bound is still at its
-        default (0 from below, 1 from above) — there is nothing to show.
+        An expression outside the closure first grows it, as in
+        :meth:`instance_interval`.  Raises :class:`NoDerivationError` when
+        the bound is still at its default (0 from below, 1 from above) —
+        there is nothing to show.
         """
         if kind not in ("lo", "hi"):
             raise ValueError("kind must be 'lo' or 'hi'")
-        self._check_individual(individual)
-        e = normalize(expr)
-        if e not in self._engine.expr_ids:
-            return self._extension(e).explain(individual, e, kind)
+        e = self._grow(individual, expr)
         key = (individual, e, kind)
         if key not in self._derivations:
             side = "lower" if kind == "lo" else "upper"
@@ -651,6 +634,19 @@ class SaturatedKb:
                 f"no {side} bound beyond the default is entailed for {individual!r} in {_describe(e)}"
             )
         return _explanation(self._derivations, key)
+
+    def _grow(self, individual: str, expr: ConceptExpression) -> ConceptExpression:
+        """``expr`` normalized, once the individual is checked and the closure grown by it if it lies outside."""
+        self._check_individual(individual)
+        e = normalize(expr)
+        if e not in self._engine.expr_ids:
+            check_concept_roles(e, self.kb.roles, "query")
+            try:
+                self._engine.extend(e)
+            except InconsistencyError as clash:
+                self._clash = clash
+                raise
+        return e
 
     def _interval(self, b: int) -> DegreeInterval:
         engine = self._engine
@@ -660,14 +656,9 @@ class SaturatedKb:
             interval = engine.intervals[lo, hi] = DegreeInterval(engine.fractions[lo], engine.fractions[hi])
         return interval
 
-    def _extension(self, e: ConceptExpression) -> "SaturatedKb":
-        extended = self._extensions.get(e)
-        if extended is None:
-            check_concept_roles(e, self.kb.roles, "query")
-            extended = self._extensions[e] = SaturatedKb(self._engine.extended(e))
-        return extended
-
     def _check_individual(self, individual: str) -> int:
+        if self._clash is not None:
+            raise self._clash.with_traceback(None)  # each raise would otherwise add its frames
         i = self._engine.individual_ids.get(individual)
         if i is None:
             raise UnknownIndividualError(f"individual {individual!r} does not occur in the knowledge base")
@@ -682,42 +673,42 @@ class _Derivations(Mapping[Key, DerivationNode]):
     """
 
     def __init__(self, engine: _Saturation):
-        self._records = engine.records
-        self._names, self._closure, self._fractions, self._n = engine.names, engine.closure, engine.fractions, engine.n
-        self._individual_ids, self._expr_ids = engine.individual_ids, engine.expr_ids
+        # the engine, not its closure and ids: a query outside the closure grows them
+        self._engine = engine
         self._nodes: dict[int, DerivationNode] = {}
 
     def _signed(self, key: object) -> int | None:
         if not (isinstance(key, tuple) and len(key) == 3):
             return None
         individual, expr, kind = key
-        a, x = self._individual_ids.get(individual), self._expr_ids.get(expr)
+        a, x = self._engine.individual_ids.get(individual), self._engine.expr_ids.get(expr)
         if a is None or x is None or kind not in ("lo", "hi"):
             return None
-        b = x * self._n + a
+        b = x * self._engine.n + a
         return b if kind == "lo" else ~b
 
     def _key(self, s: int) -> Key:
-        x, a = divmod(s if s >= 0 else ~s, self._n)
-        return (self._names[a], self._closure[x], "lo" if s >= 0 else "hi")
+        x, a = divmod(s if s >= 0 else ~s, self._engine.n)
+        return (self._engine.names[a], self._engine.closure[x], "lo" if s >= 0 else "hi")
 
     def __getitem__(self, key: Key) -> DerivationNode:
         s = self._signed(key)
-        if s not in self._records:
+        records = self._engine.records
+        if s not in records:
             raise KeyError(key)
         node = self._nodes.get(s)
         if node is None:
-            rule, value, premises, source, note, step = self._records[s]
+            rule, value, premises, source, note, step = records[s]
             node = self._nodes[s] = DerivationNode(
-                rule, *self._key(s), self._fractions[value], tuple(map(self._key, premises)), source, note, step
+                rule, *self._key(s), self._engine.fractions[value], tuple(map(self._key, premises)), source, note, step
             )
         return node
 
     def __iter__(self) -> Iterator[Key]:
-        return map(self._key, self._records)
+        return map(self._key, self._engine.records)
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._engine.records)
 
 
 def _describe(expr: ConceptExpression) -> str:

@@ -9,7 +9,7 @@ import pytest
 
 from fdlb.cli import main
 from fdlb.kbtext import MAX_CONCEPT_DEPTH, format_conflict, parse_kb
-from fdlb.reasoner import InconsistencyError, SaturatedKb, check_consistency
+from fdlb.reasoner import InconsistencyError, _Saturation, check_consistency
 
 pytestmark = pytest.mark.usefixtures("fixtures_dir")
 
@@ -189,14 +189,14 @@ def test_rank_inconsistent_kb(paths, capsys):
 
 @pytest.mark.parametrize("command", ["rank", "complete"])
 def test_clash_found_by_an_extension_exits_two(command, paths, tmp_path, capsys, monkeypatch):
-    # a query outside the closure extends the saturation; a clash found there is the
+    # a query outside the closure grows the saturation; a clash found there is the
     # same inconsistency as one found up front
     conflict = check_consistency(parse_kb(Path(paths["clash"]).read_text()).kb)
 
     def clashing(self, expr):
         raise InconsistencyError(conflict)
 
-    monkeypatch.setattr(SaturatedKb, "_extension", clashing)
+    monkeypatch.setattr(_Saturation, "extend", clashing)
     kb = tmp_path / "open.fdlb"
     kb.write_text("concept Open;\nassert x : Good @ 0.5;\n")
     ubox = tmp_path / "open.ubox"

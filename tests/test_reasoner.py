@@ -1,4 +1,5 @@
 import random
+import traceback
 from fractions import Fraction
 
 import pytest
@@ -245,7 +246,8 @@ def test_instance_interval_outside_closure_extends(fuzzy_kb):
     novel = Or(Atom("LightweightTablet"), Atom("UpperclassTablet"))
     assert normalize(novel) not in set(sat.closure)
     assert sat.instance_interval("tab_3", novel).lo == ONE
-    # and the extension is invisible to in-closure answers
+    assert normalize(novel) in set(sat.closure)
+    # and growing moves no bound already entailed
     assert sat.instance_interval("tab_3", Atom("LightweightTablet")).lo == Fraction(3, 5)
 
 
@@ -441,20 +443,25 @@ def test_rank_saturates_once_per_out_of_closure_attribute(monkeypatch):
     assert len(report.undecided) == 20
 
 
-def test_memoized_extension_serves_explain_and_intervals():
+def test_grown_closure_serves_explain_and_intervals():
     sat = sat_of("""
         axiom A SUBSUMED-BY B @ 0.7;
         assert x : A @ 0.9;
         assert y : A @ 0.2;
     """)
     query = Or(Atom("B"), Atom("C"))
+    closure = sat.closure
     assert iv(sat, "x", query) == (Fraction(7, 10), ONE)
+    grown = sat.closure
+    assert grown[: len(closure)] == closure and normalize(query) in grown
     assert iv(sat, "y", query) == (ZERO, ONE)
     assert sat.explain("x", query).value == Fraction(7, 10)
-    assert list(sat._extensions) == [normalize(query)]
+    assert sat.closure is grown  # the later queries found the query in the closure
+    assert sat.interval("x", query) == DegreeInterval(Fraction(7, 10), ONE)
+    assert sat.interval_map()[("x", normalize(query))] == DegreeInterval(Fraction(7, 10), ONE)
 
 
-# -- extensions resume the parent's fixpoint
+# -- extensions grow the saturation from its fixpoint
 
 
 def query_over(rng, kb, closure, depth=2):
@@ -475,39 +482,43 @@ def query_over(rng, kb, closure, depth=2):
 
 
 def check_extensions(kb, queries):
-    """Extend one saturation by each out-of-closure query and compare with a fresh run.
+    """Ask one saturation each query in turn and compare it with a fresh run after each.
 
-    The fresh run saturates the base with the query asserted at degree 0,
-    which brings it into the closure and raises no bound.  Returns how many
-    queries were checked against a consistent extension.
+    The fresh run saturates the base with every query so far asserted at
+    degree 0, which brings them into the closure and raises no bound.  A
+    query also leaves every bound and record from before it unchanged.
+    Stops at the first clash.  Returns how many queries grew a consistent
+    saturation.
     """
     from naive_engine import with_queries
 
     sat = saturate(kb)
-    before = (sat.interval_map(), sat.closure, dict(sat._derivations))
+    engine = sat._engine
+    asked = []
     checked = 0
     for query in map(normalize, queries):
-        if query in set(sat.closure):
-            continue
+        asked.append(query)
+        outside = query not in engine.expr_ids
+        lo, hi, records = list(engine.lo), list(engine.hi), dict(engine.records)
         try:
-            fresh = saturate(with_queries(kb, [query]))
+            fresh = saturate(with_queries(kb, asked))
         except InconsistencyError:
             fresh = None
         try:
-            extended = sat._extension(query)
+            sat.instance_interval(kb.individuals[0], query)
         except InconsistencyError:
-            extended = None
-        assert (extended is None) == (fresh is None), query
-        if fresh is None:
-            continue
-        assert set(extended.closure) == set(fresh.closure)
+            assert fresh is None, query
+            return checked
+        assert fresh is not None, query
+        assert set(sat.closure) == set(fresh.closure)
         for individual in kb.individuals:
             for expr in fresh.closure:
-                assert extended.interval(individual, expr) == fresh.interval(individual, expr), (individual, expr)
-        for node in extended._derivations.values():
-            assert recompute(extended, node) == node.value, (query, node.rule, node.individual)
-        checked += 1
-    assert (sat.interval_map(), sat.closure, dict(sat._derivations)) == before
+                assert sat.interval(individual, expr) == fresh.interval(individual, expr), (individual, expr)
+        assert engine.lo[: len(lo)] == lo and engine.hi[: len(hi)] == hi
+        assert {s: engine.records[s] for s in records} == records
+        for node in sat._derivations.values():
+            assert recompute(sat, node) == node.value, (query, node.rule, node.individual)
+        checked += outside
     return checked
 
 
@@ -571,25 +582,123 @@ def test_unmentioned_atom_costs_two_closure_entries_and_no_saturation(fixtures_d
         real = getattr(fdlb.reasoner, name)
         counting = lambda *args, real=real, name=name, **kwargs: calls.append(name) or real(*args, **kwargs)
         monkeypatch.setattr(fdlb.reasoner, name, counting)
+    closure, step = sat.closure, sat._engine.step
     assert sat.instance_interval("tab_3", Atom("Unmentioned")) == DegreeInterval(ZERO, ONE)
-    extended = sat._extensions[Atom("Unmentioned")]
-    assert extended.closure == sat.closure + (Atom("Unmentioned"), Not(Atom("Unmentioned")))
-    assert dict(extended._derivations) == before  # no new derivation
-    assert extended._engine.step == sat._engine.step
+    assert sat.closure == closure + (Atom("Unmentioned"), Not(Atom("Unmentioned")))
+    assert dict(sat._derivations) == before  # no new derivation
+    assert sat._engine.step == step
 
-    # a bound only the extension derives explains through the parent's steps
+    # a bound only the growth derives explains through the base's steps
     query = Or(Atom("Tablet"), Atom("Unmentioned"))
     explanation = sat.explain("tab_3", query)
     assert calls == []
     assert explanation.value == sat.interval("tab_3", Atom("Tablet")).lo
     assert explanation.steps[0].rule == "disj-up"
-    assert explanation.steps[0].step > sat._engine.step
-    extended = sat._extensions[query]
+    assert explanation.steps[0].step > step
     for node in explanation.steps:
-        assert all(premise in extended._derivations for premise in node.premises)
+        assert all(premise in sat._derivations for premise in node.premises)
     assert [node.step for node in explanation.steps[1:]] == [
-        sat._derivations[(node.individual, node.expr, node.kind)].step for node in explanation.steps[1:]
+        before[(node.individual, node.expr, node.kind)].step for node in explanation.steps[1:]
     ]
+
+
+def test_unmentioned_atoms_grow_the_bound_lists_in_place(fixtures_dir):
+    sat = saturate(parse_kb(catalogue_text(fixtures_dir, 150)).kb)
+    engine = sat._engine
+    lo, hi, n, size = engine.lo, engine.hi, engine.n, len(engine.lo)
+    for k in range(1, 5):
+        assert sat.instance_interval("tab_3", Atom(f"Open{k}")) == DegreeInterval(ZERO, ONE)
+        assert engine.lo is lo and engine.hi is hi
+        assert len(lo) == len(hi) == size + 2 * k * n
+
+
+@pytest.mark.parametrize("block", range(10))
+def test_answers_do_not_depend_on_query_order(block):
+    from kbgen import random_concept, random_kb
+
+    compared = 0
+    for seed in range(block * 40, block * 40 + 40):
+        kb = random_kb(seed)
+        try:
+            closure = list(saturate(kb).closure)
+        except InconsistencyError:
+            continue
+        rng = random.Random(seed)
+        asks = [
+            (rng.choice(kb.individuals), random_concept(rng) if rng.random() < 0.5 else query_over(rng, kb, closure))
+            for _ in range(8)
+        ]
+
+        def answers(order):
+            sat, out = saturate(kb), {}
+            for ask in order:
+                try:
+                    out[ask] = sat.instance_interval(*ask)
+                except InconsistencyError:
+                    out[ask] = None
+            return out
+
+        forward, backward = answers(asks), answers(asks[::-1])
+        assert (None in forward.values()) == (None in backward.values()), seed
+        for ask, interval in forward.items():
+            if interval is not None and backward[ask] is not None:
+                assert interval == backward[ask], (seed, ask)
+                compared += 1
+    assert compared >= 100
+
+
+def test_a_clash_found_by_growing_is_raised_by_every_later_query(fuzzy_kb, fixtures_dir, monkeypatch):
+    from fdlb.reasoner import _Saturation
+
+    conflict = check_consistency(parse_kb((fixtures_dir / "clash.fdlb").read_text(encoding="utf-8")).kb)
+    extend = _Saturation.extend
+
+    def clashing(engine, expr):  # no base or query clashes while growing, so one is simulated after it
+        extend(engine, expr)
+        raise InconsistencyError(conflict)
+
+    monkeypatch.setattr(_Saturation, "extend", clashing)
+    sat = saturate(fuzzy_kb)
+    query = Or(Atom("Tablet"), Atom("Unmentioned"))
+    with pytest.raises(InconsistencyError) as first:
+        sat.instance_interval("tab_3", query)
+    assert first.value.conflict is conflict
+    later = [
+        lambda: sat.instance_interval("tab_3", query),  # now in the closure
+        lambda: sat.instance_interval("tab_1", Atom("Tablet")),
+        lambda: sat.explain("tab_3", Atom("UpperclassTablet")),
+        lambda: sat.explain("tab_3", Atom("Other"), "hi"),
+        lambda: sat.interval("tab_1", Atom("Tablet")),
+        lambda: sat.entailed_lower_bound("tab_1", Atom("Tablet")),
+    ]
+    depths = set()
+    for call in later + later:
+        with pytest.raises(InconsistencyError) as again:
+            call()
+        assert again.value is first.value
+        depths.add(len(traceback.extract_tb(again.value.__traceback__)))
+    assert max(depths) < 8  # a raise does not keep the frames of the raises before it
+
+
+def test_failed_queries_leave_the_closure_unchanged(fuzzy_kb):
+    from fdlb.model import ModelError
+
+    sat = saturate(fuzzy_kb)
+    closure = sat.closure
+    with pytest.raises(ModelError, match="not declared"):
+        sat.instance_interval("tab_3", Or(Atom("Unmentioned"), Exists("undeclared", Atom("Tablet"))))
+    with pytest.raises(ModelError, match="not declared"):
+        sat.explain("tab_3", Forall("undeclared", Atom("Unmentioned")))
+    with pytest.raises(UnknownIndividualError):
+        sat.instance_interval("nobody", Atom("Unmentioned"))
+    with pytest.raises(UnknownIndividualError):
+        sat.explain("nobody", Atom("Unmentioned"))
+    with pytest.raises(ValueError):
+        sat.explain("tab_3", Atom("Unmentioned"), "mid")
+    with pytest.raises(FdlbError, match="outside the saturated closure"):
+        sat.interval("tab_3", Atom("Unmentioned"))
+    assert sat.closure is closure
+    assert sat.instance_interval("tab_3", Atom("Unmentioned")) == DegreeInterval(ZERO, ONE)
 
 
 def test_quantifier_triggers_on_shared_roles_match_naive_engine():
