@@ -99,9 +99,14 @@ def attribute_utility(sat: "SaturatedKb", choice: str, attribute: str, weight: F
 
 
 def rank(sat: "SaturatedKb", choices: Sequence[str], ubox: UtilityBox) -> DecisionReport:
-    """Score every choice and order them best-first (ties: name order)."""
+    """Score every choice and order them best-first (ties: name order); a choice listed twice is an error."""
     if not choices:
         raise EmptyChoiceSetError("no choices to rank")
+    seen = set()
+    for choice in choices:
+        if choice in seen:
+            raise FdlbError(f"choice {choice!r} is listed twice")
+        seen.add(choice)
     _check_attributes(sat, ubox)
     rows = []
     for choice in choices:

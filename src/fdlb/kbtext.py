@@ -654,7 +654,7 @@ def render_concept(expr: ConceptExpression) -> str:
                 if level < minimum:
                     out.append("(")
                     todo.append(")")
-                # a part of the node's own kind (unnormalized input) renders flat
+                # each part is written at this node's level; none is of the node's own kind
                 for part in reversed(node.parts[1:]):
                     todo += ((part, level), joint)
                 node, minimum = (node.parts[0], level) if node.parts else (None, level)

@@ -6,11 +6,13 @@ the knowledge-base container shared by the parser, the reasoner, and the
 decision layer.
 
 Everything here is an immutable value; instances may be shared freely once
-constructed.  Concept expressions are interned: structurally equal ones are
-one object, so equal means identical.  Every other record (here and in the
-other modules) is a :class:`typing.NamedTuple`: it is built positionally or
-by keyword, compares and hashes by value, pickles and copies, and refuses
-attribute assignment.  Being a tuple, a record also unpacks, and compares
+constructed.  Concept expressions are interned and built in normal form:
+structurally equal ones, and ``And``/``Or`` nodes that differ only in the
+order, repetition or nesting of their parts, are one object, so equal means
+identical.  Every other record (here and in the other modules) is a
+:class:`typing.NamedTuple`: it is built positionally or by keyword,
+compares and hashes by value, pickles and copies, and refuses attribute
+assignment.  Being a tuple, a record also unpacks, and compares
 equal to a plain tuple of the same values.  A record that validates its
 fields is a thin subclass of a :func:`collections.namedtuple` that checks
 them in ``__new__``; ``_make`` and ``_replace`` skip that check.
@@ -159,7 +161,7 @@ def _intern(cls: type, fields: tuple, key: tuple) -> "ConceptExpression":
         node = object.__new__(cls)
         for name, value in zip(cls._fields, fields):
             object.__setattr__(node, name, value)
-        for name, value in zip(("_key", "_normal", "_children", "_dual"), (*node._derive(), None)):
+        for name, value in zip(("_key", "_children", "_dual"), (*node._derive(), None)):
             object.__setattr__(node, name, value)
         _INTERNED[key] = ref(node, partial(_forget, key))
     return node
@@ -174,28 +176,26 @@ class _Concept:
     """A concept expression node, built only through the interning constructor.
 
     Structurally equal expressions are one node, so ``==`` and ``hash`` are
-    identity's and no dict or set lookup walks a tree.  ``_key`` (the
-    :func:`sort_key`), ``_normal`` (the :func:`normalize`d form, None when
-    that is the node itself) and ``_children`` (the concept nodes directly
-    beneath) are set at construction, ``_dual`` by the first :func:`dual`
-    call.  Pickling and copying call the constructor, so they return the
-    interned node.
+    identity's and no dict or set lookup walks a tree.  Every node is in
+    normal form (see :class:`And`), as its children are.  ``_key`` (the
+    :func:`sort_key`) and ``_children`` (the concept nodes directly beneath)
+    are set at construction, ``_dual`` by the first :func:`dual` call.
+    Pickling and copying call the constructor, so they return the interned
+    node.
     """
 
-    __slots__ = ("_key", "_normal", "_children", "_dual", "__weakref__")
+    __slots__ = ("_key", "_children", "_dual", "__weakref__")
     _fields: tuple[str, ...] = ()
     _tag: int
 
     def __new__(cls, *fields):
         return _intern(cls, fields, (cls, *[id(f) if isinstance(f, _Concept) else f for f in fields]))
 
-    def _derive(self) -> tuple[tuple, "ConceptExpression | None", tuple]:
-        """The sort key, the normal form unless it is this node, and the child nodes."""
-        fields = tuple([getattr(self, name) for name in self._fields])
-        normal = tuple([normalize(f) if isinstance(f, _Concept) else f for f in fields])
+    def _derive(self) -> tuple[tuple, tuple]:
+        """The sort key and the child nodes."""
+        fields = [getattr(self, name) for name in self._fields]
         key = (self._tag, *[f._key if isinstance(f, _Concept) else f for f in fields])
-        children = tuple([f for f in fields if isinstance(f, _Concept)])
-        return key, None if normal == fields else type(self)(*normal), children
+        return key, tuple([f for f in fields if isinstance(f, _Concept)])
 
     def __reduce__(self) -> tuple:
         return type(self), tuple(getattr(self, name) for name in self._fields)
@@ -228,7 +228,7 @@ class Atom(_Concept):
         return _intern(cls, (name,), (cls, name))
 
     def _derive(self):
-        return (2, self.name), None, ()
+        return (2, self.name), ()
 
 
 class Not(_Concept):
@@ -244,27 +244,31 @@ class _Connective(_Concept):
     parts: tuple["ConceptExpression", ...]
 
     def __new__(cls, *parts: "ConceptExpression"):
-        return _intern(cls, (parts,), (cls, *map(id, parts)))
+        unique: set[ConceptExpression] = set()
+        for part in parts:  # a part is in normal form already: one level to lift
+            if type(part) is cls:
+                unique.update(part.parts)
+            else:
+                unique.add(part)
+        if len(unique) == 1:
+            return unique.pop()
+        ordered = sorted(unique, key=sort_key)
+        return _intern(cls, (tuple(ordered),), (cls, *map(id, ordered)))
 
     def __reduce__(self) -> tuple:
         return type(self), self.parts
 
     def _derive(self):
-        kind = type(self)
-        parts: set[ConceptExpression] = set()
-        for part in self.parts:
-            child = normalize(part)  # already flat: one level to lift
-            parts.update(child.parts if type(child) is kind else (child,))
-        ordered = tuple(sorted(parts, key=sort_key))
-        normal = ordered[0] if len(ordered) == 1 else None if ordered == self.parts else kind(*ordered)
-        return (self._tag, len(self.parts), *(part._key for part in self.parts)), normal, self.parts
+        return (self._tag, len(self.parts), *[part._key for part in self.parts]), self.parts
 
 
 class And(_Connective):
-    """Conjunction of ``parts``, built as ``And(a, b, ...)``.
+    """Conjunction of ``parts``, built as ``And(a, b, ...)`` in normal form.
 
-    Normalized, the parts are unique, sorted by :func:`sort_key`, at least
-    two, and none is itself an ``And``.
+    The constructor lifts the parts of any ``And`` part, drops duplicates
+    and sorts the rest by :func:`sort_key`, so ``And(b, a)`` is
+    ``And(a, b)``; a lone part left is returned as it is (``And(a, a)`` is
+    ``a``), and ``And()`` is a node of its own.
     """
 
     __slots__ = ()
@@ -272,7 +276,7 @@ class And(_Connective):
 
 
 class Or(_Connective):
-    """Disjunction of ``parts``, with the same normalized invariant as ``And``."""
+    """Disjunction of ``parts``, built in normal form as ``And`` is."""
 
     __slots__ = ()
     _tag = 8
@@ -293,7 +297,7 @@ class Exists(_Concept):
     def _derive(self):
         target = self.target
         if isinstance(target, ConcretePredicate):
-            return (4, self.role, target.op, target.threshold.unit, target.threshold.magnitude), None, ()
+            return (4, self.role, target.op, target.threshold.unit, target.threshold.magnitude), ()
         return super()._derive()
 
 
@@ -311,20 +315,8 @@ BOTTOM = Bottom()
 
 
 def sort_key(expr: ConceptExpression) -> tuple:
-    """A total structural order on normalized expressions, set when the node is built."""
+    """A total structural order on expressions, set when the node is built."""
     return expr._key
-
-
-def normalize(expr: ConceptExpression) -> ConceptExpression:
-    """Canonical structural form: ⊓/⊔ flattened into one n-ary node, deduplicated, sorted.
-
-    Purely structural — no logical rewriting beyond dropping duplicate
-    children of an associative-commutative-idempotent connective.  Set when
-    the node is built, from its children's normal forms; structural
-    equality of normalized expressions is the identity used everywhere
-    downstream (interval keys, axiom matching, round-trips).
-    """
-    return expr._normal or expr
 
 
 def sub_expressions(expr: ConceptExpression, seen: set | None = None) -> Iterator[ConceptExpression]:
@@ -356,7 +348,7 @@ def _dual_inputs(node: ConceptExpression) -> tuple[ConceptExpression, ...]:
 def _dual_of(node: ConceptExpression) -> ConceptExpression:
     # every node of _dual_inputs(node) has its dual
     if isinstance(node, (And, Or)):
-        return normalize((Or if isinstance(node, And) else And)(*(part._dual for part in node.parts)))
+        return (Or if isinstance(node, And) else And)(*(part._dual for part in node.parts))
     if isinstance(node, Forall):
         return Exists(node.role, node.body._dual)
     if isinstance(node, Not):
@@ -369,7 +361,7 @@ def _dual_of(node: ConceptExpression) -> ConceptExpression:
 
 
 def dual(expr: ConceptExpression) -> ConceptExpression:
-    """``NOT expr`` with negation pushed inward, normalized; built once per node.
+    """``NOT expr`` with negation pushed inward, in normal form as every node is; built once per node.
 
     ``AND``/``OR`` swap over their parts' duals, and so do the quantifiers
     over their body's dual.  An atom or a concrete restriction becomes its
@@ -446,14 +438,13 @@ class ConcreteFact(NamedTuple):
 
 
 class KnowledgeBase(NamedTuple):
-    """A validated, normalized knowledge base.
+    """A validated knowledge base.
 
-    Invariants guaranteed by :func:`build_kb`: every concept is normalized,
-    every degree is a :class:`~fractions.Fraction`, every role use matches
-    its declaration, degree-0 inclusions are already desugared into
-    degree-1 inclusions of the negated right side, concrete facts are
-    unique per (individual, role), and the registries cover every name
-    mentioned anywhere.
+    Invariants guaranteed by :func:`build_kb`: every degree is a
+    :class:`~fractions.Fraction`, every role use matches its declaration,
+    degree-0 inclusions are already desugared into degree-1 inclusions of
+    the negated right side, concrete facts are unique per (individual,
+    role), and the registries cover every name mentioned anywhere.
     """
 
     roles: Mapping[str, RoleDecl]
@@ -505,7 +496,7 @@ def _desugar(gci: FuzzyGci) -> FuzzyGci:
     if gci.degree != ZERO:
         return gci
     rhs = gci.rhs.body if isinstance(gci.rhs, Not) else Not(gci.rhs)
-    return FuzzyGci(gci.lhs, normalize(rhs), ONE)
+    return FuzzyGci(gci.lhs, rhs, ONE)
 
 
 def build_kb(
@@ -516,8 +507,10 @@ def build_kb(
     concrete_facts: Sequence[ConcreteFact] = (),
     declared_concepts: Sequence[str] = (),
 ) -> KnowledgeBase:
-    """Validate, normalize, and assemble a knowledge base.
+    """Validate and assemble a knowledge base.
 
+    A statement is kept as given unless its degree had to become a
+    :class:`~fractions.Fraction`; its concepts are in normal form already.
     Raises :class:`ModelError` on undeclared or mistyped role use, duplicate
     declarations, duplicate concrete facts, or unit mismatches, and
     :class:`DegreeRangeError` on out-of-range degrees.
@@ -534,20 +527,15 @@ def build_kb(
     out_gcis = []
     for gci in gcis:
         degree = make_degree(gci.degree)
-        lhs = normalize(gci.lhs)
-        rhs = normalize(gci.rhs)
-        concepts.update(check_concept_roles(lhs, role_map, "axiom", seen))
-        concepts.update(check_concept_roles(rhs, role_map, "axiom", seen))
-        same = lhs is gci.lhs and rhs is gci.rhs and degree is gci.degree
-        out_gcis.append(_desugar(gci if same else FuzzyGci(lhs, rhs, degree)))
+        concepts.update(check_concept_roles(gci.lhs, role_map, "axiom", seen))
+        concepts.update(check_concept_roles(gci.rhs, role_map, "axiom", seen))
+        out_gcis.append(_desugar(gci if degree is gci.degree else FuzzyGci(gci.lhs, gci.rhs, degree)))
 
     out_assertions = []
     for fa in assertions:
         degree = make_degree(fa.degree)
-        concept = normalize(fa.concept)
-        concepts.update(check_concept_roles(concept, role_map, f"assertion on {fa.individual}", seen))
-        same = concept is fa.concept and degree is fa.degree
-        out_assertions.append(fa if same else FuzzyAssertion(fa.individual, concept, degree))
+        concepts.update(check_concept_roles(fa.concept, role_map, f"assertion on {fa.individual}", seen))
+        out_assertions.append(fa if degree is fa.degree else FuzzyAssertion(fa.individual, fa.concept, degree))
 
     for ra in role_assertions:
         decl = role_map.get(ra.role)

@@ -33,8 +33,9 @@ rather than being guessed.
 
 Closure: the pinned classes, the axiom sides and asserted concepts, and all
 they reach through subexpressions and duals (:func:`~fdlb.model.dual`, the
-normalized negation normal form of the complement).  Expressions are
-interned, so building it is one worklist of identity lookups.
+negation normal form of the complement).  Expressions are interned and
+built in normal form, so building it is one worklist of identity lookups,
+and a query names its closure row as it is given.
 
 Bound storage: closure expression ``x`` and individual ``i`` (in
 ``kb.individuals`` order) own the bound ``b = x * n + i``, ``n`` being the
@@ -97,7 +98,6 @@ from .model import (
     TOP,
     check_concept_roles,
     dual,
-    normalize,
     sort_key,
     sub_expressions,
 )
@@ -578,10 +578,9 @@ class SaturatedKb:
     def interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
         """The entailed interval for an expression in the closure, which this never grows."""
         i = self._check_individual(individual)
-        e = normalize(expr)
-        x = self._engine.expr_ids.get(e)
+        x = self._engine.expr_ids.get(expr)
         if x is None:
-            raise FdlbError(f"{_describe(e)} is outside the saturated closure; use instance_interval")
+            raise FdlbError(f"{_describe(expr)} is outside the saturated closure; use instance_interval")
         return self._interval(x * self._engine.n + i)
 
     def instance_interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
@@ -593,7 +592,8 @@ class SaturatedKb:
         all along and :class:`InconsistencyError` is raised, by this query
         and every later one.
         """
-        return self.interval(individual, self._grow(individual, expr))
+        self._grow(individual, expr)
+        return self.interval(individual, expr)
 
     def entailed_lower_bound(self, individual: str, expr: ConceptExpression) -> Fraction | None:
         """The entailed lower membership bound, or None when undecided.
@@ -626,27 +626,25 @@ class SaturatedKb:
         """
         if kind not in ("lo", "hi"):
             raise ValueError("kind must be 'lo' or 'hi'")
-        e = self._grow(individual, expr)
-        key = (individual, e, kind)
+        self._grow(individual, expr)
+        key = (individual, expr, kind)
         if key not in self._derivations:
             side = "lower" if kind == "lo" else "upper"
             raise NoDerivationError(
-                f"no {side} bound beyond the default is entailed for {individual!r} in {_describe(e)}"
+                f"no {side} bound beyond the default is entailed for {individual!r} in {_describe(expr)}"
             )
         return _explanation(self._derivations, key)
 
-    def _grow(self, individual: str, expr: ConceptExpression) -> ConceptExpression:
-        """``expr`` normalized, once the individual is checked and the closure grown by it if it lies outside."""
+    def _grow(self, individual: str, expr: ConceptExpression) -> None:
+        """Check the individual, then grow the closure by ``expr`` if it lies outside."""
         self._check_individual(individual)
-        e = normalize(expr)
-        if e not in self._engine.expr_ids:
-            check_concept_roles(e, self.kb.roles, "query")
+        if expr not in self._engine.expr_ids:
+            check_concept_roles(expr, self.kb.roles, "query")
             try:
-                self._engine.extend(e)
+                self._engine.extend(expr)
             except InconsistencyError as clash:
                 self._clash = clash
                 raise
-        return e
 
     def _interval(self, b: int) -> DegreeInterval:
         engine = self._engine

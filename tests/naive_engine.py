@@ -3,9 +3,10 @@
 Deliberately dumb: a dense lower/upper bound table over every (individual,
 closure expression) pair, and full passes that try every rule on every pair
 until nothing moves.  No worklist, no indexes, no provenance.  The package
-engine and this one share only the closure definition and the normalized
-expression types; the rule logic here is written directly from the
-min/max/complement semantics so the two can check each other.
+engine and this one share only the closure definition and the expression
+types, which are built in normal form; the rule logic here is written
+directly from the min/max/complement semantics so the two can check each
+other.
 
 :func:`to_negation_normal_form` is the recursive tree rewrite that
 ``fdlb.model.dual`` replaced; it stays here as that function's reference.

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import re
 import subprocess
@@ -181,6 +182,14 @@ def test_rank_unknown_choice(paths, capsys):
     assert "tab_9" in err
 
 
+@pytest.mark.parametrize("command", ["rank", "complete"])
+def test_a_choice_listed_twice_is_exit_one(command, paths, capsys):
+    code, out, err = run(capsys, command, paths["fuzzy"], "--ubox", paths["e1"],
+                         "--choices", "tab_1,tab_1,tab_2")
+    assert code == 1 and out == ""
+    assert err == "fdlb: error: choice 'tab_1' is listed twice\n"
+
+
 def test_rank_inconsistent_kb(paths, capsys):
     code, _, err = run(capsys, "rank", paths["clash"], "--ubox", paths["e1"])
     assert code == 2
@@ -333,10 +342,14 @@ def test_explain_undeclared_role_in_query(paths, capsys):
 
 
 def test_console_script_runs(paths):
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "fdlb", "check", paths["crisp"]],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "consistent"

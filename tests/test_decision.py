@@ -9,6 +9,7 @@ from fdlb.decision import (
     rank,
 )
 from fdlb.kbtext import parse_kb
+from fdlb.model import FdlbError
 from fdlb.reasoner import saturate
 
 CHOICES = ("tab_1", "tab_2", "tab_3")
@@ -121,6 +122,11 @@ def test_choice_subset_restricts_ranking(complete_sat, expert1):
 def test_empty_choice_set_rejected(complete_sat, expert1):
     with pytest.raises(EmptyChoiceSetError):
         rank(complete_sat, (), expert1)
+
+
+def test_duplicate_choice_rejected(complete_sat, expert1):
+    with pytest.raises(FdlbError, match="choice 'tab_1' is listed twice"):
+        rank(complete_sat, ("tab_1", "tab_1", "tab_2"), expert1)
 
 
 def test_unknown_attribute_rejected(complete_sat):

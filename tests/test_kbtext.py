@@ -1,4 +1,5 @@
 import ast
+import gc
 import random
 import re
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fdlb import model
 from fdlb.kbtext import (
     MAX_CONCEPT_DEPTH,
     format_conflict,
@@ -33,7 +35,6 @@ from fdlb.model import (
     RoleDecl,
     TOP,
     kb_equal,
-    normalize,
 )
 from fdlb.reasoner import Conflict, DerivationNode, Explanation, saturate
 
@@ -346,8 +347,9 @@ def test_serialize_deterministic(fuzzy_kb):
 
 def test_render_concept_minimal_parens():
     a, b, c = Atom("A"), Atom("B"), Atom("C")
-    assert render_concept(Or(And(a, b), c)) == "A AND B OR C"
-    assert render_concept(And(Or(a, b), c)) == "(A OR B) AND C"
+    # the constructors sort an atom before an AND or OR
+    assert render_concept(Or(And(a, b), c)) == "C OR A AND B"
+    assert render_concept(And(Or(a, b), c)) == "C AND (A OR B)"
     assert render_concept(Not(And(a, b))) == "NOT (A AND B)"
     assert render_concept(Forall("r", Or(a, b))) == "FORALL r . (A OR B)"
     assert render_concept(Exists("r", Not(a))) == "EXISTS r . NOT A"
@@ -391,7 +393,9 @@ def test_render_concept_matches_the_recursive_renderer_up_to_300_levels():
 def test_a_concept_1000_levels_deep_renders_in_every_message(fuzzy_kb):
     deep = _chain(1000)[-1]
     text = render_concept(deep)
-    # the chain's text, built level by level: only each OR under the next NOT is parenthesized
+    # the chain's text, built level by level in the parts' sorted order: an AND level's BOTTOM,
+    # EXISTS and FORALL parts keep theirs, an OR level's restriction (sort tag 4) goes before
+    # its AND part (tag 7), and only each OR under the next NOT is parenthesized
     leaves, expected = ["A", "TOP", "BOTTOM", "EXISTS m . GE 1 u"], "Z"
     for level in range(1000):
         leaf = leaves[level % 4]
@@ -399,7 +403,7 @@ def test_a_concept_1000_levels_deep_renders_in_every_message(fuzzy_kb):
             f"NOT ({expected})" if level else "NOT Z",
             f"EXISTS r . {expected}",
             f"{leaf} AND {expected} AND FORALL s . {leaf}",
-            f"{expected} OR {leaf}",
+            f"{leaf} OR {expected}",
         )[level % 4]
     assert text == expected and text.count("(") == 249
     node = DerivationNode("assertion", "x", deep, "lo", Fraction(1), ())
@@ -408,7 +412,7 @@ def test_a_concept_1000_levels_deep_renders_in_every_message(fuzzy_kb):
     assert text in format_conflict(Conflict("x", deep, Fraction(1), Fraction(0), explanation, explanation))
     with pytest.raises(FdlbError) as info:
         saturate(fuzzy_kb).interval("tab_1", deep)
-    assert str(info.value).startswith(f"concept '{render_concept(normalize(deep))}' is outside the saturated closure")
+    assert str(info.value).startswith(f"concept '{text}' is outside the saturated closure")
 
 
 def test_rendered_concepts_reparse(fuzzy_kb):
@@ -416,7 +420,30 @@ def test_rendered_concepts_reparse(fuzzy_kb):
     for gci in fuzzy_kb.gcis:
         for side in (gci.lhs, gci.rhs):
             result = parse_concept_text(render_concept(side), roles)
-            assert result.ok and result.concept == side
+            assert result.ok and result.concept is side
+    # generated expressions, nested and duplicated as built: the text names the very node
+    from kbgen import ROLES, random_concept
+
+    rng = random.Random(5)
+    exprs = [random_concept(rng, depth=4) for _ in range(2000)]
+    generated_roles = {decl.name: decl for decl in ROLES}
+    for expr in exprs:
+        assert parse_concept_text(render_concept(expr), generated_roles).concept is expr, expr
+    # an existing AND/OR built again from permuted, duplicated or nested parts is that node
+    nodes = dict.fromkeys(sub for expr in exprs for sub in model.sub_expressions(expr))
+    connectives = [node for node in nodes if isinstance(node, (And, Or))]
+    assert len(connectives) > 500
+    gc.disable()  # no collection may drop entries while the table is counted
+    try:
+        before = len(model._INTERNED)
+        for expr in connectives:
+            kind, parts = type(expr), list(expr.parts)
+            rng.shuffle(parts)
+            assert kind(*parts) is expr and kind(*parts, parts[0]) is expr
+            assert kind(expr, parts[-1]) is expr and kind(parts[0], expr, *parts) is expr
+        assert len(model._INTERNED) == before
+    finally:
+        gc.enable()
 
 
 # -- decimals

@@ -31,7 +31,6 @@ from fdlb.model import (
     dual,
     kb_equal,
     make_degree,
-    normalize,
     sort_key,
     sub_expressions,
 )
@@ -75,28 +74,29 @@ def test_predicate_evaluation_is_crisp(op, value, expected):
     assert pred.evaluate(Quantity(Fraction(value), "u")) == Fraction(expected)
 
 
-# -- normalization
+# -- normal form
 
 
-def test_normalize_flattens_sorts_dedupes():
+def test_constructors_flatten_sort_dedupe():
     a, b, c = Atom("A"), Atom("B"), Atom("C")
-    left = And(And(c, a), And(b, a))
-    right = And(a, And(b, c))
-    assert normalize(left) == normalize(right)
-    assert normalize(And(a, a)) == a
-    assert normalize(Or(b, Or(a, b))) == normalize(Or(a, b))
-    assert normalize(left) == And(a, b, c)  # one n-ary node
+    assert And(And(c, a), And(b, a)) is And(a, And(b, c)) is And(a, b, c)  # one n-ary node
+    assert And(c, a, b).parts == (a, b, c)
+    assert And(a, a) is a and Or(a) is a
+    assert Or(b, Or(a, b)) is Or(a, b)
+    assert Not(And(b, a)).body is And(a, b)
+    assert And().parts == () and And() is not Or()
 
 
-def test_normalize_keeps_and_or_apart():
+def test_constructors_keep_and_or_apart():
     a, b = Atom("A"), Atom("B")
-    assert normalize(And(a, b)) != normalize(Or(a, b))
+    assert And(a, b) is not Or(a, b)
+    assert And(a, Or(a, b)).parts == (a, Or(a, b))  # no absorption: only the same kind is lifted
 
 
-def test_normalize_no_double_negation_collapse():
+def test_constructors_keep_double_negation():
     # structural form only; the reasoner links NOT NOT A to NOT A itself
     a = Atom("A")
-    assert normalize(Not(Not(a))) == Not(Not(a))
+    assert Not(Not(a)).body is Not(a)
 
 
 def test_sort_key_total_on_distinct_shapes():
@@ -112,12 +112,10 @@ def test_normal_form_and_sort_key_are_set_once_per_node():
     expr = Atom("D")
     for _ in range(49):  # B AND (C OR (...)), 98 levels of parentheses
         expr = And(Atom("B"), Or(Atom("C"), expr))
-    assert normalize(expr) is expr  # built normalized: its normal form is itself
     inner = expr.parts[1]
     assert sort_key(expr) == (7, 2, (2, "B"), sort_key(inner))
     assert sort_key(expr)[3] is sort_key(inner)  # a node's key holds its children's keys, not copies
-    messy = And(Or(expr, Atom("C")), And(TOP, Or(Atom("C"), expr)))
-    assert normalize(messy) is And(TOP, Or(Atom("C"), expr))
+    assert And(Or(expr, Atom("C")), And(TOP, Or(Atom("C"), expr))) is And(TOP, Or(Atom("C"), expr))
     assert pickle.loads(pickle.dumps(expr)) is expr
 
 
@@ -127,14 +125,13 @@ def test_normal_form_and_sort_key_are_set_once_per_node():
 def test_equal_expressions_are_one_node():
     price = ConcretePredicate("<=", Quantity(Fraction(500), "EUR"))
     assert Exists("p", price) is Exists("p", ConcretePredicate("<=", Quantity(Fraction(500), "EUR")))
-    assert And(Atom("A"), Atom("B")) is not And(Atom("B"), Atom("A"))  # built as given; normalize sorts
-    assert normalize(And(Atom("A"), Atom("B"))) is normalize(And(Atom("B"), Atom("A")))
+    assert And(Atom("A"), Atom("B")) is And(Atom("B"), Atom("A"))  # built in normal form
     with pytest.raises(AttributeError):
         Atom("A").name = "B"
 
 
 def test_pickle_and_deepcopy_return_the_interned_node():
-    expr = normalize(And(Atom("A"), Exists("r", Or(Atom("B"), Not(Atom("C")))), Forall("s", TOP)))
+    expr = And(Atom("A"), Exists("r", Or(Atom("B"), Not(Atom("C")))), Forall("s", TOP))
     assert pickle.loads(pickle.dumps(expr)) is expr
     assert copy.deepcopy(expr) is expr and copy.copy(expr) is expr
     kb = build_kb(roles=_roles(),
@@ -182,7 +179,7 @@ def test_dual_keeps_negated_threshold_restrictions():
 
 
 def test_sub_expressions_covers_nested():
-    expr = normalize(And(Atom("A"), Exists("r", Or(Atom("B"), Not(Atom("C"))))))
+    expr = And(Atom("A"), Exists("r", Or(Atom("B"), Not(Atom("C")))))
     names = {e.name for e in sub_expressions(expr) if isinstance(e, Atom)}
     assert names == {"A", "B", "C"}
 
