@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from .decision import DecisionReport, UtilityBox, rank as rank_choices
@@ -281,6 +282,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
+@cache  # built on the first call, not at import, and reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="fdlb",

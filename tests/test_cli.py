@@ -362,6 +362,18 @@ def test_usage_error_is_exit_one(capsys):
     assert "usage" in captured.err
 
 
+def test_the_argument_parser_is_built_once_per_process(paths, capsys, monkeypatch):
+    import argparse
+
+    main(["rank"])
+    built, real = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", lambda *args, **kw: built.append(1) or real(*args, **kw))
+    assert main(["check", paths["crisp"]]) == 0
+    assert main(["rank"]) == 1
+    assert main(["explain", paths["crisp"], "-i", "tab_1", "-c", "Tablet"]) == 0
+    assert built == []
+
+
 # -- totality: mutated inputs give an exit code, never a traceback
 
 TOKEN = re.compile(r"#[^\n]*|\s+|[A-Za-z_][\w-]*|-?\d+(?:\.\d+)?|\S")
