@@ -9,7 +9,8 @@ Everything here is an immutable value; instances may be shared freely once
 constructed.  Concept expressions are interned and built in normal form:
 structurally equal ones, and ``And``/``Or`` nodes that differ only in the
 order, repetition or nesting of their parts, are one object, so equal means
-identical.  Every other record (here and in the other modules) is a
+identical; ``Not`` builds negation normal form, so a ``NOT`` stands only
+over an atom or a concrete restriction.  Every other record (here and in the other modules) is a
 :class:`typing.NamedTuple`: it is built positionally or by keyword,
 compares and hashes by value, pickles and copies, and refuses attribute
 assignment.  Being a tuple, a record also unpacks, and compares
@@ -177,9 +178,10 @@ class _Concept:
 
     Structurally equal expressions are one node, so ``==`` and ``hash`` are
     identity's and no dict or set lookup walks a tree.  Every node is in
-    normal form (see :class:`And`), as its children are.  ``_key`` (the
-    :func:`sort_key`) and ``_children`` (the concept nodes directly beneath)
-    are set at construction, ``_dual`` by the first :func:`dual` call.
+    normal form (see :class:`And` and :class:`Not`), as its children are.
+    ``_key`` (the :func:`sort_key`) and ``_children`` (the concept nodes
+    directly beneath) are set at construction, ``_dual`` (its ``Not``) by
+    the first ``Not`` of it, of its dual or of a node above either.
     Pickling and copying call the constructor, so they return the interned
     node.
     """
@@ -232,9 +234,36 @@ class Atom(_Concept):
 
 
 class Not(_Concept):
+    """Negation, built in negation normal form (NNF): ``Not(e)`` is the dual of ``e``.
+
+    A ``Not`` node exists only over an atom or a concrete restriction (a
+    threshold predicate has no complemented comparator, and the interval
+    semantics handles the outer negation exactly).  Any other body returns
+    its dual: ``AND``/``OR`` swap over their parts' duals, the quantifiers
+    swap over their body's dual, ``Not(TOP)`` is ``BOTTOM``, and ``Not`` of
+    a ``Not`` node is its body, so taking ``Not`` twice gives ``e`` back.
+    Each dual is built once: the duals it is built from are settled first,
+    on an explicit stack, and a node and its dual hold each other.
+    """
+
     __slots__ = _fields = ("body",)
     body: "ConceptExpression"
     _tag = 3
+
+    def __new__(cls, body: "ConceptExpression"):
+        stack = [body]
+        while stack:
+            node = stack[-1]
+            if node._dual is None:
+                missing = [c for c in node._children if c._dual is None]
+                if missing:
+                    stack += missing
+                    continue
+                dual = _dual_of(node)
+                object.__setattr__(node, "_dual", dual)
+                object.__setattr__(dual, "_dual", node)
+            stack.pop()
+        return body._dual
 
 
 class _Connective(_Concept):
@@ -335,49 +364,19 @@ def sub_expressions(expr: ConceptExpression, seen: set | None = None) -> Iterato
             stack += node._children
 
 
-def _is_literal(expr: ConceptExpression) -> bool:
-    return isinstance(expr, Atom) or (isinstance(expr, Exists) and isinstance(expr.target, ConcretePredicate))
-
-
-def _dual_inputs(node: ConceptExpression) -> tuple[ConceptExpression, ...]:
-    """The nodes whose duals ``node``'s dual is built from."""
-    body_dual = node.body._dual if isinstance(node, Not) and not _is_literal(node.body) else None
-    return node._children if body_dual is None else (body_dual,)
-
-
 def _dual_of(node: ConceptExpression) -> ConceptExpression:
-    # every node of _dual_inputs(node) has its dual
+    # every concept node beneath ``node`` has its dual
     if isinstance(node, (And, Or)):
         return (Or if isinstance(node, And) else And)(*(part._dual for part in node.parts))
     if isinstance(node, Forall):
         return Exists(node.role, node.body._dual)
-    if isinstance(node, Not):
-        return node.body if _is_literal(node.body) else node.body._dual._dual
-    if _is_literal(node):
-        return Not(node)
-    if isinstance(node, Exists):
+    if isinstance(node, Exists) and not isinstance(node.target, ConcretePredicate):
         return Forall(node.role, node.target._dual)
+    if isinstance(node, (Atom, Exists)):  # a literal: its NOT node
+        return _intern(Not, (node,), (Not, id(node)))
+    if isinstance(node, Not):
+        return node.body
     return BOTTOM if node is TOP else TOP
-
-
-def dual(expr: ConceptExpression) -> ConceptExpression:
-    """``NOT expr`` with negation pushed inward, in normal form as every node is; built once per node.
-
-    ``AND``/``OR`` swap over their parts' duals, and so do the quantifiers
-    over their body's dual.  An atom or a concrete restriction becomes its
-    ``NOT`` (a threshold predicate has no complemented comparator, and the
-    interval semantics handles the outer negation exactly), and that ``NOT``
-    becomes it again; any other ``NOT x`` becomes the dual of ``x``'s dual.
-    The duals a dual is built from are settled first, on an explicit stack.
-    """
-    stack = [expr]
-    while stack:
-        missing = [c for c in _dual_inputs(stack[-1]) if c._dual is None]
-        if missing:
-            stack += missing
-        elif (node := stack.pop())._dual is None:
-            object.__setattr__(node, "_dual", _dual_of(node))
-    return expr._dual
 
 
 # --------------------------------------------------------------------------
@@ -495,8 +494,7 @@ def _desugar(gci: FuzzyGci) -> FuzzyGci:
     # A degree-0 inclusion states the complement of the right side at degree 1.
     if gci.degree != ZERO:
         return gci
-    rhs = gci.rhs.body if isinstance(gci.rhs, Not) else Not(gci.rhs)
-    return FuzzyGci(gci.lhs, rhs, ONE)
+    return FuzzyGci(gci.lhs, Not(gci.rhs), ONE)
 
 
 def build_kb(

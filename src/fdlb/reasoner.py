@@ -7,15 +7,20 @@ monotone), every rule is sound under min/max/complement semantics with
 graded inclusions read as ``max(1 - lhs(x), rhs(x)) >= degree``, and the
 result is the least fixpoint — independent of statement order.
 
-Rules, by the name recorded on each derivation:
+Only lower bounds are derived.  Under min/max/``1 - x`` semantics the
+upper bound of an expression is one minus the lower bound of its ``NOT``
+(its dual, in negation normal form), so ``hi(e) = 1 - lo(NOT e)``, and a
+clash is ``lo(e) + lo(NOT e) > 1``.  Rules, by the name recorded on each
+derivation:
 
-* ``top`` / ``bottom`` — the universal and empty classes are pinned.
+* ``top`` — the universal class is pinned at 1, and so the empty class,
+  its dual, at 0.
 * ``assertion`` — an asserted membership is a lower bound.
-* ``concrete`` — a known quantity decides a threshold restriction crisply.
-* ``negation`` — bounds mirror between an expression and its complement.
-* ``conj-up`` / ``conj-hi`` / ``conj-down`` — a conjunction sits at the
-  minimum of its conjuncts; its lower bound passes down to each conjunct.
-* ``disj-up`` / ``disj-hi`` — a disjunction sits at the maximum of its
+* ``concrete`` — a known quantity decides a threshold restriction crisply:
+  the restriction is raised to 1 when it holds, its ``NOT`` when it fails.
+* ``conj-up`` / ``conj-down`` — a conjunction sits at least at the minimum
+  of its conjuncts; its lower bound passes down to each conjunct.
+* ``disj-up`` — a disjunction sits at least at the maximum of its
   disjuncts.
 * ``exists-up`` — a named filler witnesses an existential from below.
 * ``forall-down`` — a value restriction's lower bound passes to fillers.
@@ -24,42 +29,53 @@ Rules, by the name recorded on each derivation:
 * ``gci`` — from ``max(1 - C(x), D(x)) >= t``: once ``C(x)`` is known to
   exceed ``1 - t``, ``D(x) >= t`` follows.
 * ``disjoint`` — an inclusion with an empty right side caps its left side
-  at ``1 - t``; for a conjunctive left side, once all but one conjunct
-  exceed ``1 - t``, the remaining one is capped.
+  at ``1 - t``, by raising the left side's ``NOT`` to ``t``; for a
+  conjunctive left side, once all but one conjunct exceed ``1 - t``, the
+  remaining one is capped.
+
+On the dual, each rule also bounds from above: ``disj-up`` on ``NOT A OR
+NOT B`` caps ``A AND B`` at the least of its conjuncts' caps, ``conj-up``
+on a dual caps a disjunction at the greatest, ``conj-down`` on a dual caps
+each disjunct of a capped disjunction, ``exists-up`` on ``EXISTS r . NOT
+C`` caps ``FORALL r . C`` at the least cap of a filler, ``forall-down`` on
+``FORALL r . NOT C`` caps each filler's ``C`` at the cap of ``EXISTS r .
+C``, and ``forall-up`` on a closed role caps ``EXISTS r . C`` at the
+greatest cap of a filler (0 when there is none).
 
 Inclusions never propagate right-to-left (no contrapositive rule): what the
 knowledge base does not determine stays at the vacuous interval [0, 1]
 rather than being guessed.
 
 Closure: the pinned classes, the axiom sides and asserted concepts, and all
-they reach through subexpressions and duals (:func:`~fdlb.model.dual`, the
-negation normal form of the complement).  Expressions are interned and
-built in normal form, so building it is one worklist of identity lookups,
-and a query names its closure row as it is given.
+they reach through subexpressions and ``NOT`` (:class:`~fdlb.model.Not`
+builds negation normal form, so ``NOT`` of any closure expression is its
+dual, and the dual of that is the expression again).  Expressions are
+interned and built in normal form, so building it is one worklist of
+identity lookups, and a query names its closure row as it is given.
 
 Bound storage: closure expression ``x`` and individual ``i`` (in
 ``kb.individuals`` order) own the bound ``b = x * n + i``, ``n`` being the
-number of individuals, held in two flat integer lists ``lo[b]``/``hi[b]``
-as degrees scaled by ``L``, the least common denominator of the base's
-asserted and inclusion degrees.  Saturation only reaches 0, 1, those
-degrees and their complements, so every bound is an exact integer and
-``1 - x`` is ``L - v``.  Rules are triggered through indexes by expression
-id, and the worklist holds the signed bound ``s``: ``b`` for a raised
-lower bound and ``~b`` for a lowered upper one.  Each improvement
-overwrites one compact record under its signed bound — rule, scaled value,
-premises as signed bounds, source, note and step number.
-:class:`SaturatedKb` keeps both lists and the records, and builds a
-:class:`DegreeInterval` only when a query first returns its pair of
-bounds and a :class:`DerivationNode`, with its exact
-:class:`~fractions.Fraction` value, only when an explanation, a conflict
-or ``_derivations`` reads it.
+number of individuals, held in one flat integer list ``lo[b]`` as degrees
+scaled by ``L``, the least common denominator of the base's asserted and
+inclusion degrees.  Saturation only reaches 0, 1, those degrees and their
+complements, so every bound is an exact integer and ``1 - x`` is ``L -
+v``.  ``dual_rows[x]`` is the row of ``NOT closure[x]``, so the upper
+bound of ``b`` is ``L - lo[dual_rows[x] + i]``.  Rules are triggered
+through indexes by expression id, and the worklist holds the bounds that
+rose.  Each improvement overwrites one compact record under its bound —
+rule, scaled value, premises as bounds, source, note and step number; that
+record also explains the upper bound of the dual.  :class:`SaturatedKb`
+keeps the list and the records, and builds a :class:`DegreeInterval` only
+when a query first returns its pair of bounds and a
+:class:`DerivationNode`, with its exact :class:`~fractions.Fraction`
+value, only when an explanation, a conflict or ``_derivations`` reads it.
 
 Extensions: a query on an expression outside the closure grows the
 saturation in place instead of re-running it.  The closure expressions the
 query adds are numbered after the old ones, so every old bound, record and
 premise keeps its number; they get index entries and seeds of their own,
-the old bounds that trigger a rule concluding a new expression are queued
-again, and the worklist runs from the old fixpoint to the new one.  The
+the old lower bounds that trigger a rule concluding a new expression are
+queued again, and the worklist runs from the old fixpoint to the new one.  The
 rules are monotone and the old bounds lie below the least fixpoint of the
 larger rule set, so the bounds equal those of a fresh saturation of the
 base with every query so far asserted at degree 0, in any order (the
@@ -97,7 +113,6 @@ from .model import (
     Or,
     TOP,
     check_concept_roles,
-    dual,
     sort_key,
     sub_expressions,
 )
@@ -193,10 +208,10 @@ def build_closure(kb: KnowledgeBase) -> tuple[ConceptExpression, ...]:
 def _close(todo: list[ConceptExpression], seen: set[ConceptExpression]) -> set[ConceptExpression]:
     """Add to ``seen``, a closed set, all that ``todo`` reaches through subexpressions and duals.
 
-    One worklist: each expression not seen yet is walked once, and its dual queued.  Returns ``seen``.
+    One worklist: each expression not seen yet is walked once, and its ``NOT`` queued.  Returns ``seen``.
     """
     while todo:
-        todo += map(dual, sub_expressions(todo.pop(), seen))
+        todo += map(Not, sub_expressions(todo.pop(), seen))
     return seen
 
 
@@ -219,16 +234,15 @@ class _Saturation:
         self.fractions = {v: Fraction(v, scale) for v in chain((0, scale), levels, (scale - v for v in levels))}
         # (lo, hi) scaled -> its DegreeInterval, built on the first query that returns it
         self.intervals = {(0, scale): FULL_INTERVAL}
-        # signed bound -> (rule, scaled value, signed premises, source, note, step) of its latest improvement
+        # bound -> (rule, scaled value, premises, source, note, step) of its latest improvement
         self.records: dict[int, tuple] = {}
-        self.queue: deque[int] = deque()  # b: lo[b] rose; ~b: hi[b] fell
+        self.queue: deque[int] = deque()  # bounds whose lower bound rose
         self.step = 0
         self._index_roles()
         self.closure: tuple[ConceptExpression, ...] = ()
         self.expr_ids: dict[ConceptExpression, int] = {}
         self.lo: list[int] = []
-        self.hi: list[int] = []
-        self.neg_partners: list[list[int]] = []
+        self.dual_rows: list[int] = []  # x -> the row of NOT closure[x]
         self.conj_parents: list[list[tuple[int, tuple[int, ...]]]] = []
         self.disj_parents: list[list[tuple[int, tuple[int, ...]]]] = []
         self.conj_down: list[tuple[int, ...]] = []
@@ -241,7 +255,8 @@ class _Saturation:
         self.quantified: set[int] = set()
         # gci: (inclusion, scaled cap = 1 - degree, rhs row, scaled degree)
         self.gcis_by_lhs: list[list[tuple[FuzzyGci, int, int, int]]] = []
-        self.bottom_by_conjunct: list[list[tuple[FuzzyGci, int, tuple[int, ...]]]] = []
+        # disjoint: (inclusion, cap, conjunct rows, their dual rows)
+        self.bottom_by_conjunct: list[list[tuple[FuzzyGci, int, tuple[int, ...], tuple[int, ...]]]] = []
         self._add_expressions(build_closure(kb))
         self._index_gcis()
 
@@ -277,20 +292,15 @@ class _Saturation:
         ids = self.expr_ids
         ids.update(zip(exprs, new))
         self.lo += [0] * (n * len(new))
-        self.hi += [self.scale] * (n * len(new))
-        for table in (self.neg_partners, self.conj_parents, self.disj_parents, self.gcis_by_lhs, self.bottom_by_conjunct):
+        self.dual_rows += [ids[Not(e)] * n for e in exprs]
+        for table in (self.conj_parents, self.disj_parents, self.gcis_by_lhs, self.bottom_by_conjunct):
             table += ([] for _ in new)
         self.conj_down += [()] * len(new)
         self.forall_down += [None] * len(new)
         triggers: set[int] = set()
         for x in new:
             e, row = self.closure[x], x * n
-            if isinstance(e, Not):
-                body = ids[e.body]
-                self.neg_partners[body].append(row)
-                self.neg_partners[x].append(body * n)
-                triggers.add(body)
-            elif isinstance(e, (And, Or)):
+            if isinstance(e, (And, Or)):
                 parts = tuple(ids[c] for c in e.parts)
                 rows = tuple(c * n for c in parts)
                 parents = self.conj_parents if isinstance(e, And) else self.disj_parents
@@ -325,19 +335,23 @@ class _Saturation:
             if gci.rhs == BOTTOM:
                 if isinstance(gci.lhs, And):
                     parts = [ids[c] for c in gci.lhs.parts]
-                    rows = tuple(c * n for c in parts)
-                    for c in set(parts):
-                        self.bottom_by_conjunct[c].append((gci, cap, rows))
+                    entry = (gci, cap, tuple(c * n for c in parts), tuple(self.dual_rows[c] for c in parts))
+                    for c in parts:
+                        self.bottom_by_conjunct[c].append(entry)
                 else:
-                    self.bottom_simple.append((gci, cap))
+                    self.bottom_simple.append((gci, degree))
             else:
                 self.gcis_by_lhs[ids[gci.lhs]].append((gci, cap, ids[gci.rhs] * n, degree))
 
     # -- bound updates
 
+    def dual_bound(self, b: int) -> int:
+        """The bound of the same individual in the dual expression."""
+        x, a = divmod(b, self.n)
+        return self.dual_rows[x] + a
+
     def _conflict(self, b: int) -> Conflict:
-        # The losing side's current bound must itself be derived: a default
-        # bound (0 or 1) can never be crossed by a value inside [0, 1].
+        # lo(e) + lo(NOT e) > 1 holds only when both bounds rose, so both have records
         x, a = divmod(b, self.n)
         ind, expr = self.names[a], self.closure[x]
         derivations = _Derivations(self)
@@ -352,22 +366,11 @@ class _Saturation:
             return
         self.step += 1
         self.records[b] = (rule, value, premises, source, note, self.step)
-        if value > self.hi[b]:
-            raise InconsistencyError(self._conflict(b))
+        d = self.dual_bound(b)
+        if value + self.lo[d] > self.scale:  # reported on whichever of the pair comes first in the closure
+            raise InconsistencyError(self._conflict(min(b, d)))
         self.lo[b] = value
         self.queue.append(b)
-
-    def set_hi(
-        self, b: int, value: int, rule: str, premises: tuple[int, ...], source: object | None = None, note: str = ""
-    ) -> None:
-        if value >= self.hi[b]:
-            return
-        self.step += 1
-        self.records[~b] = (rule, value, premises, source, note, self.step)
-        if value < self.lo[b]:
-            raise InconsistencyError(self._conflict(b))
-        self.hi[b] = value
-        self.queue.append(~b)
 
     # -- seeds
 
@@ -379,10 +382,9 @@ class _Saturation:
         """
         n, scale, ids = self.n, self.scale, self.expr_ids
         if not first:
-            top, bottom = ids[TOP] * n, ids[BOTTOM] * n
+            top = ids[TOP] * n
             for a in range(n):
                 self.set_lo(top + a, scale, "top", ())
-                self.set_hi(bottom + a, 0, "bottom", ())
             for fa in self.kb.assertions:
                 b = ids[fa.concept] * n + self.individual_ids[fa.individual]
                 self.set_lo(b, fa.degree.numerator * (scale // fa.degree.denominator), "assertion", (), source=fa)
@@ -392,15 +394,13 @@ class _Saturation:
             node = self.closure[x]
             for a, cf in self.values_by_role.get(node.role, ()):
                 hit = node.target.evaluate(cf.value)  # type: ignore[union-attr]
-                if hit == ONE:
-                    self.set_lo(x * n + a, scale, "concrete", (), source=cf)
-                else:
-                    self.set_hi(x * n + a, 0, "concrete", (), source=cf)
+                row = x * n if hit == ONE else self.dual_rows[x]
+                self.set_lo(row + a, scale, "concrete", (), source=cf)
         if not first:
-            for gci, cap in self.bottom_simple:
-                lhs = ids[gci.lhs] * n
+            for gci, degree in self.bottom_simple:
+                capped = self.dual_rows[ids[gci.lhs]]
                 for a in range(n):
-                    self.set_hi(lhs + a, cap, "disjoint", (), source=gci)
+                    self.set_lo(capped + a, degree, "disjoint", (), source=gci)
         for role, nodes in self.closed_foralls.items():
             for x in nodes:
                 if x < first:
@@ -413,7 +413,7 @@ class _Saturation:
     #
     # Each rule below first checks whether its candidate can improve the
     # bound it targets and only then builds premises and a witness: most
-    # firings improve nothing, and set_lo/set_hi would drop them anyway.
+    # firings improve nothing, and set_lo would drop them anyway.
 
     def run(self) -> "_Saturation":
         self.seed()
@@ -427,35 +427,25 @@ class _Saturation:
         :class:`InconsistencyError` on a clash, leaving the engine part-way.
         """
         new = _close([e], set(self.expr_ids)).difference(self.expr_ids)
-        first, n, scale = len(self.closure), self.n, self.scale
+        first, n = len(self.closure), self.n
         triggers = self._add_expressions(sorted(new, key=sort_key))
         self.seed(first)
-        lo, hi, queue = self.lo, self.hi, self.queue
-        # a bound still at its default (0 below, 1 above) moves no rule's conclusion
+        lo = self.lo
+        # a lower bound still at its default 0 moves no rule's conclusion
         for x in sorted(t for t in triggers if t < first):
-            for b in range(x * n, x * n + n):
-                if lo[b]:
-                    queue.append(b)
-                if hi[b] != scale:
-                    queue.append(~b)
+            self.queue.extend(b for b in range(x * n, x * n + n) if lo[b])
         self.propagate()
 
     def propagate(self) -> None:
         queue = self.queue
         while queue:
-            b = queue.popleft()
-            if b >= 0:
-                self._lo_changed(b)
-            else:
-                self._hi_changed(~b)
+            self._lo_changed(queue.popleft())
 
     def _lo_changed(self, b: int) -> None:
         x, a = divmod(b, self.n)
         lo = self.lo
         value = lo[b]
         premise = (b,)
-        for partner in self.neg_partners[x]:
-            self.set_hi(partner + a, self.scale - value, "negation", premise)
         for parent, parts in self.conj_parents[x]:
             current = lo[parent + a]
             if value <= current:
@@ -479,8 +469,8 @@ class _Saturation:
         for gci, cap, rhs, degree in self.gcis_by_lhs[x]:
             if lo[b] > cap:  # live: an inclusion of e into itself raises it
                 self.set_lo(rhs + a, degree, "gci", premise, source=gci)
-        for gci, cap, parts in self.bottom_by_conjunct[x]:
-            self._apply_disjoint(a, gci, cap, parts)
+        for gci, cap, parts, duals in self.bottom_by_conjunct[x]:
+            self._apply_disjoint(a, gci, cap, parts, duals)
 
     def _quantifiers_up(self, a: int, x: int, value: int) -> None:
         # individual a's lower bound in expression x rose: revisit the
@@ -510,37 +500,19 @@ class _Saturation:
                         note="closed role: the listed fillers are all fillers",
                     )
 
-    def _apply_disjoint(self, a: int, gci: FuzzyGci, cap: int, parts: tuple[int, ...]) -> None:
-        # A conjunct is capped once every other conjunct exceeds the cap.
+    def _apply_disjoint(self, a: int, gci: FuzzyGci, cap: int, parts: tuple[int, ...], duals: tuple[int, ...]) -> None:
+        # A conjunct is capped (its dual raised to 1 - cap) once every other conjunct exceeds the cap.
+        degree = self.scale - cap
         above = [self.lo[c + a] > cap for c in parts]
         below = above.count(False)
         if below > 1:
             return
-        for j, cj in enumerate(parts):
+        for j, dual in enumerate(duals):
             if below == 1 and above[j]:
                 continue
-            if cap < self.hi[cj + a]:
+            if degree > self.lo[dual + a]:
                 others = parts[:j] + parts[j + 1 :]
-                self.set_hi(cj + a, cap, "disjoint", tuple(c + a for c in others), source=gci)
-
-    def _hi_changed(self, b: int) -> None:
-        x, a = divmod(b, self.n)
-        hi = self.hi
-        value = hi[b]
-        for partner in self.neg_partners[x]:
-            self.set_lo(partner + a, self.scale - value, "negation", (~b,))
-        for parent, parts in self.conj_parents[x]:
-            candidate = min(hi[c + a] for c in parts)
-            if candidate < hi[parent + a]:
-                witness = next(c for c in parts if hi[c + a] == candidate)
-                self.set_hi(parent + a, candidate, "conj-hi", (~(witness + a),))
-        for parent, parts in self.disj_parents[x]:
-            current = hi[parent + a]
-            if value >= current:
-                continue  # the maximum over the parts is at least value
-            candidate = max(hi[c + a] for c in parts)
-            if candidate < current:
-                self.set_hi(parent + a, candidate, "disj-hi", tuple(~(c + a) for c in parts))
+                self.set_lo(dual + a, degree, "disjoint", tuple(c + a for c in others), source=gci)
 
 
 # --------------------------------------------------------------------------
@@ -555,11 +527,12 @@ class SaturatedKb:
     docstring): ``closure``, :meth:`interval_map` and :meth:`interval` then
     include the query's expressions, and the engine's step numbers continue.
     Closure expression ``x`` and individual ``i`` (in ``kb.individuals``
-    order) own the bound ``b = x * n + i``, whose scaled degrees ``lo[b]``
-    and ``hi[b]`` become a :class:`DegreeInterval` on demand, one per
-    distinct pair, kept by the engine.  ``_derivations`` reads the compact
-    record of each improved bound by ``(individual, expression, side)`` and
-    builds its :class:`DerivationNode` on first read.  A clash found while
+    order) own the bound ``b = x * n + i``, whose scaled lower bound
+    ``lo[b]`` and upper bound (one minus the lower bound of the dual) become
+    a :class:`DegreeInterval` on demand, one per distinct pair, kept by the
+    engine.  ``_derivations`` reads the compact record of each improved
+    bound by ``(individual, expression, side)``, an upper bound through its
+    dual's record, and builds its :class:`DerivationNode` on first read.  A clash found while
     growing is kept in ``_clash`` and raised again by every later query.
     Equality is identity.
     """
@@ -608,12 +581,12 @@ class SaturatedKb:
 
     def interval_map(self) -> dict[tuple[str, ConceptExpression], DegreeInterval]:
         """All non-vacuous entailed intervals, keyed by (individual, expression)."""
-        n, lo, hi, scale = self._engine.n, self._engine.lo, self._engine.hi, self._engine.scale
+        n, lo, dual_rows = self._engine.n, self._engine.lo, self._engine.dual_rows
         return {
             (name, expr): self._interval(x * n + i)
             for i, name in enumerate(self.kb.individuals)
             for x, expr in enumerate(self.closure)
-            if lo[x * n + i] or hi[x * n + i] != scale
+            if lo[x * n + i] or lo[dual_rows[x] + i]
         }
 
     def explain(self, individual: str, expr: ConceptExpression, kind: Bound = "lo") -> Explanation:
@@ -648,7 +621,7 @@ class SaturatedKb:
 
     def _interval(self, b: int) -> DegreeInterval:
         engine = self._engine
-        lo, hi = engine.lo[b], engine.hi[b]
+        lo, hi = engine.lo[b], engine.scale - engine.lo[engine.dual_bound(b)]
         interval = engine.intervals.get((lo, hi))
         if interval is None:
             interval = engine.intervals[lo, hi] = DegreeInterval(engine.fractions[lo], engine.fractions[hi])
@@ -666,8 +639,11 @@ class SaturatedKb:
 class _Derivations(Mapping[Key, DerivationNode]):
     """A saturation's records read as derivation nodes, by (individual, expression, side).
 
-    A record becomes a :class:`DerivationNode` on its first read, and that
-    node is kept.  Iteration follows the order bounds were first improved.
+    Each record is a lower bound, and also the upper bound ``1 - v`` of the
+    same individual in the dual expression: that node carries the record's
+    rule, source and premises.  A record becomes a :class:`DerivationNode`
+    on its first read, and that node is kept.  Iteration follows the order
+    bounds were first improved, each record's lower bound before its upper.
     """
 
     def __init__(self, engine: _Saturation):
@@ -676,6 +652,7 @@ class _Derivations(Mapping[Key, DerivationNode]):
         self._nodes: dict[int, DerivationNode] = {}
 
     def _signed(self, key: object) -> int | None:
+        """``b`` for the lower bound ``b``; ``~b`` for its upper bound, held by the record of the dual bound."""
         if not (isinstance(key, tuple) and len(key) == 3):
             return None
         individual, expr, kind = key
@@ -691,22 +668,26 @@ class _Derivations(Mapping[Key, DerivationNode]):
 
     def __getitem__(self, key: Key) -> DerivationNode:
         s = self._signed(key)
-        records = self._engine.records
-        if s not in records:
+        engine = self._engine
+        record = None if s is None else engine.records.get(s if s >= 0 else engine.dual_bound(~s))
+        if record is None:
             raise KeyError(key)
         node = self._nodes.get(s)
         if node is None:
-            rule, value, premises, source, note, step = records[s]
+            rule, value, premises, source, note, step = record
+            value = engine.fractions[value if s >= 0 else engine.scale - value]
             node = self._nodes[s] = DerivationNode(
-                rule, *self._key(s), self._engine.fractions[value], tuple(map(self._key, premises)), source, note, step
+                rule, *self._key(s), value, tuple(map(self._key, premises)), source, note, step
             )
         return node
 
     def __iter__(self) -> Iterator[Key]:
-        return map(self._key, self._engine.records)
+        for b in self._engine.records:
+            yield self._key(b)
+            yield self._key(~self._engine.dual_bound(b))
 
     def __len__(self) -> int:
-        return len(self._engine.records)
+        return 2 * len(self._engine.records)
 
 
 def _describe(expr: ConceptExpression) -> str:

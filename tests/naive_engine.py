@@ -6,10 +6,12 @@ until nothing moves.  No worklist, no indexes, no provenance.  The package
 engine and this one share only the closure definition and the expression
 types, which are built in normal form; the rule logic here is written
 directly from the min/max/complement semantics so the two can check each
-other.
+other.  Where the package keeps one lower bound per dual pair, this table
+keeps both bounds of every expression and links each to its ``NOT``.
 
-:func:`to_negation_normal_form` is the recursive tree rewrite that
-``fdlb.model.dual`` replaced; it stays here as that function's reference.
+:func:`negate` pushes a negation inward by recursion over the expression;
+it is the reference for ``fdlb.model.Not``, which builds the same negation
+normal form on an explicit stack.
 """
 
 from fractions import Fraction
@@ -40,40 +42,26 @@ class Inconsistent(Exception):
     pass
 
 
-def to_negation_normal_form(expr):
-    """Push negation inward (De Morgan, quantifier duals, involution).
+def negate(expr):
+    """``NOT expr`` in negation normal form, built with ``Not`` only over atoms and concrete restrictions.
 
-    Negation directly above a concrete restriction stays put: threshold
-    predicates have no complemented comparator form, and the interval
-    semantics handles the outer negation exactly.
+    De Morgan over ``AND``/``OR``, quantifier duals, ``NOT NOT x`` is ``x``,
+    and ``TOP``/``BOTTOM`` swap.  Negation directly above a concrete
+    restriction stays put: threshold predicates have no complemented
+    comparator form, and the interval semantics handles the outer negation
+    exactly.
     """
-    if isinstance(expr, (Top, Bottom, Atom)):
-        return expr
+    if isinstance(expr, (Top, Bottom)):
+        return BOTTOM if isinstance(expr, Top) else TOP
+    if isinstance(expr, Atom) or (isinstance(expr, Exists) and isinstance(expr.target, ConcretePredicate)):
+        return Not(expr)
+    if isinstance(expr, Not):
+        return expr.body
     if isinstance(expr, (And, Or)):
-        return type(expr)(*map(to_negation_normal_form, expr.parts))
+        return (Or if isinstance(expr, And) else And)(*map(negate, expr.parts))
     if isinstance(expr, Exists):
-        if isinstance(expr.target, ConcretePredicate):
-            return expr
-        return Exists(expr.role, to_negation_normal_form(expr.target))
-    if isinstance(expr, Forall):
-        return Forall(expr.role, to_negation_normal_form(expr.body))
-    body = expr.body  # a Not
-    if isinstance(body, Top):
-        return BOTTOM
-    if isinstance(body, Bottom):
-        return TOP
-    if isinstance(body, Atom):
-        return expr
-    if isinstance(body, Not):
-        return to_negation_normal_form(body.body)
-    if isinstance(body, (And, Or)):
-        dual = Or if isinstance(body, And) else And
-        return dual(*(to_negation_normal_form(Not(c)) for c in body.parts))
-    if isinstance(body, Exists):
-        if isinstance(body.target, ConcretePredicate):
-            return expr  # negation retained above the concrete restriction
-        return Forall(body.role, to_negation_normal_form(Not(body.target)))
-    return Exists(body.role, to_negation_normal_form(Not(body.body)))  # a Forall
+        return Forall(expr.role, negate(expr.target))
+    return Exists(expr.role, negate(expr.body))  # a Forall
 
 
 def with_queries(kb, queries):
@@ -139,12 +127,10 @@ class NaiveEngine:
             changed |= self._tlo(fa.individual, fa.concept, fa.degree)
         for a in self.individuals:
             for e in self.closure:
-                if isinstance(e, Not):
-                    changed |= self._tlo(a, e, ONE - hi[(a, e.body)])
-                    changed |= self._thi(a, e, ONE - lo[(a, e.body)])
-                    changed |= self._tlo(a, e.body, ONE - hi[(a, e)])
-                    changed |= self._thi(a, e.body, ONE - lo[(a, e)])
-                elif isinstance(e, And):
+                complement = Not(e)
+                changed |= self._thi(a, e, ONE - lo[(a, complement)])
+                changed |= self._tlo(a, e, ONE - hi[(a, complement)])
+                if isinstance(e, And):
                     parts = e.parts
                     changed |= self._tlo(a, e, min(lo[(a, c)] for c in parts))
                     changed |= self._thi(a, e, min(hi[(a, c)] for c in parts))

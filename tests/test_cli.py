@@ -196,6 +196,22 @@ def test_rank_inconsistent_kb(paths, capsys):
     assert "inconsistent" in err
 
 
+def test_an_existential_over_a_closed_role_without_fillers_clashes(tmp_path, capsys):
+    # s is closed and y has no s-filler, so EXISTS s . C is 0 at y: its upper
+    # bound is forall-up on the dual FORALL s . NOT C
+    kb = tmp_path / "closed.fdlb"
+    kb.write_text("role s : abstract closed;\nassert y : EXISTS s . C @ 0.75;\nassert x : B;\n")
+    code, out, _ = run(capsys, "check", str(kb))
+    assert code == 2
+    assert out == (
+        "conflict on 'y' in EXISTS s . C: membership forced >= 0.75 and <= 0\n"
+        "lower bound:\n"
+        "  lo(y, EXISTS s . C) >= 0.75   [assertion; assert y : EXISTS s . C @ 0.75;]\n"
+        "upper bound:\n"
+        "  hi(y, EXISTS s . C) <= 0   [forall-up; closed role with no fillers]\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["rank", "complete"])
 def test_clash_found_by_an_extension_exits_two(command, paths, tmp_path, capsys, monkeypatch):
     # a query outside the closure grows the saturation; a clash found there is the

@@ -350,9 +350,16 @@ def test_render_concept_minimal_parens():
     # the constructors sort an atom before an AND or OR
     assert render_concept(Or(And(a, b), c)) == "C OR A AND B"
     assert render_concept(And(Or(a, b), c)) == "C AND (A OR B)"
-    assert render_concept(Not(And(a, b))) == "NOT (A AND B)"
+    assert render_concept(Not(And(a, b))) == "NOT A OR NOT B"  # built in negation normal form
     assert render_concept(Forall("r", Or(a, b))) == "FORALL r . (A OR B)"
     assert render_concept(Exists("r", Not(a))) == "EXISTS r . NOT A"
+
+
+def test_not_over_a_compound_concept_parses_to_its_negation_normal_form():
+    a, b = Atom("A"), Atom("B")
+    assert parse_concept_text("NOT (A AND B)").concept is Or(Not(a), Not(b))
+    assert parse_concept_text("NOT NOT A").concept is a
+    assert parse_concept_text("NOT BOTTOM").concept is TOP
 
 
 def _render_recursively(expr, minimum=0):
@@ -393,19 +400,23 @@ def test_render_concept_matches_the_recursive_renderer_up_to_300_levels():
 def test_a_concept_1000_levels_deep_renders_in_every_message(fuzzy_kb):
     deep = _chain(1000)[-1]
     text = render_concept(deep)
-    # the chain's text, built level by level in the parts' sorted order: an AND level's BOTTOM,
-    # EXISTS and FORALL parts keep theirs, an OR level's restriction (sort tag 4) goes before
-    # its AND part (tag 7), and only each OR under the next NOT is parenthesized
-    leaves, expected = ["A", "TOP", "BOTTOM", "EXISTS m . GE 1 u"], "Z"
+    # the chain's text and its negation's, built level by level in the parts' sorted order: a NOT
+    # level swaps them, an AND level's BOTTOM, EXISTS and FORALL parts keep their order and its
+    # dual OR puts EXISTS s . TOP (sort tag 5) before the FORALL (tag 6), an OR level's
+    # restriction (tag 4) goes before its AND part (tag 7) and the dual AND's NOT (tag 3) before
+    # its OR part, and a quantifier over an AND or OR (every one past the first) parenthesizes it
+    expected, negated = "Z", "NOT Z"
     for level in range(1000):
-        leaf = leaves[level % 4]
-        expected = (
-            f"NOT ({expected})" if level else "NOT Z",
-            f"EXISTS r . {expected}",
-            f"{leaf} AND {expected} AND FORALL s . {leaf}",
-            f"{leaf} OR {expected}",
-        )[level % 4]
-    assert text == expected and text.count("(") == 249
+        if level % 4 == 0:
+            expected, negated = negated, expected
+        elif level % 4 == 1:
+            wrap = "({})" if level > 1 else "{}"
+            expected, negated = f"EXISTS r . {wrap.format(expected)}", f"FORALL r . {wrap.format(negated)}"
+        elif level % 4 == 2:
+            expected, negated = f"BOTTOM AND {expected} AND FORALL s . BOTTOM", f"TOP OR EXISTS s . TOP OR {negated}"
+        else:
+            expected, negated = f"EXISTS m . GE 1 u OR {expected}", f"NOT EXISTS m . GE 1 u AND ({negated})"
+    assert text == expected and text.count("(") == 374
     node = DerivationNode("assertion", "x", deep, "lo", Fraction(1), ())
     explanation = Explanation("x", deep, "lo", Fraction(1), (node,))
     assert format_explanation(explanation) == f"lo(x, {text}) >= 1   [assertion]"

@@ -28,7 +28,6 @@ from fdlb.model import (
     TOP,
     UnitMismatchError,
     build_kb,
-    dual,
     kb_equal,
     make_degree,
     sort_key,
@@ -83,7 +82,7 @@ def test_constructors_flatten_sort_dedupe():
     assert And(c, a, b).parts == (a, b, c)
     assert And(a, a) is a and Or(a) is a
     assert Or(b, Or(a, b)) is Or(a, b)
-    assert Not(And(b, a)).body is And(a, b)
+    assert Not(And(b, a)) is Or(Not(a), Not(b))  # negation normal form
     assert And().parts == () and And() is not Or()
 
 
@@ -94,9 +93,9 @@ def test_constructors_keep_and_or_apart():
 
 
 def test_constructors_keep_double_negation():
-    # structural form only; the reasoner links NOT NOT A to NOT A itself
+    # NOT of a NOT node is its body: NOT NOT A is A itself
     a = Atom("A")
-    assert Not(Not(a)).body is Not(a)
+    assert Not(Not(a)) is a
 
 
 def test_sort_key_total_on_distinct_shapes():
@@ -163,19 +162,33 @@ def test_the_table_drops_nodes_nothing_else_holds():
 
 def test_dual_de_morgan_and_quantifiers():
     a, b, c = Atom("A"), Atom("B"), Atom("C")
-    assert dual(And(a, b)) is Or(Not(a), Not(b))
-    assert dual(Or(a, b)) is And(Not(a), Not(b))
-    assert dual(And(a, b, c)) is Or(Not(a), Not(b), Not(c))
-    assert dual(Exists("r", a)) is Forall("r", Not(a))
-    assert dual(Forall("r", a)) is Exists("r", Not(a))
-    assert dual(Not(a)) is a
-    assert dual(TOP) is BOTTOM
+    assert Not(And(a, b)) is Or(Not(a), Not(b))
+    assert Not(Or(a, b)) is And(Not(a), Not(b))
+    assert Not(And(a, b, c)) is Or(Not(a), Not(b), Not(c))
+    assert Not(Exists("r", a)) is Forall("r", Not(a))
+    assert Not(Forall("r", a)) is Exists("r", Not(a))
+    assert Not(Not(a)) is a
+    assert Not(TOP) is BOTTOM and Not(BOTTOM) is TOP
 
 
 def test_dual_keeps_negated_threshold_restrictions():
     restriction = Exists("m", ConcretePredicate("<=", Quantity(Fraction(900), "g")))
-    assert dual(restriction) is Not(restriction)
-    assert dual(Not(restriction)) is restriction
+    assert Not(restriction).body is restriction
+    assert Not(Not(restriction)) is restriction
+
+
+def test_not_is_an_involution_and_stands_only_over_literals():
+    import random
+
+    from kbgen import random_concept
+
+    rng = random.Random(16)
+    for _ in range(2000):
+        expr = random_concept(rng, depth=4)
+        assert Not(Not(expr)) is expr, expr
+        for sub in sub_expressions(Not(expr)):
+            if isinstance(sub, Not):
+                assert isinstance(sub.body, Atom) or isinstance(sub.body.target, ConcretePredicate), sub
 
 
 def test_sub_expressions_covers_nested():

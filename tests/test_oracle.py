@@ -36,7 +36,7 @@ individuals see of it.
 
 Bases called consistent that keep no model are counted, not gated: the
 engine leaves bounds open by design, and a model may need more than these
-families hold.  ``python tests/test_oracle.py [SEEDS]`` prints the counts.
+families hold.  ``PYTHONPATH=src python tests/test_oracle.py [SEEDS]`` prints the counts.
 """
 
 import random
