@@ -10,13 +10,14 @@ constructed.  Concept expressions are interned and built in normal form:
 structurally equal ones, and ``And``/``Or`` nodes that differ only in the
 order, repetition or nesting of their parts, are one object, so equal means
 identical; ``Not`` builds negation normal form, so a ``NOT`` stands only
-over an atom or a concrete restriction.  Every other record (here and in the other modules) is a
-:class:`typing.NamedTuple`: it is built positionally or by keyword,
-compares and hashes by value, pickles and copies, and refuses attribute
-assignment.  Being a tuple, a record also unpacks, and compares
-equal to a plain tuple of the same values.  A record that validates its
-fields is a thin subclass of a :func:`collections.namedtuple` that checks
-them in ``__new__``; ``_make`` and ``_replace`` skip that check.
+over an atom or a concrete restriction.  Every other record (here and in
+the other modules) is a :class:`typing.NamedTuple`: it is built
+positionally or by keyword, compares and hashes by value, pickles and
+copies, and refuses attribute assignment.  Being a tuple, a record also
+unpacks, and compares equal to a plain tuple of the same values.  A record
+that validates its fields is a thin subclass of a
+:func:`collections.namedtuple` that checks them in ``__new__``; ``_make``
+and ``_replace`` skip that check.
 
 All numeric fields hold :class:`fractions.Fraction` so that decimal
 literals like ``0.6`` survive every min/max/complement/product step
@@ -253,16 +254,13 @@ class Not(_Concept):
     def __new__(cls, body: "ConceptExpression"):
         stack = [body]
         while stack:
-            node = stack[-1]
-            if node._dual is None:
-                missing = [c for c in node._children if c._dual is None]
-                if missing:
-                    stack += missing
-                    continue
+            missing = [c for c in stack[-1]._children if c._dual is None]
+            if missing:
+                stack += missing
+            elif (node := stack.pop())._dual is None:
                 dual = _dual_of(node)
                 object.__setattr__(node, "_dual", dual)
                 object.__setattr__(dual, "_dual", node)
-            stack.pop()
         return body._dual
 
 
