@@ -1,11 +1,13 @@
 """Ranking choices by expert-weighted attribute memberships.
 
 An expert's priorities are a utility box: an ordered list of (attribute,
-weight) pairs, attributes being concept names from the knowledge base.  A
-choice's score sums weight times the entailed lower membership bound of the
-choice in each attribute.  A (choice, attribute) pair whose entailed
-interval is still the vacuous [0, 1] is *undecided*: it contributes nothing
-and is reported so the knowledge base can be completed.
+weight) pairs, attributes being concept names from the knowledge base.
+:func:`rank` asks :meth:`~fdlb.reasoner.SaturatedKb.instance_interval` for
+each (choice, attribute) pair, and a choice's score sums weight times the
+entailed lower membership bound of the choice in each attribute.  A pair
+whose entailed interval is still the vacuous [0, 1] is *undecided*: it
+contributes nothing and is reported so the knowledge base can be completed.
+A pair at [0, h] with h < 1 is decided, with bound 0.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .model import Atom, FdlbError, ZERO
+from .model import Atom, FdlbError, FULL_INTERVAL, ZERO
 
 if TYPE_CHECKING:  # pragma: no cover
     from .reasoner import SaturatedKb
@@ -56,10 +58,6 @@ class ChoiceScore(NamedTuple):
     score: Fraction
     contributions: tuple[AttributeContribution, ...]
 
-    @property
-    def undecided(self) -> tuple[str, ...]:
-        return tuple(c.attribute for c in self.contributions if c.bound is None)
-
 
 class DecisionReport(NamedTuple):
     expert_id: str
@@ -71,31 +69,11 @@ class DecisionReport(NamedTuple):
 
     @property
     def undecided(self) -> tuple[tuple[str, str], ...]:
-        return tuple((row.choice, attr) for row in self.rows for attr in row.undecided)
+        return tuple((row.choice, c.attribute) for row in self.rows for c in row.contributions if c.bound is None)
 
     @property
     def complete(self) -> bool:
         return not self.undecided
-
-
-def _check_attributes(sat: "SaturatedKb", ubox: UtilityBox) -> None:
-    known = sat.kb.concept_names
-    for name, _ in ubox.entries:
-        if name not in known:
-            raise UnknownAttributeError(
-                f"attribute {name!r} in utility box {ubox.expert_id!r} is not a concept of the knowledge base"
-            )
-
-
-def attribute_utility(sat: "SaturatedKb", choice: str, attribute: str, weight: Fraction) -> AttributeContribution:
-    """One attribute's share of a choice's score.
-
-    Undecided memberships (vacuous entailed interval) contribute 0 and are
-    flagged with ``bound=None`` rather than silently treated as 0.
-    """
-    bound = sat.entailed_lower_bound(choice, Atom(attribute))
-    contribution = ZERO if bound is None else weight * bound
-    return AttributeContribution(attribute, weight, bound, contribution)
 
 
 def rank(sat: "SaturatedKb", choices: Sequence[str], ubox: UtilityBox) -> DecisionReport:
@@ -107,12 +85,22 @@ def rank(sat: "SaturatedKb", choices: Sequence[str], ubox: UtilityBox) -> Decisi
         if choice in seen:
             raise FdlbError(f"choice {choice!r} is listed twice")
         seen.add(choice)
-    _check_attributes(sat, ubox)
+    known = sat.kb.concept_names
+    for name, _ in ubox.entries:
+        if name not in known:
+            raise UnknownAttributeError(
+                f"attribute {name!r} in utility box {ubox.expert_id!r} is not a concept of the knowledge base"
+            )
+    attributes = [(name, Atom(name), w) for name, w in ubox.entries]
     rows = []
     for choice in choices:
-        contributions = tuple(attribute_utility(sat, choice, name, w) for name, w in ubox.entries)
+        contributions = []
+        for name, atom, w in attributes:
+            interval = sat.instance_interval(choice, atom)
+            bound = None if interval == FULL_INTERVAL else interval.lo
+            contributions.append(AttributeContribution(name, w, bound, ZERO if bound is None else w * bound))
         score = sum((c.contribution for c in contributions), start=ZERO)
-        rows.append(ChoiceScore(choice, score, contributions))
+        rows.append(ChoiceScore(choice, score, tuple(contributions)))
     rows.sort(key=lambda row: (-row.score, row.choice))
     return DecisionReport(ubox.expert_id, tuple(rows))
 

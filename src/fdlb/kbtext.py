@@ -1,4 +1,4 @@
-"""Textual knowledge-base format: lexer, parser, serializer, and explanation text.
+"""Textual knowledge-base format: lexer, parser, rendering, and explanation text.
 
 Statements end with ``;`` and ``#`` starts a line comment::
 
@@ -14,9 +14,9 @@ Statements end with ``;`` and ``#`` starts a line comment::
 Concept connectives in decreasing binding strength: ``NOT`` and the
 quantifiers, then ``AND``, then ``OR``; a quantifier's body is a unary
 expression, so ``EXISTS r . A AND B`` is ``(EXISTS r . A) AND B``.  The dot
-after a quantified role is optional on input; the serializer always writes
-it.  ``concept X EQUIV C;`` / ``concept X SUBSUMED-BY C;`` are sugar for a
-declaration plus the corresponding axiom(s).
+after a quantified role is optional on input; :func:`render_concept` always
+writes it.  ``concept X EQUIV C;`` / ``concept X SUBSUMED-BY C;`` are sugar
+for a declaration plus the corresponding axiom(s).
 
 Parsing never throws on bad input: every problem becomes a
 :class:`ParseDiagnostic` with a source span, the parser resynchronizes at
@@ -142,10 +142,6 @@ class ParseResult(NamedTuple):
 class UboxParseResult(NamedTuple):
     ubox: UtilityBox | None
     diagnostics: tuple[ParseDiagnostic, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.ubox is not None
 
 
 # --------------------------------------------------------------------------
@@ -572,10 +568,6 @@ class ConceptParseResult(NamedTuple):
     concept: ConceptExpression | None
     diagnostics: tuple[ParseDiagnostic, ...]
 
-    @property
-    def ok(self) -> bool:
-        return self.concept is not None
-
 
 def parse_concept_text(text: str, roles: dict[str, RoleDecl] | None = None) -> ConceptParseResult:
     """Parse a bare concept expression, e.g. a query from the command line.
@@ -587,7 +579,7 @@ def parse_concept_text(text: str, roles: dict[str, RoleDecl] | None = None) -> C
 
 
 # --------------------------------------------------------------------------
-# Serializer
+# Rendering
 
 
 def render_decimal(value: Fraction) -> str:
@@ -682,12 +674,7 @@ def _degree_suffix(degree: Fraction) -> str:
 
 
 def render_statement(statement: object) -> str:
-    """One statement back as source text (without the trailing newline)."""
-    if isinstance(statement, RoleDecl):
-        if statement.kind == "abstract":
-            suffix = " closed" if statement.closed else ""
-            return f"role {statement.name} : abstract{suffix};"
-        return f"role {statement.name} : concrete({statement.unit});"
+    """An inclusion, assertion or fact (a derivation's source) back as source text, without the newline."""
     if isinstance(statement, FuzzyGci):
         return (
             f"axiom {render_concept(statement.lhs)} SUBSUMED-BY "
@@ -750,29 +737,3 @@ def format_conflict(conflict: "Conflict") -> str:
     lines.append("upper bound:")
     lines.extend(_explanation_lines(conflict.hi_explanation, 1))
     return "\n".join(lines)
-
-
-def serialize_kb(kb: KnowledgeBase) -> str:
-    """Canonical text for a knowledge base; re-parsing yields an equal KB."""
-    lines: list[str] = []
-    for decl in kb.roles.values():
-        lines.append(render_statement(decl))
-    for name in sorted(kb.declared_concepts):
-        lines.append(f"concept {name};")
-    for gci in kb.gcis:
-        lines.append(render_statement(gci))
-    for fa in kb.assertions:
-        lines.append(render_statement(fa))
-    for ra in kb.role_assertions:
-        lines.append(render_statement(ra))
-    for cf in kb.concrete_facts:
-        lines.append(render_statement(cf))
-    return "\n".join(lines) + "\n"
-
-
-def serialize_ubox(ubox: UtilityBox) -> str:
-    lines = [f"ubox {ubox.expert_id} {{"]
-    for attr, weight in ubox.entries:
-        lines.append(f"    {attr} = {render_decimal(weight)};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

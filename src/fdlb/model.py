@@ -27,7 +27,7 @@ exactly — binary floating point never enters the pipeline.
 from __future__ import annotations
 
 import operator
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
@@ -575,15 +575,4 @@ def build_kb(
         concept_names=frozenset(concepts),
         individuals=tuple(sorted(names)),
         declared_concepts=frozenset(declared_concepts),
-    )
-
-
-def kb_equal(a: KnowledgeBase, b: KnowledgeBase) -> bool:
-    """Structural equality up to statement order."""
-    statements = ("gcis", "assertions", "role_assertions", "concrete_facts")
-    return (
-        dict(a.roles) == dict(b.roles)
-        and all(Counter(getattr(a, part)) == Counter(getattr(b, part)) for part in statements)
-        and a.concept_names == b.concept_names
-        and a.individuals == b.individuals
     )

@@ -522,19 +522,20 @@ class _Saturation:
 class SaturatedKb:
     """A knowledge base together with its saturated bounds, built from the engine that saturated it.
 
-    ``_engine`` is the saturation that reached the fixpoint, kept so that a
-    query outside the closure can grow it (see Extensions in the module
-    docstring): ``closure``, :meth:`interval_map` and :meth:`interval` then
-    include the query's expressions, and the engine's step numbers continue.
-    Closure expression ``x`` and individual ``i`` (in ``kb.individuals``
-    order) own the bound ``b = x * n + i``, whose scaled lower bound
-    ``lo[b]`` and upper bound (one minus the lower bound of the dual) become
-    a :class:`DegreeInterval` on demand, one per distinct pair, kept by the
-    engine.  ``_derivations`` reads the compact record of each improved
-    bound by ``(individual, expression, side)``, an upper bound through its
-    dual's record, and builds its :class:`DerivationNode` on first read.  A clash found while
-    growing is kept in ``_clash`` and raised again by every later query.
-    Equality is identity.
+    Its answers are :meth:`instance_interval` and :meth:`explain`;
+    ``closure`` shows which expressions hold bounds.  ``_engine`` is the
+    saturation that reached the fixpoint, kept so that a query outside the
+    closure can grow it (see Extensions in the module docstring):
+    ``closure`` then includes the query's expressions, and the engine's step
+    numbers continue.  Closure expression ``x`` and individual ``i`` (in
+    ``kb.individuals`` order) own the bound ``b = x * n + i``, whose scaled
+    lower bound ``lo[b]`` and upper bound (one minus the lower bound of the
+    dual) become a :class:`DegreeInterval` on demand, one per distinct pair,
+    kept by the engine.  ``_derivations`` reads the compact record of each
+    improved bound by ``(individual, expression, side)``, an upper bound
+    through its dual's record, and builds its :class:`DerivationNode` on
+    first read.  A clash found while growing is kept in ``_clash`` and raised
+    again by every later query.  Equality is identity.
     """
 
     def __init__(self, engine: _Saturation):
@@ -548,14 +549,6 @@ class SaturatedKb:
         """The expressions with bounds, in row order; a query outside them adds its own."""
         return self._engine.closure
 
-    def interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
-        """The entailed interval for an expression in the closure, which this never grows."""
-        i = self._check_individual(individual)
-        x = self._engine.expr_ids.get(expr)
-        if x is None:
-            raise FdlbError(f"{_describe(expr)} is outside the saturated closure; use instance_interval")
-        return self._interval(x * self._engine.n + i)
-
     def instance_interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
         """The entailed membership interval of an individual in any concept.
 
@@ -563,31 +556,16 @@ class SaturatedKb:
         docstring), which never loosens anything already entailed.  If the
         query exposes a contradiction the knowledge base was inconsistent
         all along and :class:`InconsistencyError` is raised, by this query
-        and every later one.
+        and every later one.  The interval is :data:`~fdlb.model.FULL_INTERVAL`
+        exactly when the knowledge base says nothing about the membership.
         """
-        self._grow(individual, expr)
-        return self.interval(individual, expr)
-
-    def entailed_lower_bound(self, individual: str, expr: ConceptExpression) -> Fraction | None:
-        """The entailed lower membership bound, or None when undecided.
-
-        Undecided means the knowledge base says nothing at all: the
-        entailed interval is exactly the vacuous [0, 1].
-        """
-        interval = self.instance_interval(individual, expr)
-        if interval == FULL_INTERVAL:
-            return None
-        return interval.lo
-
-    def interval_map(self) -> dict[tuple[str, ConceptExpression], DegreeInterval]:
-        """All non-vacuous entailed intervals, keyed by (individual, expression)."""
-        n, lo, dual_rows = self._engine.n, self._engine.lo, self._engine.dual_rows
-        return {
-            (name, expr): self._interval(x * n + i)
-            for i, name in enumerate(self.kb.individuals)
-            for x, expr in enumerate(self.closure)
-            if lo[x * n + i] or lo[dual_rows[x] + i]
-        }
+        b = self._grow(individual, expr)
+        engine = self._engine
+        lo, hi = engine.lo[b], engine.scale - engine.lo[engine.dual_bound(b)]
+        interval = engine.intervals.get((lo, hi))
+        if interval is None:
+            interval = engine.intervals[lo, hi] = DegreeInterval(engine.fractions[lo], engine.fractions[hi])
+        return interval
 
     def explain(self, individual: str, expr: ConceptExpression, kind: Bound = "lo") -> Explanation:
         """The derivations behind one bound, each listed once.
@@ -608,32 +586,24 @@ class SaturatedKb:
             )
         return _explanation(self._derivations, key)
 
-    def _grow(self, individual: str, expr: ConceptExpression) -> None:
-        """Check the individual, then grow the closure by ``expr`` if it lies outside."""
-        self._check_individual(individual)
-        if expr not in self._engine.expr_ids:
+    def _grow(self, individual: str, expr: ConceptExpression) -> int:
+        """The individual's bound in ``expr``, after checking the individual and growing the closure by ``expr``."""
+        engine = self._engine
+        if self._clash is not None:
+            raise self._clash.with_traceback(None)  # each raise would otherwise add its frames
+        i = engine.individual_ids.get(individual)
+        if i is None:
+            raise UnknownIndividualError(f"individual {individual!r} does not occur in the knowledge base")
+        x = engine.expr_ids.get(expr)
+        if x is None:
             check_concept_roles(expr, self.kb.roles, "query")
             try:
-                self._engine.extend(expr)
+                engine.extend(expr)
             except InconsistencyError as clash:
                 self._clash = clash
                 raise
-
-    def _interval(self, b: int) -> DegreeInterval:
-        engine = self._engine
-        lo, hi = engine.lo[b], engine.scale - engine.lo[engine.dual_bound(b)]
-        interval = engine.intervals.get((lo, hi))
-        if interval is None:
-            interval = engine.intervals[lo, hi] = DegreeInterval(engine.fractions[lo], engine.fractions[hi])
-        return interval
-
-    def _check_individual(self, individual: str) -> int:
-        if self._clash is not None:
-            raise self._clash.with_traceback(None)  # each raise would otherwise add its frames
-        i = self._engine.individual_ids.get(individual)
-        if i is None:
-            raise UnknownIndividualError(f"individual {individual!r} does not occur in the knowledge base")
-        return i
+            x = engine.expr_ids[expr]
+        return x * engine.n + i
 
 
 class _Derivations(Mapping[Key, DerivationNode]):

@@ -15,7 +15,7 @@ def load_kb(name):
 
 def load_ubox(name):
     result = parse_ubox((FIXTURES / name).read_text(encoding="utf-8"))
-    assert result.ok, [d.message for d in result.diagnostics]
+    assert result.ubox is not None, [d.message for d in result.diagnostics]
     return result.ubox
 
 

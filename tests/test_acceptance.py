@@ -14,6 +14,7 @@ from fdlb.model import And, Atom, ConcretePredicate, Exists, Not, Quantity
 from fdlb.reasoner import InconsistencyError, saturate
 
 from kbgen import random_kb
+from kbtools import interval_map
 from naive_engine import naive_saturate
 
 TABLETS = ("tab_1", "tab_2", "tab_3")
@@ -50,8 +51,8 @@ def test_fuzzy_base_entails_graded_weight_band(fuzzy_sat):
         Exists("hasWeight", ConcretePredicate(">=", Quantity(F(900), "g"))),
         Exists("hasWeight", ConcretePredicate("<=", Quantity(F(1100), "g"))),
     )
-    assert fuzzy_sat.entailed_lower_bound("tab_3", band) == F(1, 2)
-    assert fuzzy_sat.entailed_lower_bound("tab_3", Atom("LightweightTablet")) == F(3, 5)
+    assert fuzzy_sat.instance_interval("tab_3", band).lo == F(1, 2)
+    assert fuzzy_sat.instance_interval("tab_3", Atom("LightweightTablet")).lo == F(3, 5)
 
 
 def test_completed_base_scores_with_partial_memberships(complete_sat, expert1, expert2):
@@ -102,7 +103,7 @@ def test_engine_agrees_with_independent_sweep_on_100_bases():
     for seed in range(100):
         kb = random_kb(seed)
         try:
-            intervals = saturate(kb).interval_map()
+            intervals = interval_map(saturate(kb))
             verdict = True
         except InconsistencyError:
             intervals, verdict = None, False
@@ -117,7 +118,7 @@ def test_engine_agrees_with_independent_sweep_on_100_bases():
 def test_derived_degrees_stay_inside_the_input_closure(crisp_sat, fuzzy_sat, complete_sat):
     def constants(sat):
         out = set()
-        for interval in sat.interval_map().values():
+        for interval in interval_map(sat).values():
             out.update((interval.lo, interval.hi))
         return out
 

@@ -44,7 +44,7 @@ def test_contributions_weight_the_lower_bounds(complete_sat, expert1):
                 assert c.contribution == 0
             else:
                 assert c.contribution == c.weight * c.bound
-                assert c.bound == complete_sat.interval(row.choice, _atom(c.attribute)).lo
+                assert c.bound == complete_sat.instance_interval(row.choice, _atom(c.attribute)).lo
 
 
 def _atom(name):
@@ -96,6 +96,21 @@ def test_undecided_attribute_contributes_nothing(fuzzy_sat, expert1):
     light = next(c for c in row.contributions if c.attribute == "LightweightTablet")
     assert light.bound is None and light.contribution == 0
     assert ("tab_2", "LightweightTablet") in report.undecided
+
+
+def test_bound_is_none_only_when_the_interval_is_vacuous(fuzzy_sat):
+    box = UtilityBox("e", (("LightweightTablet", Fraction(2)), ("UpperclassTablet", Fraction(3))))
+    report = rank(fuzzy_sat, CHOICES, box)
+    rows = {row.choice: {c.attribute: c for c in row.contributions} for row in report.rows}
+    vacuous = rows["tab_2"]["LightweightTablet"]
+    assert (vacuous.bound, vacuous.contribution) == (None, 0)
+    decided = rows["tab_3"]["LightweightTablet"]
+    assert (decided.bound, decided.contribution) == (Fraction(3, 5), Fraction(6, 5))
+    # a known upper bound below 1 with lower bound 0 is decided at 0, not vacuous
+    capped = rows["tab_2"]["UpperclassTablet"]
+    assert fuzzy_sat.instance_interval("tab_2", _atom("UpperclassTablet")).hi < 1
+    assert (capped.bound, capped.contribution) == (0, 0)
+    assert ("tab_2", "UpperclassTablet") not in report.undecided
 
 
 def test_ranking_order_and_tiebreak(complete_sat, expert1):

@@ -28,11 +28,12 @@ from fdlb.model import (
     TOP,
     UnitMismatchError,
     build_kb,
-    kb_equal,
     make_degree,
     sort_key,
     sub_expressions,
 )
+
+from kbtools import kb_equal
 
 H = Fraction(1, 2)
 

@@ -5,9 +5,14 @@ semantics, so a rule that is unsound in both passes every comparison
 between them.  This module checks the engine against models instead.  Its
 bases are tiny: named individuals ``x`` and ``y``, atoms ``A``, ``B`` and
 ``C``, the open role ``r``, the closed role ``s`` and the concrete role
-``m``, concepts of depth 2, and degrees from {0, 1/4, 1/2, 3/4, 1}.  Every
-individual has an ``m`` value, so each threshold restriction is crisp at a
-named individual and needs no enumeration.
+``m``, concepts of depth 2, and degrees from {0, 1/4, 1/2, 3/4, 1}.  Each
+named individual has one ``m`` value, except that every fourth base drops
+the value of one of them.  A threshold restriction is crisp at a named
+individual with a value.  For one without, each family is taken once with
+no value (every ``EXISTS m . P`` is 0 there) and once with each of
+``VALUES``.  That is exact: ``VALUES`` has one point in each of the seven
+regions that ``THRESHOLDS`` cut under ``>``, ``>=``, ``<`` and ``<=``, and
+every value in a region satisfies the same restrictions.
 
 An interpretation gives each of the six (individual, atom) pairs a degree
 from the pool: 5**6 = 15,625 of them.  They are evaluated all at once,
@@ -43,6 +48,7 @@ import random
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from operator import and_, or_
 
 import pytest
@@ -120,8 +126,13 @@ def oracle_base(seed):
         RoleAssertion(a, b, role) for role in "rs" for a in NAMED for b in NAMED if rng.random() < 0.3
     ]
     facts = [ConcreteFact(a, Quantity(Fraction(rng.choice(VALUES)), "u"), "m") for a in NAMED]
+    queries = [oracle_concept(rng) for _ in range(2)]
+    if seed % 4 == 0:  # drawn last, so the other bases stay as they were
+        named = sorted({fa.individual for fa in assertions} | {n for ra in edges for n in (ra.subject, ra.filler)})
+        unvalued = rng.choice(named)  # still named by a statement, so still an individual of the base
+        facts = [cf for cf in facts if cf.subject != unvalued]
     kb = build_kb(roles=ROLES, gcis=gcis, assertions=assertions, role_assertions=edges, concrete_facts=facts)
-    return kb, [oracle_concept(rng) for _ in range(2)]
+    return kb, queries
 
 
 # -- the models
@@ -212,12 +223,20 @@ def model_families(kb, exprs):
     """(models, kept set) per family: roles as asserted, then with ``u`` as an extra ``r``-filler of each named one.
 
     ``exprs`` lists every expression whose value will be read, so that the
-    second family holds one member per distinct view of ``u``.
+    second family holds one member per distinct view of ``u``.  Each family
+    is taken once per choice of ``m`` values for the named individuals
+    without one: none, or one of ``VALUES``.
     """
     edges = {}
     for ra in kb.role_assertions:
         edges.setdefault((ra.subject, ra.role), []).append(ra.filler)
-    values = {(cf.subject, cf.role): cf.value for cf in kb.concrete_facts}
+    given = {(cf.subject, cf.role): cf.value for cf in kb.concrete_facts}
+    unvalued = [a for a in NAMED if (a, "m") not in given]
+    choices = [None] + [Quantity(Fraction(v), "u") for v in VALUES]
+    value_sets = [
+        {**given, **{(a, "m"): v for a, v in zip(unvalued, picked) if v is not None}}
+        for picked in product(choices, repeat=len(unvalued))
+    ]
     full, slots = NAMED_SPACE
     atoms = {(a, name): slots[i * len(ATOMS) + j] for i, a in enumerate(NAMED) for j, name in enumerate(ATOMS)}
 
@@ -226,7 +245,7 @@ def model_families(kb, exprs):
         held += [models.at_least(fa.individual, fa.concept, fa.degree) for fa in assertions]
         return reduce(and_, held, models.full)
 
-    families = [Models(full, atoms, edges, values)]
+    families = [Models(full, atoms, edges, values) for values in value_sets]
     u_full, u_slots = UNNAMED_SPACE
     alone = Models(u_full, {(UNNAMED, name): u_slots[j] for j, name in enumerate(ATOMS)}, {}, {})
     feasible = kept(alone, [UNNAMED], ())
@@ -242,7 +261,7 @@ def model_families(kb, exprs):
     for k in views.values():
         digits = [k // (LEVELS + 1) ** j % (LEVELS + 1) for j in range(len(ATOMS))]
         u_atoms = {(UNNAMED, name): constant(full, d) for name, d in zip(ATOMS, digits)}
-        families.append(Models(full, {**atoms, **u_atoms}, with_u, values))
+        families += (Models(full, {**atoms, **u_atoms}, with_u, values) for values in value_sets)
     return [(models, kept(models, NAMED, kb.assertions)) for models in families]
 
 
@@ -270,7 +289,7 @@ def check_base(seed):
         return violations, False, any_kept
     for a in NAMED:
         for e in sat.closure:
-            interval = sat.interval(a, e)
+            interval = sat.instance_interval(a, e)
             if any(models.outside(a, e, *interval) & kept for models, kept in families):
                 violations.append(f"seed {seed}: {a} in {e!r} lies outside {tuple(interval)} in a kept model")
     for query in queries:
@@ -308,6 +327,19 @@ def test_the_model_families_separate_open_from_closed_roles():
     first, *rest = families
     assert first[0].outside("x", opened, Fraction(1), Fraction(1)) & first[1] == 0
     assert any(models.outside("x", opened, Fraction(1), Fraction(1)) & kept for models, kept in rest)
+
+
+def test_an_individual_without_a_value_is_taken_with_none_and_with_each_value():
+    kb = build_kb(
+        roles=ROLES,
+        assertions=[FuzzyAssertion("y", Atom("A"))],
+        concrete_facts=[ConcreteFact("x", Quantity(Fraction(5), "u"), "m")],
+    )
+    above = Exists("m", ConcretePredicate(">", Quantity(Fraction(10), "u")))
+    families = model_families(kb, [above])
+    # roles as asserted, then with u; each once with no value for y and once per value, in VALUES order
+    assert [models.value("y", above)[0] == models.full for models, _ in families] == 2 * ([False] * 3 + [True] * 5)
+    assert all(models.value("x", above)[0] == 0 for models, _ in families)
 
 
 def survey(seeds):

@@ -12,6 +12,7 @@ from fdlb.model import Atom, FuzzyAssertion, Not, build_kb
 from fdlb.reasoner import InconsistencyError, build_closure, check_consistency, saturate
 
 from kbgen import random_concept, random_kb
+from kbtools import interval_map
 from naive_engine import NaiveEngine, naive_saturate, negate
 
 SEEDS = range(140)
@@ -21,7 +22,7 @@ ZERO, ONE = Fraction(0), Fraction(1)
 
 def engine_outcome(kb):
     try:
-        return True, saturate(kb).interval_map()
+        return True, interval_map(saturate(kb))
     except InconsistencyError:
         return False, None
 
@@ -41,7 +42,7 @@ def test_fixtures_agree_with_naive_sweep(fixture, request):
     kb = request.getfixturevalue(fixture)
     verdict, intervals = naive_saturate(kb)
     assert verdict
-    assert saturate(kb).interval_map() == intervals
+    assert interval_map(saturate(kb)) == intervals
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -136,8 +137,8 @@ def test_bounds_never_contradict_the_complemented_form(fixture, request):
         complement = Not(expr)
         assert complement in closure_set
         for ind in kb.individuals:
-            mine = sat.interval(ind, expr)
-            theirs = sat.interval(ind, complement)
+            mine = sat.instance_interval(ind, expr)
+            theirs = sat.instance_interval(ind, complement)
             assert mine.lo + theirs.lo <= ONE
             assert mine.hi + theirs.hi >= ONE
 

@@ -12,7 +12,6 @@ from fdlb.model import (
     ConcretePredicate,
     DegreeInterval,
     Exists,
-    FdlbError,
     Forall,
     Not,
     Or,
@@ -27,6 +26,8 @@ from fdlb.reasoner import (
     check_consistency,
     saturate,
 )
+
+from kbtools import interval_map
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -203,7 +204,7 @@ def test_saturate_raises_on_inconsistency():
 
 
 def test_statement_order_does_not_change_entailment(fuzzy_kb):
-    base = saturate(fuzzy_kb).interval_map()
+    base = interval_map(saturate(fuzzy_kb))
     shuffled = build_kb(
         roles=tuple(fuzzy_kb.roles.values()),
         gcis=tuple(reversed(fuzzy_kb.gcis)),
@@ -212,7 +213,7 @@ def test_statement_order_does_not_change_entailment(fuzzy_kb):
         concrete_facts=tuple(reversed(fuzzy_kb.concrete_facts)),
         declared_concepts=tuple(fuzzy_kb.declared_concepts),
     )
-    assert saturate(shuffled).interval_map() == base
+    assert interval_map(saturate(shuffled)) == base
 
 
 # -- fixture entailments
@@ -250,24 +251,10 @@ def test_instance_interval_outside_closure_extends(fuzzy_kb):
     assert sat.instance_interval("tab_3", Atom("LightweightTablet")).lo == Fraction(3, 5)
 
 
-def test_interval_is_strict_about_closure(fuzzy_kb):
-    sat = saturate(fuzzy_kb)
-    with pytest.raises(FdlbError, match="outside the saturated closure"):
-        sat.interval("tab_3", Or(Atom("Device"), Atom("Equip")))
-
-
 def test_unknown_individual_rejected(fuzzy_kb):
     sat = saturate(fuzzy_kb)
     with pytest.raises(UnknownIndividualError):
         sat.instance_interval("tab_9", Atom("Tablet"))
-
-
-def test_entailed_lower_bound_none_iff_vacuous(fuzzy_kb):
-    sat = saturate(fuzzy_kb)
-    assert sat.entailed_lower_bound("tab_2", Atom("LightweightTablet")) is None
-    assert sat.entailed_lower_bound("tab_3", Atom("LightweightTablet")) == Fraction(3, 5)
-    # a known upper bound with lower bound 0 is decided, not vacuous
-    assert sat.entailed_lower_bound("tab_2", Atom("UpperclassTablet")) == ZERO
 
 
 def test_explain_convertible_chain(fuzzy_kb):
@@ -340,7 +327,7 @@ def recompute(sat, node):
     kb, a, e = sat.kb, node.individual, node.expr
     if node.kind == "hi":  # read from the lower bound of the dual
         return ONE - recompute(sat, sat._derivations[(a, Not(e), "lo")])
-    lo = lambda i, c: sat.interval(i, c).lo
+    lo = lambda i, c: sat.instance_interval(i, c).lo
     fillers = lambda i, role: sorted({ra.filler for ra in kb.role_assertions
                                       if ra.subject == i and ra.role == role})
     rule = node.rule
@@ -411,7 +398,8 @@ def test_random_derivations_replay_exactly():
 
 def test_rank_saturates_once_per_out_of_closure_attribute(monkeypatch):
     import fdlb.reasoner
-    from fdlb.decision import UtilityBox, attribute_utility, rank
+    from fdlb.decision import UtilityBox, rank
+    from fdlb.model import FULL_INTERVAL
 
     choices = [f"t{i}" for i in range(10)]
     text = "concept Open1;\nconcept Open2;\n" + "".join(
@@ -433,7 +421,11 @@ def test_rank_saturates_once_per_out_of_closure_attribute(monkeypatch):
     for row in report.rows:
         for c in row.contributions:
             # a fresh saturation per pair, so no memo is shared
-            assert c == attribute_utility(saturate(kb), row.choice, c.attribute, c.weight)
+            interval = saturate(kb).instance_interval(row.choice, Atom(c.attribute))
+            if interval == FULL_INTERVAL:
+                assert (c.bound, c.contribution) == (None, ZERO)
+            else:
+                assert (c.bound, c.contribution) == (interval.lo, c.weight * interval.lo)
     assert len(report.undecided) == 20
 
 
@@ -451,8 +443,8 @@ def test_grown_closure_serves_explain_and_intervals():
     assert iv(sat, "y", query) == (ZERO, ONE)
     assert sat.explain("x", query).value == Fraction(7, 10)
     assert sat.closure is grown  # the later queries found the query in the closure
-    assert sat.interval("x", query) == DegreeInterval(Fraction(7, 10), ONE)
-    assert sat.interval_map()[("x", query)] == DegreeInterval(Fraction(7, 10), ONE)
+    assert sat.instance_interval("x", query) == DegreeInterval(Fraction(7, 10), ONE)
+    assert interval_map(sat)[("x", query)] == DegreeInterval(Fraction(7, 10), ONE)
 
 
 # -- extensions grow the saturation from its fixpoint
@@ -507,7 +499,8 @@ def check_extensions(kb, queries):
         assert set(sat.closure) == set(fresh.closure)
         for individual in kb.individuals:
             for expr in fresh.closure:
-                assert sat.interval(individual, expr) == fresh.interval(individual, expr), (individual, expr)
+                answer = sat.instance_interval(individual, expr)
+                assert answer == fresh.instance_interval(individual, expr), (individual, expr)
         assert engine.lo[: len(lo)] == lo
         assert {s: engine.records[s] for s in records} == records
         for node in sat._derivations.values():
@@ -586,7 +579,7 @@ def test_unmentioned_atom_costs_two_closure_entries_and_no_saturation(fixtures_d
     query = Or(Atom("Tablet"), Atom("Unmentioned"))
     explanation = sat.explain("tab_3", query)
     assert calls == []
-    assert explanation.value == sat.interval("tab_3", Atom("Tablet")).lo
+    assert explanation.value == sat.instance_interval("tab_3", Atom("Tablet")).lo
     assert explanation.steps[0].rule == "disj-up"
     assert explanation.steps[0].step > step
     for node in explanation.steps:
@@ -668,8 +661,6 @@ def test_a_clash_found_by_growing_is_raised_by_every_later_query(fuzzy_kb, fixtu
         lambda: sat.instance_interval("tab_1", Atom("Tablet")),
         lambda: sat.explain("tab_3", Atom("UpperclassTablet")),
         lambda: sat.explain("tab_3", Atom("Other"), "hi"),
-        lambda: sat.interval("tab_1", Atom("Tablet")),
-        lambda: sat.entailed_lower_bound("tab_1", Atom("Tablet")),
     ]
     depths = set()
     for call in later + later:
@@ -695,8 +686,6 @@ def test_failed_queries_leave_the_closure_unchanged(fuzzy_kb):
         sat.explain("nobody", Atom("Unmentioned"))
     with pytest.raises(ValueError):
         sat.explain("tab_3", Atom("Unmentioned"), "mid")
-    with pytest.raises(FdlbError, match="outside the saturated closure"):
-        sat.interval("tab_3", Atom("Unmentioned"))
     assert sat.closure is closure
     assert sat.instance_interval("tab_3", Atom("Unmentioned")) == DegreeInterval(ZERO, ONE)
 
@@ -732,7 +721,7 @@ def test_quantifier_triggers_on_shared_roles_match_naive_engine():
     sat = saturate(kb)
     verdict, intervals = naive_saturate(kb)
     assert verdict
-    assert sat.interval_map() == intervals
+    assert interval_map(sat) == intervals
     assert iv(sat, "s", Exists("c", Atom("A"))) == (Fraction(9, 10), ONE)
     assert iv(sat, "s", Forall("c", Atom("A"))) == (Fraction(3, 5), ONE)
     assert iv(sat, "v", Forall("c", Atom("A"))) == (ONE, ONE)  # closed role, no fillers
@@ -743,14 +732,14 @@ def test_interval_map_holds_only_non_vacuous_intervals(fuzzy_kb):
     from fdlb.model import DegreeInterval, FULL_INTERVAL
 
     sat = saturate(fuzzy_kb)
-    intervals = sat.interval_map()
+    intervals = interval_map(sat)
     assert intervals
     assert all(isinstance(v, DegreeInterval) and v != FULL_INTERVAL for v in intervals.values())
-    assert isinstance(sat.interval("tab_1", Atom("Tablet")), DegreeInterval)
-    assert sat.interval("tab_2", Atom("LightweightTablet")) == FULL_INTERVAL
+    assert isinstance(sat.instance_interval("tab_1", Atom("Tablet")), DegreeInterval)
+    assert sat.instance_interval("tab_2", Atom("LightweightTablet")) == FULL_INTERVAL
     assert ("tab_2", Atom("LightweightTablet")) not in intervals
     for (ind, expr), value in intervals.items():
-        assert sat.interval(ind, expr) == value
+        assert sat.instance_interval(ind, expr) == value
 
 
 def test_each_distinct_interval_is_built_once_and_shared_with_extensions(fuzzy_kb, monkeypatch):
@@ -758,12 +747,12 @@ def test_each_distinct_interval_is_built_once_and_shared_with_extensions(fuzzy_k
     from fdlb.model import FULL_INTERVAL
 
     sat = saturate(fuzzy_kb)
-    intervals = list(sat.interval_map().values())
+    intervals = list(interval_map(sat).values())
     assert len(set(intervals)) < len(intervals)
     one_each = {FULL_INTERVAL: FULL_INTERVAL}
-    for interval in intervals + list(sat.interval_map().values()):
+    for interval in intervals + list(interval_map(sat).values()):
         assert one_each.setdefault(interval, interval) is interval
-    assert sat.interval("tab_2", Atom("LightweightTablet")) is FULL_INTERVAL
+    assert sat.instance_interval("tab_2", Atom("LightweightTablet")) is FULL_INTERVAL
     built = []
     monkeypatch.setattr(fdlb.reasoner, "DegreeInterval", lambda *bounds: built.append(bounds))
     for ind in fuzzy_kb.individuals:  # an extension's bounds: here, only pairs the base already reached
@@ -776,7 +765,7 @@ def test_saturation_hashes_no_fraction(fuzzy_kb, monkeypatch):
     hashed, fraction_hash = [], Fraction.__hash__
     monkeypatch.setattr(Fraction, "__hash__", lambda f: hashed.append(f) or fraction_hash(f))
     sat = saturate(fuzzy_kb)
-    assert sat.interval_map() and hashed == []
+    assert interval_map(sat) and hashed == []
 
 
 def test_equal_expressions_hash_equal():
@@ -803,9 +792,9 @@ def test_equal_expressions_hash_equal():
 
 
 def test_thousand_way_conjunction_stays_flat():
-    from fdlb.kbtext import serialize_kb
-    from fdlb.model import kb_equal
     from fdlb.reasoner import build_closure
+
+    from kbtools import kb_equal, serialize_kb
 
     n = 1000
     names = [f"A{i}" for i in range(n)]
@@ -919,7 +908,7 @@ def test_mixed_precision_degrees_stay_exact():
     sat = saturate(kb)
     verdict, intervals = naive_saturate(kb)
     assert verdict
-    assert sat.interval_map() == intervals
+    assert interval_map(sat) == intervals
     for node in graph_of(sat).values():
         assert type(node.value) is Fraction and ZERO <= node.value <= ONE, node
     assert iv(sat, "y", Atom("C")) == (Fraction(3, 5), Fraction(3, 4))
