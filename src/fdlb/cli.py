@@ -16,9 +16,9 @@ its default).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 from .decision import DecisionReport, UtilityBox, rank as rank_choices
@@ -94,8 +94,40 @@ def _choices(args: argparse.Namespace, kb: KnowledgeBase) -> list[str]:
     return list(kb.individuals)
 
 
+def _write_json(value: object, out: list[str], indent: str = "\n") -> None:
+    """Append ``json.dumps(value, sort_keys=True, indent=2)`` to ``out``, for str-keyed dicts, lists, str, int, bool and None.
+
+    With ``indent`` set, json writes through its pure-Python encoder; this
+    writer quotes strings with json's C function and joins the rest itself.
+    """
+    if isinstance(value, str):
+        out.append(_json_string(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner, sep = indent + "  ", "{"
+        for key, item in sorted(value.items()):
+            out += (sep, inner, _json_string(key), ": ")
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(indent + "}" if value else "{}")
+    elif isinstance(value, list):
+        inner, sep = indent + "  ", "["
+        for item in value:
+            out += (sep, inner)
+            _write_json(item, out, inner)
+            sep = ","
+        out.append(indent + "]" if value else "[]")
+    else:
+        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
 def _emit_json(payload: object) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+    out: list[str] = []
+    _write_json(payload, out)
+    print("".join(out))
 
 
 # --------------------------------------------------------------------------

@@ -142,7 +142,7 @@ class ConcretePredicate(namedtuple("ConcretePredicate", "op threshold")):
         return super().__new__(cls, op, threshold)
 
     def evaluate(self, value: Quantity) -> Degree:
-        """Crisp evaluation: exactly 0 or 1."""
+        """Crisp evaluation: the constant :data:`ONE` or :data:`ZERO` itself, so callers may test identity."""
         return ONE if _COMPARISONS[self.op](value, self.threshold) else ZERO
 
 

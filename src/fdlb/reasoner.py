@@ -61,23 +61,31 @@ inclusion degrees.  Saturation only reaches 0, 1, those degrees and their
 complements, so every bound is an exact integer and ``1 - x`` is ``L -
 v``.  ``dual_rows[x]`` is the row of ``NOT closure[x]``, so the upper
 bound of ``b`` is ``L - lo[dual_rows[x] + i]``.  Rules are triggered
-through indexes by expression id, and the worklist holds the bounds that
-rose.  Each improvement overwrites one compact record under its bound —
-rule, scaled value, premises as bounds, source, note and step number; that
-record also explains the upper bound of the dual.  :class:`SaturatedKb`
-keeps the list and the records, and builds a :class:`DegreeInterval` only
-when a query first returns its pair of bounds and a
-:class:`DerivationNode`, with its exact :class:`~fractions.Fraction`
-value, only when an explanation, a conflict or ``_derivations`` reads it.
+through indexes by expression id.  The worklist holds the bounds that rose
+in a *live* row, one that some rule reads (``live[x]``: the row is a
+conjunction, a value restriction, a part of a conjunction or disjunction,
+a quantifier's filler concept, or an inclusion's left side or conjunct); a
+bound in any other row, such as ``TOP``'s, is recorded but not queued, as
+popping it would fire nothing.  Each improvement overwrites one compact
+record under its bound — rule, scaled value, premises as bounds, source,
+note and step number; that record also explains the upper bound of the
+dual.  :class:`SaturatedKb` keeps the list and the records, and builds a
+:class:`DegreeInterval` only when a query first returns its pair of
+bounds and a :class:`DerivationNode`, with its exact
+:class:`~fractions.Fraction` value, only when an explanation, a conflict
+or ``_derivations`` reads it.
 
 Extensions: a query on an expression outside the closure grows the
 saturation in place instead of re-running it.  The closure expressions the
 query adds are numbered after the old ones, so every old bound, record and
 premise keeps its number; they get index entries and seeds of their own,
-the old lower bounds that trigger a rule concluding a new expression are
-queued again, and the worklist runs from the old fixpoint to the new one.  The
-rules are monotone and the old bounds lie below the least fixpoint of the
-larger rule set, so the bounds equal those of a fresh saturation of the
+and the worklist runs from the old fixpoint to the new one.  An old row
+that a new expression's rule reads (a part of a new conjunction, say) gains
+that rule now: its bounds went through the old rules only, or were never
+queued at all when the row was not yet live, so its raised lower bounds
+are queued again, and the row is live from then on.  The rules are
+monotone and the old bounds lie below the least fixpoint of the larger
+rule set, so the bounds equal those of a fresh saturation of the
 base with every query so far asserted at degree 0, in any order (the
 additions-only case of Kazakov & Klinov, *Incremental Reasoning in OWL EL
 without Bookkeeping*, ISWC 2013).  The query's expressions stay in the
@@ -243,6 +251,7 @@ class _Saturation:
         self.expr_ids: dict[ConceptExpression, int] = {}
         self.lo: list[int] = []
         self.dual_rows: list[int] = []  # x -> the row of NOT closure[x]
+        self.live: list[bool] = []  # x -> some rule reads row x, so its raised bounds are queued
         self.conj_parents: list[list[tuple[int, tuple[int, ...]]]] = []
         self.disj_parents: list[list[tuple[int, tuple[int, ...]]]] = []
         self.conj_down: list[tuple[int, ...]] = []
@@ -255,8 +264,8 @@ class _Saturation:
         self.quantified: set[int] = set()
         # gci: (inclusion, scaled cap = 1 - degree, rhs row, scaled degree)
         self.gcis_by_lhs: list[list[tuple[FuzzyGci, int, int, int]]] = []
-        # disjoint: (inclusion, cap, conjunct rows, their dual rows)
-        self.bottom_by_conjunct: list[list[tuple[FuzzyGci, int, tuple[int, ...], tuple[int, ...]]]] = []
+        # disjoint: (inclusion, cap, degree, conjunct rows, their dual rows)
+        self.bottom_by_conjunct: list[list[tuple[FuzzyGci, int, int, tuple[int, ...], tuple[int, ...]]]] = []
         self._add_expressions(build_closure(kb))
         self._index_gcis()
 
@@ -284,7 +293,8 @@ class _Saturation:
     def _add_expressions(self, exprs: Sequence[ConceptExpression]) -> set[int]:
         """Number ``exprs`` after the closure, with default bounds and their index entries.
 
-        Returns the expressions whose bounds trigger a newly indexed rule.
+        Returns the expressions whose bounds trigger a newly indexed rule;
+        they, and each new conjunction and value restriction, are live.
         """
         first, n = len(self.closure), self.n
         new = range(first, first + len(exprs))
@@ -293,6 +303,8 @@ class _Saturation:
         ids.update(zip(exprs, new))
         self.lo += [0] * (n * len(new))
         self.dual_rows += [ids[Not(e)] * n for e in exprs]
+        live = self.live
+        live += [False] * len(new)
         for table in (self.conj_parents, self.disj_parents, self.gcis_by_lhs, self.bottom_by_conjunct):
             table += ([] for _ in new)
         self.conj_down += [()] * len(new)
@@ -309,6 +321,7 @@ class _Saturation:
                 triggers.update(parts)
                 if isinstance(e, And):
                     self.conj_down[x] = rows
+                    live[x] = True
             elif isinstance(e, Exists):
                 if isinstance(e.target, ConcretePredicate):
                     self.concrete_nodes.append(x)
@@ -318,12 +331,15 @@ class _Saturation:
                     triggers.add(ids[e.target])
             elif isinstance(e, Forall):
                 self.forall_down[x] = (e.role, ids[e.body] * n)
+                live[x] = True
                 decl = self.kb.roles.get(e.role)
                 if decl is not None and decl.closed:
                     self.forall_up[(e.role, ids[e.body])] = row
                     self.closed_foralls.setdefault(e.role, []).append(x)
                     self.quantified.add(ids[e.body])
                     triggers.add(ids[e.body])
+        for t in triggers:
+            live[t] = True
         return triggers
 
     def _index_gcis(self) -> None:
@@ -335,13 +351,15 @@ class _Saturation:
             if gci.rhs == BOTTOM:
                 if isinstance(gci.lhs, And):
                     parts = [ids[c] for c in gci.lhs.parts]
-                    entry = (gci, cap, tuple(c * n for c in parts), tuple(self.dual_rows[c] for c in parts))
+                    entry = (gci, cap, degree, tuple(c * n for c in parts), tuple(self.dual_rows[c] for c in parts))
                     for c in parts:
                         self.bottom_by_conjunct[c].append(entry)
+                        self.live[c] = True
                 else:
                     self.bottom_simple.append((gci, degree))
             else:
                 self.gcis_by_lhs[ids[gci.lhs]].append((gci, cap, ids[gci.rhs] * n, degree))
+                self.live[ids[gci.lhs]] = True
 
     # -- bound updates
 
@@ -362,15 +380,18 @@ class _Saturation:
     def set_lo(
         self, b: int, value: int, rule: str, premises: tuple[int, ...], source: object | None = None, note: str = ""
     ) -> None:
-        if value <= self.lo[b]:
+        lo = self.lo
+        if value <= lo[b]:
             return
         self.step += 1
         self.records[b] = (rule, value, premises, source, note, self.step)
-        d = self.dual_bound(b)
-        if value + self.lo[d] > self.scale:  # reported on whichever of the pair comes first in the closure
+        x, a = divmod(b, self.n)
+        d = self.dual_rows[x] + a
+        if value + lo[d] > self.scale:  # reported on whichever of the pair comes first in the closure
             raise InconsistencyError(self._conflict(min(b, d)))
-        self.lo[b] = value
-        self.queue.append(b)
+        lo[b] = value
+        if self.live[x]:
+            self.queue.append(b)
 
     # -- seeds
 
@@ -394,7 +415,7 @@ class _Saturation:
             node = self.closure[x]
             for a, cf in self.values_by_role.get(node.role, ()):
                 hit = node.target.evaluate(cf.value)  # type: ignore[union-attr]
-                row = x * n if hit == ONE else self.dual_rows[x]
+                row = x * n if hit is ONE else self.dual_rows[x]
                 self.set_lo(row + a, scale, "concrete", (), source=cf)
         if not first:
             for gci, degree in self.bottom_simple:
@@ -411,9 +432,12 @@ class _Saturation:
 
     # -- propagation
     #
-    # Each rule below first checks whether its candidate can improve the
-    # bound it targets and only then builds premises and a witness: most
-    # firings improve nothing, and set_lo would drop them anyway.
+    # Only bounds in live rows are queued (see Bound storage in the module
+    # docstring): set_lo records a raised bound in a row no rule reads, such
+    # as TOP's, without queuing it, and extend queues a row's bounds again
+    # when growth gives the row a rule.  Each rule first checks whether its
+    # candidate can improve the bound it targets, and only then builds
+    # premises and a witness or calls set_lo: most firings improve nothing.
 
     def run(self) -> "_Saturation":
         self.seed()
@@ -431,88 +455,88 @@ class _Saturation:
         triggers = self._add_expressions(sorted(new, key=sort_key))
         self.seed(first)
         lo = self.lo
-        # a lower bound still at its default 0 moves no rule's conclusion
+        # an old row that a new rule reads: its bounds never met that rule
+        # (nor were queued at all if no rule read the row before); a lower
+        # bound still at its default 0 moves no rule's conclusion
         for x in sorted(t for t in triggers if t < first):
             self.queue.extend(b for b in range(x * n, x * n + n) if lo[b])
         self.propagate()
 
     def propagate(self) -> None:
-        queue = self.queue
+        """Fire every rule that reads a queued bound, until the queue is empty."""
+        n, lo, queue = self.n, self.lo, self.queue
+        pop, set_lo = queue.popleft, self.set_lo
+        conj_parents, disj_parents, conj_down = self.conj_parents, self.disj_parents, self.conj_down
+        forall_down, quantified = self.forall_down, self.quantified
+        gcis_by_lhs, bottom_by_conjunct = self.gcis_by_lhs, self.bottom_by_conjunct
+        fillers, role_fact, pointing_at = self.fillers, self.role_fact, self.pointing_at
+        exists_up, forall_up = self.exists_up, self.forall_up
         while queue:
-            self._lo_changed(queue.popleft())
-
-    def _lo_changed(self, b: int) -> None:
-        x, a = divmod(b, self.n)
-        lo = self.lo
-        value = lo[b]
-        premise = (b,)
-        for parent, parts in self.conj_parents[x]:
-            current = lo[parent + a]
-            if value <= current:
-                continue  # the minimum over the parts is at most value
-            candidate = min(lo[c + a] for c in parts)
-            if candidate > current:
-                self.set_lo(parent + a, candidate, "conj-up", tuple(c + a for c in parts))
-        for parent, parts in self.disj_parents[x]:
-            candidate = max(lo[c + a] for c in parts)
-            if candidate > lo[parent + a]:
-                witness = next(c for c in parts if lo[c + a] == candidate)
-                self.set_lo(parent + a, candidate, "disj-up", (witness + a,))
-        for c in self.conj_down[x]:
-            self.set_lo(c + a, value, "conj-down", premise)
-        if self.forall_down[x] is not None:
-            role, body = self.forall_down[x]
-            for f in self.fillers.get((a, role), ()):
-                self.set_lo(body + f, value, "forall-down", premise, source=self.role_fact[(a, f, role)])
-        if x in self.quantified:
-            self._quantifiers_up(a, x, value)
-        for gci, cap, rhs, degree in self.gcis_by_lhs[x]:
-            if lo[b] > cap:  # live: an inclusion of e into itself raises it
-                self.set_lo(rhs + a, degree, "gci", premise, source=gci)
-        for gci, cap, parts, duals in self.bottom_by_conjunct[x]:
-            self._apply_disjoint(a, gci, cap, parts, duals)
-
-    def _quantifiers_up(self, a: int, x: int, value: int) -> None:
-        # individual a's lower bound in expression x rose: revisit the
-        # quantifiers over x on every role edge that ends at a.
-        lo, row = self.lo, x * self.n
-        for subject, role in self.pointing_at[a]:
-            node = self.exists_up.get((role, x))
-            if node is not None:
-                fils = self.fillers[(subject, role)]
-                candidate = max(lo[row + f] for f in fils)
-                if candidate > lo[node + subject]:
-                    witness = next(f for f in fils if lo[row + f] == candidate)
-                    self.set_lo(
-                        node + subject, candidate, "exists-up", (row + witness,),
-                        source=self.role_fact[(subject, witness, role)],
-                    )
-            node = self.forall_up.get((role, x))
-            if node is not None:
-                current = lo[node + subject]
+            b = pop()
+            x, a = divmod(b, n)
+            value = lo[b]
+            premise = (b,)
+            for parent, parts in conj_parents[x]:
+                current = lo[parent + a]
                 if value <= current:
-                    continue  # the minimum over the fillers is at most value
-                fils = self.fillers[(subject, role)]
-                candidate = min(lo[row + f] for f in fils)
-                if candidate > current:
-                    self.set_lo(
-                        node + subject, candidate, "forall-up", tuple(row + f for f in fils),
-                        note="closed role: the listed fillers are all fillers",
-                    )
-
-    def _apply_disjoint(self, a: int, gci: FuzzyGci, cap: int, parts: tuple[int, ...], duals: tuple[int, ...]) -> None:
-        # A conjunct is capped (its dual raised to 1 - cap) once every other conjunct exceeds the cap.
-        degree = self.scale - cap
-        above = [self.lo[c + a] > cap for c in parts]
-        below = above.count(False)
-        if below > 1:
-            return
-        for j, dual in enumerate(duals):
-            if below == 1 and above[j]:
-                continue
-            if degree > self.lo[dual + a]:
-                others = parts[:j] + parts[j + 1 :]
-                self.set_lo(dual + a, degree, "disjoint", tuple(c + a for c in others), source=gci)
+                    continue  # the minimum over the parts is at most value
+                for c in parts:
+                    if lo[c + a] <= current:
+                        break
+                else:
+                    set_lo(parent + a, min(lo[c + a] for c in parts), "conj-up", tuple(c + a for c in parts))
+            for parent, parts in disj_parents[x]:
+                candidate = max(lo[c + a] for c in parts)
+                if candidate > lo[parent + a]:
+                    witness = next(c for c in parts if lo[c + a] == candidate)
+                    set_lo(parent + a, candidate, "disj-up", (witness + a,))
+            for c in conj_down[x]:
+                if value > lo[c + a]:
+                    set_lo(c + a, value, "conj-down", premise)
+            if forall_down[x] is not None:
+                role, body = forall_down[x]
+                for f in fillers.get((a, role), ()):
+                    if value > lo[body + f]:
+                        set_lo(body + f, value, "forall-down", premise, role_fact[(a, f, role)])
+            if x in quantified:
+                # revisit the quantifiers over x on every role edge that ends at a
+                row = x * n
+                for subject, role in pointing_at[a]:
+                    node = exists_up.get((role, x))
+                    if node is not None:
+                        fils = fillers[(subject, role)]
+                        candidate = max(lo[row + f] for f in fils)
+                        if candidate > lo[node + subject]:
+                            witness = next(f for f in fils if lo[row + f] == candidate)
+                            set_lo(
+                                node + subject, candidate, "exists-up", (row + witness,),
+                                role_fact[(subject, witness, role)],
+                            )
+                    node = forall_up.get((role, x))
+                    if node is not None:
+                        current = lo[node + subject]
+                        if value <= current:
+                            continue  # the minimum over the fillers is at most value
+                        fils = fillers[(subject, role)]
+                        candidate = min(lo[row + f] for f in fils)
+                        if candidate > current:
+                            set_lo(
+                                node + subject, candidate, "forall-up", tuple(row + f for f in fils),
+                                note="closed role: the listed fillers are all fillers",
+                            )
+            for gci, cap, rhs, degree in gcis_by_lhs[x]:
+                # lo[b], not value: an inclusion of e into itself raises it
+                if lo[b] > cap and degree > lo[rhs + a]:
+                    set_lo(rhs + a, degree, "gci", premise, gci)
+            for gci, cap, degree, parts, duals in bottom_by_conjunct[x]:
+                # a conjunct is capped (its dual raised to the degree) once every other one exceeds the cap
+                below = [j for j, c in enumerate(parts) if lo[c + a] <= cap]
+                if len(below) > 1:
+                    continue
+                for j in below or range(len(parts)):
+                    if degree > lo[duals[j] + a]:
+                        others = parts[:j] + parts[j + 1 :]
+                        set_lo(duals[j] + a, degree, "disjoint", tuple(c + a for c in others), gci)
 
 
 # --------------------------------------------------------------------------

@@ -7,8 +7,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fdlb.cli import main
+from fdlb.cli import _write_json, main
 from fdlb.kbtext import MAX_CONCEPT_DEPTH, format_conflict, parse_kb
 from fdlb.reasoner import InconsistencyError, _Saturation, check_consistency
 
@@ -327,6 +328,41 @@ def test_explain_structured_cycle_points_back(tmp_path, capsys):
     steps = json.loads(out)["steps"]
     assert [(step["concept"], step["value"]) for step in steps] == [("B", "0.9"), ("A", "0.5")]
     assert steps[-1]["premises"] == [0]
+
+
+# -- structured output
+
+
+def test_structured_output_is_what_json_dumps_writes(paths, capsys):
+    compared = 0
+    for kb in ("crisp", "fuzzy", "complete", "clash"):
+        lines = [["check", paths[kb]]]
+        for command in ("rank", "complete"):
+            lines.append([command, paths[kb], "--ubox", paths["e1"], "--ubox", paths["e2"]])
+        for individual in ("tab_1", "tab_3", "equipment_1", "e_1"):
+            for concept in ("LightweightTablet", "UpperclassTablet", "NOT WellEquip", "Tablet OR Fresh"):
+                for bound in ("lo", "hi"):
+                    lines.append(["explain", paths[kb], "-i", individual, "-c", concept, "--bound", bound])
+        for argv in lines:
+            _, out, _ = run(capsys, *argv, "--format", "structured")
+            if out:
+                assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n", argv
+                compared += 1
+    assert compared >= 30
+
+
+def json_trees():
+    text = st.text(st.one_of(st.characters(), st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff\U0001f600')))
+    leaves = st.none() | st.booleans() | st.integers() | text
+    return st.recursive(leaves, lambda inner: st.lists(inner) | st.dictionaries(text, inner), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees())
+def test_the_json_writer_matches_json_dumps(tree):
+    out = []
+    _write_json(tree, out)
+    assert "".join(out) == json.dumps(tree, sort_keys=True, indent=2)
 
 
 def test_explain_undecided_bound(paths, capsys):
