@@ -21,7 +21,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
-from .decision import DecisionReport, UtilityBox, rank as rank_choices
+from .decision import AttributeContribution, DecisionReport, UtilityBox, rank as rank_choices
 from .kbtext import (
     ParseDiagnostic,
     format_conflict,
@@ -158,28 +158,37 @@ def _cmd_check(args: argparse.Namespace) -> int:
 # rank / complete
 
 
+def _contribution_payload(c: AttributeContribution) -> dict:
+    return {
+        "attribute": c.attribute,
+        "weight": render_decimal(c.weight),
+        "bound": None if c.bound is None else render_decimal(c.bound),
+        "contribution": render_decimal(c.contribution),
+    }
+
+
 def _report_payload(report: DecisionReport) -> dict:
+    rendered: dict[int, object] = {}  # by identity: rank shares one object per distinct score and contribution
+
+    def once(value: object, render) -> object:
+        if id(value) not in rendered:
+            rendered[id(value)] = render(value)
+        return rendered[id(value)]
+
+    undecided = report.undecided
     return {
         "id": report.expert_id,
         "ideal": report.ideal,
-        "complete": report.complete,
+        "complete": not undecided,
         "ranking": [
             {
                 "choice": row.choice,
-                "score": render_decimal(row.score),
-                "contributions": [
-                    {
-                        "attribute": c.attribute,
-                        "weight": render_decimal(c.weight),
-                        "bound": None if c.bound is None else render_decimal(c.bound),
-                        "contribution": render_decimal(c.contribution),
-                    }
-                    for c in row.contributions
-                ],
+                "score": once(row.score, render_decimal),
+                "contributions": [once(c, _contribution_payload) for c in row.contributions],
             }
             for row in report.rows
         ],
-        "undecided": [{"choice": ch, "attribute": attr} for ch, attr in report.undecided],
+        "undecided": [{"choice": ch, "attribute": attr} for ch, attr in undecided],
     }
 
 

@@ -1,22 +1,24 @@
 """Ranking choices by expert-weighted attribute memberships.
 
 An expert's priorities are a utility box: an ordered list of (attribute,
-weight) pairs, attributes being concept names from the knowledge base.
-:func:`rank` asks :meth:`~fdlb.reasoner.SaturatedKb.instance_interval` for
-each (choice, attribute) pair, and a choice's score sums weight times the
-entailed lower membership bound of the choice in each attribute.  A pair
-whose entailed interval is still the vacuous [0, 1] is *undecided*: it
-contributes nothing and is reported so the knowledge base can be completed.
-A pair at [0, h] with h < 1 is decided, with bound 0.
+weight) pairs, attributes being concept names from the knowledge base.  A
+choice's score sums weight times the entailed lower membership bound of the
+choice in each attribute.  A pair whose entailed interval is still the
+vacuous [0, 1] is *undecided*: it contributes nothing and is reported so the
+knowledge base can be completed.  A pair at [0, h] with h < 1 is decided,
+with bound 0.  :func:`rank` scores in integers, from one
+:meth:`~fdlb.reasoner.SaturatedKb.scaled_bounds` read; rows share each
+distinct contribution and score.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .model import Atom, FdlbError, FULL_INTERVAL, ZERO
+from .model import Atom, FdlbError, ZERO
 
 if TYPE_CHECKING:  # pragma: no cover
     from .reasoner import SaturatedKb
@@ -91,16 +93,18 @@ def rank(sat: "SaturatedKb", choices: Sequence[str], ubox: UtilityBox) -> Decisi
             raise UnknownAttributeError(
                 f"attribute {name!r} in utility box {ubox.expert_id!r} is not a concept of the knowledge base"
             )
-    attributes = [(name, Atom(name), w) for name, w in ubox.entries]
-    rows = []
-    for choice in choices:
-        contributions = []
-        for name, atom, w in attributes:
-            interval = sat.instance_interval(choice, atom)
-            bound = None if interval == FULL_INTERVAL else interval.lo
-            contributions.append(AttributeContribution(name, w, bound, ZERO if bound is None else w * bound))
-        score = sum((c.contribution for c in contributions), start=ZERO)
-        rows.append(ChoiceScore(choice, score, tuple(contributions)))
-    rows.sort(key=lambda row: (-row.score, row.choice))
-    return DecisionReport(ubox.expert_id, tuple(rows))
+    scale, bounds = sat.scaled_bounds(choices, [Atom(name) for name, _ in ubox.entries])
+    unit = lcm(*(w.denominator for _, w in ubox.entries))
+    totals = [0] * len(choices)  # minus each choice's score, times unit * scale
+    columns = []
+    for (name, w), (los, his) in zip(ubox.entries, bounds):
+        weight = w.numerator * (unit // w.denominator)
+        totals = [t - weight * lo for t, lo in zip(totals, los)]  # an undecided pair's lo is 0
+        keys = [lo if lo or hi < scale else -1 for lo, hi in zip(los, his)]  # -1: undecided
+        made = {k: AttributeContribution(name, w, None, ZERO) if k < 0 else
+                AttributeContribution(name, w, Fraction(k, scale), w * Fraction(k, scale)) for k in set(keys)}
+        columns.append([made[k] for k in keys])
+    scores = {t: Fraction(-t, unit * scale) for t in set(totals)}
+    rows = sorted(zip(totals, choices, zip(*columns) if columns else [()] * len(choices)))  # choices differ
+    return DecisionReport(ubox.expert_id, tuple(ChoiceScore(c, scores[t], cs) for t, c, cs in rows))
 

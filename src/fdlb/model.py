@@ -62,10 +62,6 @@ class IntervalConflictError(FdlbError):
         super().__init__(f"empty degree interval: lo {lo} > hi {hi}")
 
 
-class UnitMismatchError(FdlbError):
-    """Two quantities (or a quantity and a role) disagree on their unit."""
-
-
 class ModelError(FdlbError):
     """A knowledge-base invariant was violated during construction."""
 
@@ -99,51 +95,31 @@ FULL_INTERVAL = DegreeInterval(ZERO, ONE)
 
 
 class Quantity(NamedTuple):
-    """A magnitude tagged with a unit symbol (``999 EUR``, ``710 g``)."""
+    """A magnitude tagged with a unit symbol (``999 EUR``, ``710 g``).
+
+    :func:`build_kb` and :func:`check_concept_roles` hold every value and
+    threshold on a concrete role to the role's declared unit, so the
+    reasoner compares magnitudes alone.
+    """
 
     magnitude: Fraction
     unit: str
 
-    def _check_unit(self, other: "Quantity") -> None:
-        if self.unit != other.unit:
-            raise UnitMismatchError(f"cannot compare {self.unit} with {other.unit}")
-
-    def __lt__(self, other: "Quantity") -> bool:
-        self._check_unit(other)
-        return self.magnitude < other.magnitude
-
-    def __le__(self, other: "Quantity") -> bool:
-        self._check_unit(other)
-        return self.magnitude <= other.magnitude
-
-    def __gt__(self, other: "Quantity") -> bool:
-        self._check_unit(other)
-        return self.magnitude > other.magnitude
-
-    def __ge__(self, other: "Quantity") -> bool:
-        self._check_unit(other)
-        return self.magnitude >= other.magnitude
-
 
 # Comparator symbols for concrete restrictions and the comparison each
 # makes.  Surface keywords GT/GE/LT/LE map onto these.
-_COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
-COMPARATORS = tuple(_COMPARISONS)
+COMPARISONS = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operator.le}
 
 
 class ConcretePredicate(namedtuple("ConcretePredicate", "op threshold")):
-    """A crisp comparison against a threshold quantity on a concrete role."""
+    """A crisp comparison against a threshold quantity on a concrete role: ``value op threshold``."""
 
     __slots__ = ()
 
     def __new__(cls, op: str, threshold: Quantity) -> ConcretePredicate:
-        if op not in COMPARATORS:
+        if op not in COMPARISONS:
             raise ModelError(f"unknown comparator {op!r}")
         return super().__new__(cls, op, threshold)
-
-    def evaluate(self, value: Quantity) -> Degree:
-        """Crisp evaluation: the constant :data:`ONE` or :data:`ZERO` itself, so callers may test identity."""
-        return ONE if _COMPARISONS[self.op](value, self.threshold) else ZERO
 
 
 # --------------------------------------------------------------------------

@@ -69,7 +69,8 @@ bound in any other row, such as ``TOP``'s, is recorded but not queued, as
 popping it would fire nothing.  Each improvement overwrites one compact
 record under its bound — rule, scaled value, premises as bounds, source,
 note and step number; that record also explains the upper bound of the
-dual.  :class:`SaturatedKb` keeps the list and the records, and builds a
+dual.  :class:`SaturatedKb` keeps the list and the records, returns
+bounds as these integers to :func:`~fdlb.decision.rank`, builds a
 :class:`DegreeInterval` only when a query first returns its pair of
 bounds and a :class:`DerivationNode`, with its exact
 :class:`~fractions.Fraction` value, only when an explanation, a conflict
@@ -107,6 +108,7 @@ from .kbtext import render_concept
 from .model import (
     And,
     BOTTOM,
+    COMPARISONS,
     ConceptExpression,
     ConcretePredicate,
     DegreeInterval,
@@ -117,7 +119,6 @@ from .model import (
     FuzzyGci,
     KnowledgeBase,
     Not,
-    ONE,
     Or,
     TOP,
     check_concept_roles,
@@ -286,9 +287,11 @@ class _Saturation:
                 self.pointing_at[filler].append(key)
                 self.role_fact[(subject, filler, ra.role)] = ra
 
-        self.values_by_role: dict[str, list[tuple[int, object]]] = {}
+        # role -> (individual, fact, numerator, denominator) of each value, for integer threshold tests
+        self.values_by_role: dict[str, list[tuple[int, object, int, int]]] = {}
         for cf in self.kb.concrete_facts:
-            self.values_by_role.setdefault(cf.role, []).append((individual[cf.subject], cf))
+            entry = (individual[cf.subject], cf, cf.value.magnitude.numerator, cf.value.magnitude.denominator)
+            self.values_by_role.setdefault(cf.role, []).append(entry)
 
     def _add_expressions(self, exprs: Sequence[ConceptExpression]) -> set[int]:
         """Number ``exprs`` after the closure, with default bounds and their index entries.
@@ -413,9 +416,11 @@ class _Saturation:
             if x < first:
                 continue
             node = self.closure[x]
-            for a, cf in self.values_by_role.get(node.role, ()):
-                hit = node.target.evaluate(cf.value)  # type: ignore[union-attr]
-                row = x * n if hit is ONE else self.dual_rows[x]
+            # value op threshold, as v / w op t / d (one unit: see Quantity)
+            op, threshold = node.target  # type: ignore[misc]
+            holds, t, d = COMPARISONS[op], threshold.magnitude.numerator, threshold.magnitude.denominator
+            for a, cf, v, w in self.values_by_role.get(node.role, ()):
+                row = x * n if holds(v * d, t * w) else self.dual_rows[x]
                 self.set_lo(row + a, scale, "concrete", (), source=cf)
         if not first:
             for gci, degree in self.bottom_simple:
@@ -546,16 +551,15 @@ class _Saturation:
 class SaturatedKb:
     """A knowledge base together with its saturated bounds, built from the engine that saturated it.
 
-    Its answers are :meth:`instance_interval` and :meth:`explain`;
-    ``closure`` shows which expressions hold bounds.  ``_engine`` is the
-    saturation that reached the fixpoint, kept so that a query outside the
-    closure can grow it (see Extensions in the module docstring):
-    ``closure`` then includes the query's expressions, and the engine's step
-    numbers continue.  Closure expression ``x`` and individual ``i`` (in
-    ``kb.individuals`` order) own the bound ``b = x * n + i``, whose scaled
-    lower bound ``lo[b]`` and upper bound (one minus the lower bound of the
-    dual) become a :class:`DegreeInterval` on demand, one per distinct pair,
-    kept by the engine.  ``_derivations`` reads the compact record of each
+    Its answers are :meth:`scaled_bounds`, :meth:`instance_interval` and
+    :meth:`explain`; ``closure`` shows which expressions hold bounds.
+    ``_engine`` is the saturation that reached the fixpoint, kept so that a
+    query outside the closure can grow it (see Extensions in the module
+    docstring): ``closure`` then includes the query's expressions, and the
+    engine's step numbers continue.  :meth:`scaled_bounds` reads the scaled
+    bounds (see Bound storage) of many individuals at once, and
+    :meth:`instance_interval` makes one pair a :class:`DegreeInterval`.
+    ``_derivations`` reads the compact record of each
     improved bound by ``(individual, expression, side)``, an upper bound
     through its dual's record, and builds its :class:`DerivationNode` on
     first read.  A clash found while growing is kept in ``_clash`` and raised
@@ -573,6 +577,20 @@ class SaturatedKb:
         """The expressions with bounds, in row order; a query outside them adds its own."""
         return self._engine.closure
 
+    def scaled_bounds(self, individuals: Sequence[str], exprs: Sequence[ConceptExpression]) -> tuple[int, list]:
+        """The scale ``L`` and, per expression, the lower and the upper bounds of the individuals in it, times ``L``.
+
+        ``individuals`` is not empty.  Raises as asking the first individual
+        about every expression, then each later one, would: a kept clash; an
+        unknown first individual, before any growth; a clash found growing
+        the closure by an expression (kept, as in :meth:`instance_interval`);
+        an unknown later individual.  With no expressions nothing is checked.
+        """
+        xs = [self._grow(individuals[0], expr) for expr in exprs]
+        ids = [self._individual_id(a) for a in individuals] if xs else []
+        n, lo, scale, duals = self._engine.n, self._engine.lo, self._engine.scale, self._engine.dual_rows
+        return scale, [([lo[x * n + i] for i in ids], [scale - lo[duals[x] + i] for i in ids]) for x in xs]
+
     def instance_interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
         """The entailed membership interval of an individual in any concept.
 
@@ -583,9 +601,8 @@ class SaturatedKb:
         and every later one.  The interval is :data:`~fdlb.model.FULL_INTERVAL`
         exactly when the knowledge base says nothing about the membership.
         """
-        b = self._grow(individual, expr)
         engine = self._engine
-        lo, hi = engine.lo[b], engine.scale - engine.lo[engine.dual_bound(b)]
+        _, [([lo], [hi])] = self.scaled_bounds((individual,), (expr,))
         interval = engine.intervals.get((lo, hi))
         if interval is None:
             interval = engine.intervals[lo, hi] = DegreeInterval(engine.fractions[lo], engine.fractions[hi])
@@ -611,13 +628,11 @@ class SaturatedKb:
         return _explanation(self._derivations, key)
 
     def _grow(self, individual: str, expr: ConceptExpression) -> int:
-        """The individual's bound in ``expr``, after checking the individual and growing the closure by ``expr``."""
+        """The closure row of ``expr``, after checking the individual and growing the closure by ``expr``."""
         engine = self._engine
         if self._clash is not None:
             raise self._clash.with_traceback(None)  # each raise would otherwise add its frames
-        i = engine.individual_ids.get(individual)
-        if i is None:
-            raise UnknownIndividualError(f"individual {individual!r} does not occur in the knowledge base")
+        self._individual_id(individual)
         x = engine.expr_ids.get(expr)
         if x is None:
             check_concept_roles(expr, self.kb.roles, "query")
@@ -627,7 +642,12 @@ class SaturatedKb:
                 self._clash = clash
                 raise
             x = engine.expr_ids[expr]
-        return x * engine.n + i
+        return x
+
+    def _individual_id(self, individual: str) -> int:
+        if (i := self._engine.individual_ids.get(individual)) is None:
+            raise UnknownIndividualError(f"individual {individual!r} does not occur in the knowledge base")
+        return i
 
 
 class _Derivations(Mapping[Key, DerivationNode]):

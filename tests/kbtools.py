@@ -2,15 +2,21 @@
 
 ``serialize_kb``/``serialize_ubox`` write a knowledge base or a utility box
 back in the text format, so tests can round-trip it through the parser;
-``kb_equal`` compares knowledge bases up to statement order; and
+``kb_equal`` compares knowledge bases up to statement order;
 ``interval_map`` lists every non-vacuous entailed interval of a saturated
-base, in the shape ``naive_engine.NaiveEngine.interval_map`` reports.
+base, in the shape ``naive_engine.NaiveEngine.interval_map`` reports;
+``evaluate`` decides a concrete restriction on one quantity, by the
+definition the engines are checked against; and ``reference_rank`` ranks
+choices by asking ``instance_interval`` for each (choice, attribute) pair
+and summing ``Fraction`` products, the reference ``decision.rank`` is
+checked against.
 """
 
 from collections import Counter
 
+from fdlb.decision import AttributeContribution, ChoiceScore, DecisionReport
 from fdlb.kbtext import render_decimal, render_statement
-from fdlb.model import FULL_INTERVAL
+from fdlb.model import COMPARISONS, FULL_INTERVAL, ONE, ZERO, Atom
 
 
 def serialize_kb(kb):
@@ -47,6 +53,12 @@ def kb_equal(a, b):
     )
 
 
+def evaluate(predicate, value):
+    """``ONE`` when ``value op threshold`` holds, else ``ZERO``; both quantities are in one unit."""
+    assert value.unit == predicate.threshold.unit, (value, predicate)
+    return ONE if COMPARISONS[predicate.op](value.magnitude, predicate.threshold.magnitude) else ZERO
+
+
 def interval_map(sat):
     """All non-vacuous entailed intervals of a saturated base, keyed by (individual, closure expression)."""
     out = {}
@@ -56,3 +68,23 @@ def interval_map(sat):
             if interval != FULL_INTERVAL:
                 out[(individual, expr)] = interval
     return out
+
+
+def reference_rank(sat, choices, ubox):
+    """``decision.rank`` by its definition: one ``instance_interval`` and one ``Fraction`` product per pair.
+
+    Choices are asked in order, each of every attribute in ubox order, so a
+    clash or an unknown individual raises where ``rank`` must raise it;
+    ``rank``'s own checks of its arguments are not repeated here.
+    """
+    rows = []
+    for choice in choices:
+        contributions = []
+        for name, w in ubox.entries:
+            interval = sat.instance_interval(choice, Atom(name))
+            bound = None if interval == FULL_INTERVAL else interval.lo
+            contributions.append(AttributeContribution(name, w, bound, ZERO if bound is None else w * bound))
+        score = sum((c.contribution for c in contributions), start=ZERO)
+        rows.append(ChoiceScore(choice, score, tuple(contributions)))
+    rows.sort(key=lambda row: (-row.score, row.choice))
+    return DecisionReport(ubox.expert_id, tuple(rows))

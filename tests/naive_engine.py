@@ -33,6 +33,7 @@ from fdlb.model import (
     build_kb,
 )
 from fdlb.reasoner import build_closure
+from kbtools import evaluate
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -144,7 +145,7 @@ class NaiveEngine:
                     if isinstance(e.target, ConcretePredicate):
                         value = self.values.get((a, e.role))
                         if value is not None:
-                            verdict = e.target.evaluate(value)
+                            verdict = evaluate(e.target, value)
                             changed |= self._tlo(a, e, verdict)
                             changed |= self._thi(a, e, verdict)
                     else:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,8 +10,16 @@ from fdlb.decision import (
     rank,
 )
 from fdlb.kbtext import parse_kb
-from fdlb.model import FdlbError
-from fdlb.reasoner import saturate
+from fdlb.model import Atom, FdlbError, build_kb
+from fdlb.reasoner import (
+    InconsistencyError,
+    UnknownIndividualError,
+    _Saturation,
+    check_consistency,
+    saturate,
+)
+from kbgen import random_kb
+from kbtools import reference_rank
 
 CHOICES = ("tab_1", "tab_2", "tab_3")
 
@@ -184,3 +193,128 @@ def test_decided_zero_counts_as_complete():
     box = UtilityBox("e", (("Good", Fraction(3)),))
     assert rank(sat, ("a", "b"), box).undecided == ()
     assert score_of(sat, "a", box) == 0
+
+
+# -- rank against its per-pair Fraction definition
+
+WEIGHTS = (Fraction(0), Fraction(1, 3), Fraction(7, 8), Fraction(1), Fraction(5, 2))
+UNMENTIONED = ("Unmentioned", "Spare")  # declared, in no statement: ranking grows the closure by them
+
+
+def _with_unmentioned(kb):
+    return build_kb(kb.roles.values(), kb.gcis, kb.assertions, kb.role_assertions, kb.concrete_facts,
+                    kb.declared_concepts | set(UNMENTIONED))
+
+
+def _assert_same_report(got, want):
+    assert (got.expert_id, len(got.rows)) == (want.expert_id, len(want.rows))
+    for row, ref in zip(got.rows, want.rows):
+        assert (row.choice, row.score, type(row.score)) == (ref.choice, ref.score, Fraction)
+        assert len(row.contributions) == len(ref.contributions)
+        for c, r in zip(row.contributions, ref.contributions):
+            assert (c.attribute, c.weight, c.bound, c.contribution) == (r.attribute, r.weight, r.bound, r.contribution)
+            assert type(c.contribution) is Fraction and (c.bound is None or type(c.bound) is Fraction)
+
+
+def _check_against_reference(kb, rng):
+    kb = _with_unmentioned(kb)
+    names = sorted(kb.concept_names)
+    rng.shuffle(names)
+    box = UtilityBox("e", tuple((name, WEIGHTS[i % len(WEIGHTS)]) for i, name in enumerate(names)))
+    choices = list(kb.individuals)
+    rng.shuffle(choices)
+    try:
+        sat, ref_sat = saturate(kb), saturate(kb)
+    except InconsistencyError:
+        return False
+    _assert_same_report(rank(sat, choices, box), reference_rank(ref_sat, choices, box))
+    assert sat.closure == ref_sat.closure
+    assert all(Atom(name) in sat.closure for name in UNMENTIONED)
+    return True
+
+
+def test_rank_equals_the_per_pair_reference_on_random_bases():
+    consistent = sum(_check_against_reference(random_kb(seed), random.Random(seed)) for seed in range(200))
+    assert consistent > 80  # 95 of the 200 bases are consistent
+
+
+@pytest.mark.parametrize("name", ["tablet_crisp.fdlb", "tablet_fuzzy.fdlb", "tablet_complete.fdlb", "clash.fdlb"])
+def test_rank_equals_the_per_pair_reference_on_the_fixtures(name, fixtures_dir, expert1, expert2):
+    kb = parse_kb((fixtures_dir / name).read_text(encoding="utf-8")).kb
+    assert _check_against_reference(kb, random.Random(name)) == (name != "clash.fdlb")
+    if name != "clash.fdlb":
+        sat, ref_sat = saturate(kb), saturate(kb)
+        for box in (expert1, expert2):
+            _assert_same_report(rank(sat, CHOICES, box), reference_rank(ref_sat, CHOICES, box))
+
+
+def test_an_empty_utility_box_scores_every_choice_zero(complete_sat):
+    # with no attribute nothing asks the base about a choice, so no choice is checked
+    report = rank(complete_sat, ("tab_3", "tab_9", "tab_1"), UtilityBox("nobody", ()))
+    assert [(row.choice, row.score, row.contributions) for row in report.rows] == [
+        ("tab_1", 0, ()), ("tab_3", 0, ()), ("tab_9", 0, ())
+    ]
+
+
+# -- error precedence: a kept clash, an unknown first choice, growth on the
+# first choice, then an unknown later choice
+
+@pytest.fixture
+def open_sat(complete_kb):
+    return saturate(_with_unmentioned(complete_kb))
+
+
+OPEN_BOX = UtilityBox("open", (("Tablet", Fraction(1)), ("Unmentioned", Fraction(1, 3)), ("Spare", Fraction(7, 8))))
+
+
+@pytest.fixture
+def clashing_growth(monkeypatch, fixtures_dir):
+    conflict = check_consistency(parse_kb((fixtures_dir / "clash.fdlb").read_text()).kb)
+
+    def clashing(self, expr):
+        raise InconsistencyError(conflict)
+
+    monkeypatch.setattr(_Saturation, "extend", clashing)
+    return monkeypatch
+
+
+def test_an_unknown_first_choice_raises_before_any_growth(open_sat):
+    before = len(open_sat.closure)
+    with pytest.raises(UnknownIndividualError, match="individual 'tab_9' does not occur"):
+        rank(open_sat, ("tab_9", "tab_1"), OPEN_BOX)
+    assert len(open_sat.closure) == before
+
+
+def test_an_unknown_later_choice_raises_after_every_attribute_grows(open_sat):
+    before = len(open_sat.closure)
+    with pytest.raises(UnknownIndividualError, match="individual 'tab_9' does not occur"):
+        rank(open_sat, ("tab_1", "tab_9"), OPEN_BOX)
+    assert len(open_sat.closure) == before + 2 * len(UNMENTIONED)  # each atom and its NOT
+    assert all(Atom(name) in open_sat.closure for name in UNMENTIONED)
+
+
+def test_a_clash_found_growing_an_attribute_is_raised_and_kept(open_sat, clashing_growth):
+    with pytest.raises(InconsistencyError) as first:
+        rank(open_sat, ("tab_1", "tab_9"), OPEN_BOX)  # growth comes before the unknown later choice
+    clashing_growth.undo()
+    with pytest.raises(InconsistencyError) as again:
+        rank(open_sat, ("tab_9",), OPEN_BOX)  # a kept clash comes before an unknown first choice
+    assert again.value.conflict == first.value.conflict
+
+
+def test_an_unknown_first_choice_comes_before_a_clash_in_growth(open_sat, clashing_growth):
+    with pytest.raises(UnknownIndividualError):
+        rank(open_sat, ("tab_9", "tab_1"), OPEN_BOX)
+
+
+def test_argument_errors_keep_their_messages(complete_sat, expert1):
+    with pytest.raises(EmptyChoiceSetError, match="^no choices to rank$"):
+        rank(complete_sat, (), expert1)
+    with pytest.raises(FdlbError, match="^choice 'tab_2' is listed twice$"):
+        rank(complete_sat, ("tab_2", "tab_9", "tab_2"), expert1)
+    box = UtilityBox("oops", (("Tablet", Fraction(1)), ("NoSuchClass", Fraction(5))))
+    with pytest.raises(UnknownAttributeError) as unknown:
+        rank(complete_sat, ("tab_9",), box)
+    assert str(unknown.value) == (
+        "attribute 'NoSuchClass' in utility box 'oops' is not a concept of the knowledge base"
+    )

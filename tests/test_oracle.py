@@ -73,6 +73,7 @@ from fdlb.model import (
     sub_expressions,
 )
 from fdlb.reasoner import InconsistencyError, build_closure, saturate
+from kbtools import evaluate
 
 ATOMS = ("A", "B", "C")
 NAMED = ("x", "y")
@@ -189,7 +190,7 @@ class Models:
             return tuple(reduce(op, (p[i] for p in parts), unit) for i in range(LEVELS))
         if isinstance(e, Exists) and isinstance(e.target, ConcretePredicate):
             value = self.values.get((a, e.role))
-            return constant(self.full, LEVELS if value is not None and e.target.evaluate(value) else 0)
+            return constant(self.full, LEVELS if value is not None and evaluate(e.target, value) else 0)
         body = e.target if isinstance(e, Exists) else e.body
         op, unit = (or_, 0) if isinstance(e, Exists) else (and_, self.full)
         fillers = [self.value(b, body) for b in self.edges.get((a, e.role), ())]

@@ -27,7 +27,7 @@ from fdlb.reasoner import (
     saturate,
 )
 
-from kbtools import interval_map
+from kbtools import evaluate, interval_map
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -140,6 +140,20 @@ def test_concrete_restrictions_pin_crisply():
     assert iv(sat, "x", le900) == (ONE, ONE)
     assert iv(sat, "x", gt900) == (ZERO, ZERO)
     assert iv(sat, "bare", le900) == (ZERO, ONE)  # no fact, no verdict
+
+
+@pytest.mark.parametrize("op,keyword", [(">", "GT"), (">=", "GE"), ("<", "LT"), ("<=", "LE")])
+def test_fractional_values_and_thresholds_pin_as_their_comparison_says(op, keyword):
+    # values and thresholds of different denominators, some equal: the base's restriction is seeded with
+    # the base, the others when a query grows the closure
+    values = ("499.75", "499.7", "500", "500.5", "0.125")
+    sat = sat_of("role m : concrete(u);\n" + "".join(f"assert (v{i}, {v} u) : m;\n" for i, v in enumerate(values))
+                 + f"axiom EXISTS m . {keyword} 499.7 u SUBSUMED-BY A;")
+    for threshold in ("499.7", "499.75", "500", "0.1", "1000"):
+        restriction = Exists("m", ConcretePredicate(op, Quantity(Fraction(threshold), "u")))
+        for i, v in enumerate(values):
+            verdict = evaluate(restriction.target, Quantity(Fraction(v), "u"))
+            assert iv(sat, f"v{i}", restriction) == (verdict, verdict), (threshold, v)
 
 
 def test_disjointness_caps_partner():
@@ -337,8 +351,8 @@ def recompute(sat, node):
         return node.source.degree
     if rule == "concrete":  # on the restriction when it holds, on its NOT when it fails
         if isinstance(e, Not):
-            return ONE - e.body.target.evaluate(node.source.value)
-        return e.target.evaluate(node.source.value)
+            return ONE - evaluate(e.body.target, node.source.value)
+        return evaluate(e.target, node.source.value)
     if rule == "conj-up":
         return min(lo(a, c) for c in e.parts)
     if rule == "conj-down":
