@@ -271,7 +271,6 @@ def _cmd_complete(args: argparse.Namespace) -> int:
 
 def _explain_payload(args: argparse.Namespace, explanation: Explanation) -> dict:
     # premises index into the flat steps table, which keeps the JSON shallow
-    index = {(n.individual, n.expr, n.kind): i for i, n in enumerate(explanation.steps)}
     return {
         "kb": args.kb,
         "individual": explanation.individual,
@@ -287,7 +286,7 @@ def _explain_payload(args: argparse.Namespace, explanation: Explanation) -> dict
                 "rule": node.rule,
                 "source": None if node.source is None else render_statement(node.source),
                 "note": node.note or None,
-                "premises": [index[p] for p in node.premises],
+                "premises": list(node.premises),
             }
             for node in explanation.steps
         ],

@@ -704,20 +704,18 @@ def _explanation_lines(explanation: "Explanation", indent: int) -> list[str]:
     # Each step's premises are indented beneath it.  A step printed earlier
     # (shared, or a back-reference in a cycle) gets its line again, marked
     # "(see above)", but is not expanded twice.
-    by_key = {(n.individual, n.expr, n.kind): n for n in explanation.steps}
-    printed: set[tuple] = set()
+    steps, printed = explanation.steps, set()
     lines: list[str] = []
-    stack = [((explanation.individual, explanation.expr, explanation.kind), indent)]
+    stack = [(0, indent)]
     while stack:
-        key, depth = stack.pop()
-        node = by_key[key]
-        line = "  " * depth + _step_text(node)
-        if key in printed:
+        i, depth = stack.pop()
+        line = "  " * depth + _step_text(steps[i])
+        if i in printed:
             lines.append(line + "  (see above)")
             continue
-        printed.add(key)
+        printed.add(i)
         lines.append(line)
-        stack.extend((p, depth + 1) for p in reversed(node.premises))
+        stack.extend((p, depth + 1) for p in reversed(steps[i].premises))
     return lines
 
 

@@ -69,12 +69,15 @@ bound in any other row, such as ``TOP``'s, is recorded but not queued, as
 popping it would fire nothing.  Each improvement overwrites one compact
 record under its bound — rule, scaled value, premises as bounds, source,
 note and step number; that record also explains the upper bound of the
-dual.  :class:`SaturatedKb` keeps the list and the records, returns
-bounds as these integers to :func:`~fdlb.decision.rank`, builds a
-:class:`DegreeInterval` only when a query first returns its pair of
-bounds and a :class:`DerivationNode`, with its exact
-:class:`~fractions.Fraction` value, only when an explanation, a conflict
-or ``_derivations`` reads it.
+dual.  An explanation walks the records from a signed bound (``b`` for
+the lower bound ``b``, ``~b`` for its upper bound) and only then builds
+one :class:`DerivationNode` per step, with its exact
+:class:`~fractions.Fraction` value and its premises as indices into the
+explanation's ``steps``; this module alone maps bound numbers to
+individuals, expressions and sides.  :class:`SaturatedKb` keeps the list
+and the records, returns bounds as these integers to
+:func:`~fdlb.decision.rank`, and builds a :class:`DegreeInterval` only
+when :meth:`~SaturatedKb.instance_interval` returns one.
 
 Extensions: a query on an expression outside the closure grows the
 saturation in place instead of re-running it.  The closure expressions the
@@ -98,9 +101,7 @@ mentions costs its two closure entries and no derivation.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterator, Mapping
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from typing import NamedTuple, Sequence
 
@@ -115,7 +116,6 @@ from .model import (
     Exists,
     FdlbError,
     Forall,
-    FULL_INTERVAL,
     FuzzyGci,
     KnowledgeBase,
     Not,
@@ -127,7 +127,6 @@ from .model import (
 )
 
 Bound = str  # "lo" | "hi"
-Key = tuple[str, ConceptExpression, Bound]
 
 
 class UnknownIndividualError(FdlbError):
@@ -139,10 +138,10 @@ class NoDerivationError(FdlbError):
 
 
 class DerivationNode(NamedTuple):
-    """One recorded bound improvement.
+    """One recorded bound improvement, as a step of an :class:`Explanation`.
 
-    ``premises`` are (individual, expression, bound-side) references into
-    the final derivation map; ``source`` is the statement that licensed the
+    ``premises`` are the indices of its premises' steps in that
+    explanation's ``steps``; ``source`` is the statement that licensed the
     step (an inclusion, an assertion, a role assertion, or a quantity
     fact), if any.  ``step`` is the global order in which improvements were
     recorded.
@@ -153,7 +152,7 @@ class DerivationNode(NamedTuple):
     expr: ConceptExpression
     kind: Bound
     value: Fraction
-    premises: tuple[Key, ...]
+    premises: tuple[int, ...]
     source: object | None = None
     note: str = ""
     step: int = 0
@@ -164,8 +163,9 @@ class Explanation(NamedTuple):
 
     ``steps[0]`` derives the explained bound itself; the rest are every
     derivation reachable from it through ``premises``, in depth-first
-    order.  A premise that refers to an earlier step (a shared step, or a
-    back-reference in a cycle) is not listed again.
+    order.  Each premise is an index into ``steps``: a premise that refers
+    to an earlier step (a shared step, or a back-reference in a cycle) is
+    not listed again.
     """
 
     individual: str
@@ -237,12 +237,7 @@ class _Saturation:
         # a degree d (a Fraction: see build_kb) is scaled where it is used, as
         # d.numerator * (scale // d.denominator), so no Fraction is hashed
         degrees = [*(fa.degree for fa in kb.assertions), *(g.degree for g in kb.gcis)]
-        self.scale = scale = lcm(*{d.denominator for d in degrees})
-        # every degree saturation can reach: 0, 1, and each input degree and its complement
-        levels = {d.numerator * (scale // d.denominator) for d in degrees}
-        self.fractions = {v: Fraction(v, scale) for v in chain((0, scale), levels, (scale - v for v in levels))}
-        # (lo, hi) scaled -> its DegreeInterval, built on the first query that returns it
-        self.intervals = {(0, scale): FULL_INTERVAL}
+        self.scale = lcm(*{d.denominator for d in degrees})
         # bound -> (rule, scaled value, premises, source, note, step) of its latest improvement
         self.records: dict[int, tuple] = {}
         self.queue: deque[int] = deque()  # bounds whose lower bound rose
@@ -366,19 +361,38 @@ class _Saturation:
 
     # -- bound updates
 
-    def dual_bound(self, b: int) -> int:
-        """The bound of the same individual in the dual expression."""
-        x, a = divmod(b, self.n)
-        return self.dual_rows[x] + a
+    def explanation(self, s: int) -> Explanation:
+        """Every derivation reachable from signed bound ``s``, once each, in depth-first order.
+
+        ``s`` is ``b`` for the lower bound ``b`` and ``~b`` for its upper
+        bound, read from the record of the dual's lower bound; a premise is
+        always a lower bound.  The reachable records are listed first, then
+        each becomes one :class:`DerivationNode` whose premises are indices
+        into the returned steps.
+        """
+        n, records, dual_rows = self.n, self.records, self.dual_rows
+        walked: dict[int, tuple] = {}  # signed bound -> its record, in the order listed
+        stack = [s]
+        while stack:
+            s = stack.pop()
+            if s not in walked:
+                record = walked[s] = records[s] if s >= 0 else records[dual_rows[~s // n] + ~s % n]
+                stack.extend(reversed(record[2]))
+        index = {s: i for i, s in enumerate(walked)}
+        steps = []
+        for s, (rule, value, premises, source, note, step) in walked.items():
+            x, a = divmod(s if s >= 0 else ~s, n)
+            kind, value = ("lo", value) if s >= 0 else ("hi", self.scale - value)
+            value = Fraction(value, self.scale)
+            premises = tuple(index[p] for p in premises)
+            steps.append(DerivationNode(rule, self.names[a], self.closure[x], kind, value, premises, source, note, step))
+        root = steps[0]
+        return Explanation(root.individual, root.expr, root.kind, root.value, tuple(steps))
 
     def _conflict(self, b: int) -> Conflict:
         # lo(e) + lo(NOT e) > 1 holds only when both bounds rose, so both have records
-        x, a = divmod(b, self.n)
-        ind, expr = self.names[a], self.closure[x]
-        derivations = _Derivations(self)
-        lo = _explanation(derivations, (ind, expr, "lo"))
-        hi = _explanation(derivations, (ind, expr, "hi"))
-        return Conflict(ind, expr, lo.value, hi.value, lo, hi)
+        lo, hi = self.explanation(b), self.explanation(~b)
+        return Conflict(lo.individual, lo.expr, lo.value, hi.value, lo, hi)
 
     def set_lo(
         self, b: int, value: int, rule: str, premises: tuple[int, ...], source: object | None = None, note: str = ""
@@ -559,16 +573,15 @@ class SaturatedKb:
     engine's step numbers continue.  :meth:`scaled_bounds` reads the scaled
     bounds (see Bound storage) of many individuals at once, and
     :meth:`instance_interval` makes one pair a :class:`DegreeInterval`.
-    ``_derivations`` reads the compact record of each
-    improved bound by ``(individual, expression, side)``, an upper bound
-    through its dual's record, and builds its :class:`DerivationNode` on
-    first read.  A clash found while growing is kept in ``_clash`` and raised
-    again by every later query.  Equality is identity.
+    :meth:`explain` reads the engine's records directly, an upper bound
+    through its dual's record, and builds a :class:`DerivationNode` for
+    each step it returns, its premises indices into those steps.  A clash
+    found while growing is kept in ``_clash`` and raised again by every
+    later query.  Equality is identity.
     """
 
     def __init__(self, engine: _Saturation):
         self.kb = engine.kb
-        self._derivations: Mapping[Key, DerivationNode] = _Derivations(engine)
         self._engine = engine
         self._clash: InconsistencyError | None = None
 
@@ -601,12 +614,8 @@ class SaturatedKb:
         and every later one.  The interval is :data:`~fdlb.model.FULL_INTERVAL`
         exactly when the knowledge base says nothing about the membership.
         """
-        engine = self._engine
-        _, [([lo], [hi])] = self.scaled_bounds((individual,), (expr,))
-        interval = engine.intervals.get((lo, hi))
-        if interval is None:
-            interval = engine.intervals[lo, hi] = DegreeInterval(engine.fractions[lo], engine.fractions[hi])
-        return interval
+        scale, [([lo], [hi])] = self.scaled_bounds((individual,), (expr,))
+        return DegreeInterval(Fraction(lo, scale), Fraction(hi, scale))
 
     def explain(self, individual: str, expr: ConceptExpression, kind: Bound = "lo") -> Explanation:
         """The derivations behind one bound, each listed once.
@@ -618,14 +627,15 @@ class SaturatedKb:
         """
         if kind not in ("lo", "hi"):
             raise ValueError("kind must be 'lo' or 'hi'")
-        self._grow(individual, expr)
-        key = (individual, expr, kind)
-        if key not in self._derivations:
+        engine = self._engine
+        x, a = self._grow(individual, expr), engine.individual_ids[individual]
+        b = x * engine.n + a
+        if (b if kind == "lo" else engine.dual_rows[x] + a) not in engine.records:
             side = "lower" if kind == "lo" else "upper"
             raise NoDerivationError(
                 f"no {side} bound beyond the default is entailed for {individual!r} in {_describe(expr)}"
             )
-        return _explanation(self._derivations, key)
+        return engine.explanation(b if kind == "lo" else ~b)
 
     def _grow(self, individual: str, expr: ConceptExpression) -> int:
         """The closure row of ``expr``, after checking the individual and growing the closure by ``expr``."""
@@ -650,79 +660,8 @@ class SaturatedKb:
         return i
 
 
-class _Derivations(Mapping[Key, DerivationNode]):
-    """A saturation's records read as derivation nodes, by (individual, expression, side).
-
-    Each record is a lower bound, and also the upper bound ``1 - v`` of the
-    same individual in the dual expression: that node carries the record's
-    rule, source and premises.  A record becomes a :class:`DerivationNode`
-    on its first read, and that node is kept.  Iteration follows the order
-    bounds were first improved, each record's lower bound before its upper.
-    """
-
-    def __init__(self, engine: _Saturation):
-        # the engine, not its closure and ids: a query outside the closure grows them
-        self._engine = engine
-        self._nodes: dict[int, DerivationNode] = {}
-
-    def _signed(self, key: object) -> int | None:
-        """``b`` for the lower bound ``b``; ``~b`` for its upper bound, held by the record of the dual bound."""
-        if not (isinstance(key, tuple) and len(key) == 3):
-            return None
-        individual, expr, kind = key
-        a, x = self._engine.individual_ids.get(individual), self._engine.expr_ids.get(expr)
-        if a is None or x is None or kind not in ("lo", "hi"):
-            return None
-        b = x * self._engine.n + a
-        return b if kind == "lo" else ~b
-
-    def _key(self, s: int) -> Key:
-        x, a = divmod(s if s >= 0 else ~s, self._engine.n)
-        return (self._engine.names[a], self._engine.closure[x], "lo" if s >= 0 else "hi")
-
-    def __getitem__(self, key: Key) -> DerivationNode:
-        s = self._signed(key)
-        engine = self._engine
-        record = None if s is None else engine.records.get(s if s >= 0 else engine.dual_bound(~s))
-        if record is None:
-            raise KeyError(key)
-        node = self._nodes.get(s)
-        if node is None:
-            rule, value, premises, source, note, step = record
-            value = engine.fractions[value if s >= 0 else engine.scale - value]
-            node = self._nodes[s] = DerivationNode(
-                rule, *self._key(s), value, tuple(map(self._key, premises)), source, note, step
-            )
-        return node
-
-    def __iter__(self) -> Iterator[Key]:
-        for b in self._engine.records:
-            yield self._key(b)
-            yield self._key(~self._engine.dual_bound(b))
-
-    def __len__(self) -> int:
-        return 2 * len(self._engine.records)
-
-
 def _describe(expr: ConceptExpression) -> str:
     return f"concept '{render_concept(expr)}'"
-
-
-def _explanation(derivations: Mapping[Key, DerivationNode], key: Key) -> Explanation:
-    """Every derivation reachable from ``key``, once each, in depth-first order."""
-    steps: list[DerivationNode] = []
-    seen: set[Key] = set()
-    stack = [key]
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        node = derivations[current]
-        steps.append(node)
-        stack.extend(reversed(node.premises))
-    root = steps[0]
-    return Explanation(root.individual, root.expr, root.kind, root.value, tuple(steps))
 
 
 def saturate(kb: KnowledgeBase) -> SaturatedKb:

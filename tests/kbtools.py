@@ -5,7 +5,9 @@ back in the text format, so tests can round-trip it through the parser;
 ``kb_equal`` compares knowledge bases up to statement order;
 ``interval_map`` lists every non-vacuous entailed interval of a saturated
 base, in the shape ``naive_engine.NaiveEngine.interval_map`` reports;
-``evaluate`` decides a concrete restriction on one quantity, by the
+``explanations`` reads every derived bound of a saturated base through
+``SaturatedKb.explain``; ``stacked_diamonds`` writes a base whose
+explanation reaches each step along exponentially many paths; ``evaluate`` decides a concrete restriction on one quantity, by the
 definition the engines are checked against; and ``reference_rank`` ranks
 choices by asking ``instance_interval`` for each (choice, attribute) pair
 and summing ``Fraction`` products, the reference ``decision.rank`` is
@@ -17,6 +19,7 @@ from collections import Counter
 from fdlb.decision import AttributeContribution, ChoiceScore, DecisionReport
 from fdlb.kbtext import render_decimal, render_statement
 from fdlb.model import COMPARISONS, FULL_INTERVAL, ONE, ZERO, Atom
+from fdlb.reasoner import NoDerivationError
 
 
 def serialize_kb(kb):
@@ -68,6 +71,33 @@ def interval_map(sat):
             if interval != FULL_INTERVAL:
                 out[(individual, expr)] = interval
     return out
+
+
+def explanations(sat):
+    """The explanation of every bound a saturated base has derived beyond its default, read through ``explain``.
+
+    Each recorded derivation is ``steps[0]`` of two of them: the lower bound
+    it raised, and the upper bound that lower bound gives the dual.
+    """
+    for individual in sat.kb.individuals:
+        for expr in sat.closure:
+            for kind in ("lo", "hi"):
+                try:
+                    yield sat.explain(individual, expr, kind)
+                except NoDerivationError:
+                    pass
+
+
+def stacked_diamonds(n):
+    """``D_k SUBSUMED-BY P_k`` and ``Q_k``, ``P_k AND Q_k SUBSUMED-BY D_k+1`` for k < n, and ``x : D0``, as text.
+
+    Every ``D_k`` is reached from ``D_n`` along ``2^(n-k)`` paths.
+    """
+    lines = ["assert x : D0;"]
+    for k in range(n):
+        lines += [f"axiom D{k} SUBSUMED-BY P{k};", f"axiom D{k} SUBSUMED-BY Q{k};",
+                  f"axiom P{k} AND Q{k} SUBSUMED-BY D{k + 1};"]
+    return "\n".join(lines)
 
 
 def reference_rank(sat, choices, ubox):

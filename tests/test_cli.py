@@ -330,6 +330,65 @@ def test_explain_structured_cycle_points_back(tmp_path, capsys):
     assert steps[-1]["premises"] == [0]
 
 
+def test_premises_index_into_steps_and_structured_explain_writes_them(tmp_path, capsys):
+    # on random bases and the 18-level stacked diamonds: every premise is an
+    # index into steps, steps[0] is the explained bound, the steps are the
+    # depth-first order of the premises, and `explain --format structured`
+    # writes each step's premises as they are
+    from fdlb.kbtext import render_concept
+    from fdlb.reasoner import NoDerivationError, saturate
+
+    from kbgen import random_kb
+    from kbtools import serialize_kb, stacked_diamonds
+
+    def check_steps(explanation, individual, expr, kind, value):
+        steps = explanation.steps
+        assert all(0 <= p < len(steps) for step in steps for p in step.premises)
+        assert steps[0][1:5] == (individual, expr, kind, value)
+        assert tuple(explanation[:4]) == (individual, expr, kind, value)
+        order, stack = [], [0]
+        while stack:
+            i = stack.pop()
+            if i not in order:
+                order.append(i)
+                stack.extend(reversed(steps[i].premises))
+        assert order == list(range(len(steps)))
+
+    texts = [serialize_kb(random_kb(seed)) for seed in range(100)] + [stacked_diamonds(18)]
+    written = conflicts = 0
+    for k, text in enumerate(texts):
+        result = parse_kb(text)
+        assert result.ok, (k, result.diagnostics)
+        try:
+            sat = saturate(result.kb)
+        except InconsistencyError as exc:
+            c = exc.conflict
+            check_steps(c.lo_explanation, c.individual, c.expr, "lo", c.lo_value)
+            check_steps(c.hi_explanation, c.individual, c.expr, "hi", c.hi_value)
+            conflicts += 1
+            continue
+        longest = {}
+        for individual in result.kb.individuals:
+            for expr in sat.closure:
+                interval = sat.instance_interval(individual, expr)
+                for kind, value in (("lo", interval.lo), ("hi", interval.hi)):
+                    try:
+                        explanation = sat.explain(individual, expr, kind)
+                    except NoDerivationError:
+                        continue
+                    check_steps(explanation, individual, expr, kind, value)
+                    longest[kind] = max(longest.get(kind, explanation), explanation, key=lambda e: len(e.steps))
+        path = tmp_path / f"base_{k}.fdlb"
+        path.write_text(text, encoding="utf-8")
+        for e in longest.values():
+            code, out, _ = run(capsys, "explain", str(path), "-i", e.individual, "-c", render_concept(e.expr),
+                               "--bound", e.kind, "--format", "structured")
+            assert code == 0
+            assert [step["premises"] for step in json.loads(out)["steps"]] == [list(s.premises) for s in e.steps]
+            written += 1
+    assert conflicts >= 40 and written >= 80
+
+
 # -- structured output
 
 

@@ -276,8 +276,9 @@ def _records():
     gci = FuzzyGci(Atom("A"), Atom("B"), H)
     kb = build_kb(roles=_roles(), gcis=[gci], assertions=[FuzzyAssertion("x", Atom("A"))],
                   role_assertions=[RoleAssertion("x", "y", "r")])
-    node = reasoner.DerivationNode("gci", "x", Atom("B"), "lo", H, (("x", Atom("A"), "lo"),), gci, "", 2)
-    explanation = reasoner.Explanation("x", Atom("B"), "lo", H, (node,))
+    node = reasoner.DerivationNode("gci", "x", Atom("B"), "lo", H, (1,), gci, "", 2)
+    premise = reasoner.DerivationNode("assertion", "x", Atom("A"), "lo", Fraction(1), (), kb.assertions[0], "", 1)
+    explanation = reasoner.Explanation("x", Atom("B"), "lo", H, (node, premise))
     contribution = decision.AttributeContribution("A", Fraction(5), H, Fraction(5, 2))
     score = decision.ChoiceScore("x", Fraction(5, 2), (contribution,))
     ubox = decision.UtilityBox("e", (("A", Fraction(5)),))
@@ -400,17 +401,6 @@ def test_utility_box_validation_errors_and_unpickling_validates_again():
     unchecked = pickle.dumps(UtilityBox._make(("e", negative)))  # _make skips the check
     with pytest.raises(FdlbError, match="negative weight"):
         pickle.loads(unchecked)
-
-
-def test_no_record_is_read_as_a_derivation_key():
-    from fdlb.reasoner import saturate
-    records = _records()
-    derivations = saturate(records["KnowledgeBase"][0])._derivations
-    assert ("x", Atom("A"), "lo") in derivations
-    for record, _ in records.values():
-        assert record not in derivations
-        with pytest.raises(KeyError):
-            derivations[record]
 
 
 def test_build_kb_stores_every_degree_as_a_fraction():

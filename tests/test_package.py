@@ -106,8 +106,8 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
 # Every name without a caller there must be listed.
 KEPT_FOR_A_STATED_REASON = {
     "ParseResult.ok": "the benchmark's tests (perfbench/tests/test_perfbench.py) read it",
-    "SaturatedKb.instance_interval": "perfbench/layers.py traces calls to it by this name",
-    "SaturatedKb.explain": "perfbench/layers.py traces calls to it by this name",
+    "SaturatedKb.instance_interval": "the README's Library section offers it as the one-pair query",
+    "SaturatedKb.explain": "the README's Library section offers it as the derivations behind a bound",
     "SaturatedKb.closure": "the README names it as the view of which expressions hold bounds",
 }
 

@@ -27,7 +27,7 @@ from fdlb.reasoner import (
     saturate,
 )
 
-from kbtools import evaluate, interval_map
+from kbtools import evaluate, explanations, interval_map, stacked_diamonds
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -311,36 +311,41 @@ def test_explain_rejects_bad_kind(fuzzy_kb):
 # -- derivation graph sanity
 
 
-def graph_of(sat):
-    return dict(sat._derivations)
+def key(node):
+    return node.individual, node.expr, node.kind
 
 
 @pytest.mark.parametrize("fixture", ["crisp_kb", "fuzzy_kb", "complete_kb"])
 def test_derivations_are_closed_and_acyclic(fixture, request):
     sat = saturate(request.getfixturevalue(fixture))
-    graph = graph_of(sat)
-    for node in graph.values():
-        for premise in node.premises:
-            assert premise in graph, f"{node.rule} premise {premise} has no derivation"
+    graph = {}  # each derived bound -> the bounds its derivation reads
+    for explanation in explanations(sat):
+        steps = explanation.steps
+        assert all(0 <= p < len(steps) for node in steps for p in node.premises)
+        graph[key(steps[0])] = [key(steps[p]) for p in steps[0].premises]
+    for node, premises in graph.items():
+        for premise in premises:
+            assert premise in graph, f"{node} premise {premise} has no derivation"
     state = {}  # 1 = on stack, 2 = done
 
-    def visit(key):
-        if state.get(key) == 2:
+    def visit(bound):
+        if state.get(bound) == 2:
             return
-        assert state.get(key) != 1, f"cycle through {key}"
-        state[key] = 1
-        for premise in graph[key].premises:
+        assert state.get(bound) != 1, f"cycle through {bound}"
+        state[bound] = 1
+        for premise in graph[bound]:
             visit(premise)
-        state[key] = 2
+        state[bound] = 2
 
-    for key in graph:
-        visit(key)
+    for bound in graph:
+        visit(bound)
 
 
-def recompute(sat, node):
+def recompute(sat, node, steps):
+    """The value ``node``'s rule gives from the current bounds; its premises index into ``steps``."""
     kb, a, e = sat.kb, node.individual, node.expr
-    if node.kind == "hi":  # read from the lower bound of the dual
-        return ONE - recompute(sat, sat._derivations[(a, Not(e), "lo")])
+    if node.kind == "hi":  # the record of the dual's lower bound
+        return ONE - recompute(sat, node._replace(expr=Not(e), kind="lo"), steps)
     lo = lambda i, c: sat.instance_interval(i, c).lo
     fillers = lambda i, role: sorted({ra.filler for ra in kb.role_assertions
                                       if ra.subject == i and ra.role == role})
@@ -356,14 +361,14 @@ def recompute(sat, node):
     if rule == "conj-up":
         return min(lo(a, c) for c in e.parts)
     if rule == "conj-down":
-        return lo(a, node.premises[0][1])
+        return lo(a, steps[node.premises[0]].expr)
     if rule == "disj-up":
         return max(lo(a, c) for c in e.parts)
     if rule == "exists-up":
         return max(lo(b, e.target) for b in fillers(a, e.role))
     if rule == "forall-down":
-        src, forall_expr, _ = node.premises[0]
-        return lo(src, forall_expr)
+        premise = steps[node.premises[0]]
+        return lo(premise.individual, premise.expr)
     if rule == "forall-up":
         return min((lo(b, e.body) for b in fillers(a, e.role)), default=ONE)
     if rule == "gci":
@@ -381,13 +386,18 @@ def recompute(sat, node):
     raise AssertionError(f"unknown rule {rule}")
 
 
+def assert_replays(sat, *context):
+    """Recomputing each derived bound from the current bounds gives exactly the value it records."""
+    for explanation in explanations(sat):
+        node = explanation.steps[0]
+        assert recompute(sat, node, explanation.steps) == node.value, (*context, node.rule, node.individual)
+
+
 @pytest.mark.parametrize("fixture", ["crisp_kb", "fuzzy_kb", "complete_kb"])
 def test_final_derivations_replay_exactly(fixture, request):
     # at the fixpoint, recomputing any recorded step from the final bounds
     # reproduces exactly the bound it recorded
-    sat = saturate(request.getfixturevalue(fixture))
-    for node in graph_of(sat).values():
-        assert recompute(sat, node) == node.value, (node.rule, node.individual)
+    assert_replays(saturate(request.getfixturevalue(fixture)))
 
 
 def test_random_derivations_replay_exactly():
@@ -401,8 +411,7 @@ def test_random_derivations_replay_exactly():
             sat = saturate(random_kb(seed))
         except InconsistencyError:
             continue
-        for node in graph_of(sat).values():
-            assert recompute(sat, node) == node.value, (seed, node.rule, node.individual)
+        assert_replays(sat, seed)
         replayed += 1
     assert replayed >= 25
 
@@ -517,8 +526,7 @@ def check_extensions(kb, queries):
                 assert answer == fresh.instance_interval(individual, expr), (individual, expr)
         assert engine.lo[: len(lo)] == lo
         assert {s: engine.records[s] for s in records} == records
-        for node in sat._derivations.values():
-            assert recompute(sat, node) == node.value, (query, node.rule, node.individual)
+        assert_replays(sat, query)
         checked += outside
     return checked
 
@@ -577,7 +585,7 @@ def test_unmentioned_atom_costs_two_closure_entries_and_no_saturation(fixtures_d
     result = parse_kb(catalogue_text(fixtures_dir, 150))
     assert result.ok, result.diagnostics
     sat = saturate(result.kb)
-    before = dict(sat._derivations)
+    records = dict(sat._engine.records)
     calls = []
     for name in ("saturate", "build_closure"):
         real = getattr(fdlb.reasoner, name)
@@ -586,7 +594,7 @@ def test_unmentioned_atom_costs_two_closure_entries_and_no_saturation(fixtures_d
     closure, step = sat.closure, sat._engine.step
     assert sat.instance_interval("tab_3", Atom("Unmentioned")) == DegreeInterval(ZERO, ONE)
     assert sat.closure == closure + (Atom("Unmentioned"), Not(Atom("Unmentioned")))
-    assert dict(sat._derivations) == before  # no new derivation
+    assert sat._engine.records == records  # no new derivation
     assert sat._engine.step == step
 
     # a bound only the growth derives explains through the base's steps
@@ -596,11 +604,9 @@ def test_unmentioned_atom_costs_two_closure_entries_and_no_saturation(fixtures_d
     assert explanation.value == sat.instance_interval("tab_3", Atom("Tablet")).lo
     assert explanation.steps[0].rule == "disj-up"
     assert explanation.steps[0].step > step
-    for node in explanation.steps:
-        assert all(premise in sat._derivations for premise in node.premises)
-    assert [node.step for node in explanation.steps[1:]] == [
-        before[(node.individual, node.expr, node.kind)].step for node in explanation.steps[1:]
-    ]
+    assert all(0 <= p < len(explanation.steps) for node in explanation.steps for p in node.premises)
+    base_steps = {record[-1] for record in records.values()}
+    assert all(node.step in base_steps for node in explanation.steps[1:])
 
 
 def test_each_fact_is_recorded_once(fixtures_dir):
@@ -796,25 +802,6 @@ def test_interval_map_holds_only_non_vacuous_intervals(fuzzy_kb):
         assert sat.instance_interval(ind, expr) == value
 
 
-def test_each_distinct_interval_is_built_once_and_shared_with_extensions(fuzzy_kb, monkeypatch):
-    import fdlb.reasoner
-    from fdlb.model import FULL_INTERVAL
-
-    sat = saturate(fuzzy_kb)
-    intervals = list(interval_map(sat).values())
-    assert len(set(intervals)) < len(intervals)
-    one_each = {FULL_INTERVAL: FULL_INTERVAL}
-    for interval in intervals + list(interval_map(sat).values()):
-        assert one_each.setdefault(interval, interval) is interval
-    assert sat.instance_interval("tab_2", Atom("LightweightTablet")) is FULL_INTERVAL
-    built = []
-    monkeypatch.setattr(fdlb.reasoner, "DegreeInterval", lambda *bounds: built.append(bounds))
-    for ind in fuzzy_kb.individuals:  # an extension's bounds: here, only pairs the base already reached
-        interval = sat.instance_interval(ind, Or(Atom("Tablet"), Atom("Unmentioned")))
-        assert one_each[interval] is interval
-    assert built == []
-
-
 def test_saturation_hashes_no_fraction(fuzzy_kb, monkeypatch):
     hashed, fraction_hash = [], Fraction.__hash__
     monkeypatch.setattr(Fraction, "__hash__", lambda f: hashed.append(f) or fraction_hash(f))
@@ -915,17 +902,12 @@ def test_explain_long_chain_lists_each_step_once():
 
 
 def test_explain_stacked_diamonds_stays_linear():
-    # D_k SUBSUMED-BY P_k and Q_k, P_k AND Q_k SUBSUMED-BY D_k+1: every
-    # D_k is reached along 2^(n-k) paths, but listed once
+    # every D_k is reached along 2^(n-k) paths, but listed once
     n = 18
-    lines = ["assert x : D0;"]
-    for k in range(n):
-        lines += [f"axiom D{k} SUBSUMED-BY P{k};", f"axiom D{k} SUBSUMED-BY Q{k};",
-                  f"axiom P{k} AND Q{k} SUBSUMED-BY D{k + 1};"]
-    explanation = sat_of("\n".join(lines)).explain("x", Atom(f"D{n}"))
+    explanation = sat_of(stacked_diamonds(n)).explain("x", Atom(f"D{n}"))
     keys = [(s.individual, s.expr, s.kind) for s in explanation.steps]
     assert len(keys) == len(set(keys)) == 4 * n + 1
-    assert all(p in set(keys) for s in explanation.steps for p in s.premises)
+    assert all(0 <= p < len(keys) for s in explanation.steps for p in s.premises)
     premises = sum(len(s.premises) for s in explanation.steps)
     text = format_explanation(explanation).splitlines()
     assert len(text) <= len(keys) + premises
@@ -963,8 +945,9 @@ def test_mixed_precision_degrees_stay_exact():
     verdict, intervals = naive_saturate(kb)
     assert verdict
     assert interval_map(sat) == intervals
-    for node in graph_of(sat).values():
-        assert type(node.value) is Fraction and ZERO <= node.value <= ONE, node
+    for explanation in explanations(sat):
+        for node in explanation.steps:
+            assert type(node.value) is Fraction and ZERO <= node.value <= ONE, node
     assert iv(sat, "y", Atom("C")) == (Fraction(3, 5), Fraction(3, 4))
     assert iv(sat, "x", Atom("D")) == (Fraction(3, 10), ONE)
     assert iv(sat, "x", Atom("A")) == (Fraction(1, 1000000), ONE)
@@ -1008,7 +991,7 @@ def count_nodes(monkeypatch):
 def test_saturate_builds_no_derivation_node(fuzzy_kb, monkeypatch):
     built = count_nodes(monkeypatch)
     sat = saturate(fuzzy_kb)
-    assert len(sat._derivations) > 0
+    assert sat._engine.records
     assert built == []
 
 
@@ -1018,35 +1001,3 @@ def test_explain_builds_only_the_steps_it_returns(fuzzy_kb, monkeypatch):
     explanation = sat.explain("tab_1", Atom("UpperclassTablet"))
     assert len(explanation.steps) == 4
     assert sorted(map(id, built)) == sorted(map(id, explanation.steps))
-    again = sat.explain("tab_1", Atom("UpperclassTablet"))
-    assert len(built) == 4  # a second read reuses every node
-    assert all(a is b for a, b in zip(again.steps, explanation.steps))
-
-
-def test_derivations_read_like_a_dict(fuzzy_kb):
-    sat = saturate(fuzzy_kb)
-    view = sat._derivations
-    plain = dict(view)
-    assert len(view) == len(plain) > 0
-    assert list(view) == list(plain)
-    assert all(key == (n.individual, n.expr, n.kind) for key, n in plain.items())
-    first = next(iter(plain))
-    assert view[first] is view[first] is plain[first]
-    vacuous = next(("tab_1", e, "hi") for e in sat.closure if ("tab_1", e, "hi") not in plain)
-    probes = list(plain) + [
-        vacuous,
-        ("nobody", Atom("Tablet"), "lo"),
-        ("tab_1", Atom("Unmentioned"), "lo"),
-        ("tab_1", Atom("Tablet"), "mid"),
-        ("tab_1", Atom("Tablet")),
-        "tab_1",
-        None,
-    ]
-    for key in probes:
-        assert (key in view) == (key in plain), key
-        if key in plain:
-            assert view[key] is plain[key]
-        else:
-            with pytest.raises(KeyError):
-                view[key]
-
