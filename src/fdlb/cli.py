@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from json.encoder import encode_basestring_ascii as _json_string
+from typing import Callable
 from pathlib import Path
 
 from .decision import AttributeContribution, DecisionReport, UtilityBox, rank as rank_choices
@@ -58,8 +58,7 @@ class _CliError(Exception):
 
 def _print_diagnostics(path: str, diagnostics: tuple[ParseDiagnostic, ...]) -> None:
     for d in diagnostics:
-        where = f"{path}:{d.span.line}:{d.span.column}" if d.span else path
-        print(f"{where}: {d.severity}: {d.message}", file=sys.stderr)
+        print(f"{path}:{d.span.line}:{d.span.column}: {d.severity}: {d.message}", file=sys.stderr)
 
 
 def _read(path: str) -> str:
@@ -94,14 +93,19 @@ def _choices(args: argparse.Namespace, kb: KnowledgeBase) -> list[str]:
     return list(kb.individuals)
 
 
-def _write_json(value: object, out: list[str], indent: str = "\n") -> None:
+def _write_json(
+    value: object, out: list[str], indent: str = "\n", quote: Callable[[str], str] | None = None
+) -> None:
     """Append ``json.dumps(value, sort_keys=True, indent=2)`` to ``out``, for str-keyed dicts, lists, str, int, bool and None.
 
     With ``indent`` set, json writes through its pure-Python encoder; this
-    writer quotes strings with json's C function and joins the rest itself.
+    writer quotes strings with json's C function, ``quote``, and joins the
+    rest itself.  ``json`` is imported here, so text output never loads it.
     """
+    if quote is None:
+        from json.encoder import encode_basestring_ascii as quote
     if isinstance(value, str):
-        out.append(_json_string(value))
+        out.append(quote(value))
     elif value is None or isinstance(value, bool):
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
@@ -109,15 +113,15 @@ def _write_json(value: object, out: list[str], indent: str = "\n") -> None:
     elif isinstance(value, dict):
         inner, sep = indent + "  ", "{"
         for key, item in sorted(value.items()):
-            out += (sep, inner, _json_string(key), ": ")
-            _write_json(item, out, inner)
+            out += (sep, inner, quote(key), ": ")
+            _write_json(item, out, inner, quote)
             sep = ","
         out.append(indent + "}" if value else "{}")
     elif isinstance(value, list):
         inner, sep = indent + "  ", "["
         for item in value:
             out += (sep, inner)
-            _write_json(item, out, inner)
+            _write_json(item, out, inner, quote)
             sep = ","
         out.append(indent + "]" if value else "[]")
     else:

@@ -11,8 +11,6 @@ with bound 0.  :func:`rank` scores in integers, from one
 distinct contribution and score.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from fractions import Fraction
 from math import lcm
@@ -33,19 +31,29 @@ class EmptyChoiceSetError(FdlbError):
 
 
 class UtilityBox(namedtuple("UtilityBox", "expert_id entries")):
-    """One expert's attribute weights, in file order."""
+    """One expert's attribute weights, in file order, checked by the rules the parser runs per entry."""
 
     __slots__ = ()
 
-    def __new__(cls, expert_id: str, entries: tuple[tuple[str, Fraction], ...]) -> UtilityBox:
-        seen = set()
+    def __new__(cls, expert_id: str, entries: tuple[tuple[str, Fraction], ...]) -> "UtilityBox":
+        weights: dict[str, Fraction] = {}
         for name, w in entries:
-            if name in seen:
-                raise FdlbError(f"utility box {expert_id!r} weights attribute {name!r} twice")
-            seen.add(name)
-            if w < 0:
-                raise FdlbError(f"utility box {expert_id!r} gives {name!r} a negative weight")
+            check_weight(w)
+            add_weight(weights, name, w)
         return super().__new__(cls, expert_id, entries)
+
+
+def check_weight(weight: Fraction, literal: str | None = None) -> None:
+    """A weight is non-negative; ``literal`` is its source text, if it has one."""
+    if weight < 0:
+        raise FdlbError(f"weight {literal or weight} is negative")
+
+
+def add_weight(weights: dict[str, Fraction], name: str, weight: Fraction) -> None:
+    """Add ``name``'s weight to ``weights``: each attribute is weighted once."""
+    if name in weights:
+        raise FdlbError(f"attribute {name!r} weighted twice")
+    weights[name] = weight
 
 
 class AttributeContribution(NamedTuple):

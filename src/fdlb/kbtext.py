@@ -21,6 +21,10 @@ for a declaration plus the corresponding axiom(s).
 Parsing never throws on bad input: every problem becomes a
 :class:`ParseDiagnostic` with a source span, the parser resynchronizes at
 the next ``;``, and a document with any error yields no knowledge base.
+Each statement is checked once, as it is read, by the rules of a
+well-formed base that ``model`` and ``decision`` define (and
+:func:`~fdlb.model.build_kb` runs on a base built in code), and a broken
+rule's message points at its token.
 
 Lexing is one ``findall`` whose every match is a token and the whitespace and
 comments after it.  A token is its text, whose kind follows from it (an
@@ -37,15 +41,13 @@ Utility boxes live in their own files::
     }
 """
 
-from __future__ import annotations
-
 import re
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple, TypeVar
 
-from .decision import UtilityBox
+from .decision import UtilityBox, add_weight, check_weight
 from .model import (
     And,
     Atom,
@@ -53,13 +55,12 @@ from .model import (
     ConceptExpression,
     ConcreteFact,
     ConcretePredicate,
-    DegreeRangeError,
     Exists,
+    FdlbError,
     Forall,
     FuzzyAssertion,
     FuzzyGci,
     KnowledgeBase,
-    ModelError,
     Not,
     ONE,
     Or,
@@ -68,7 +69,12 @@ from .model import (
     RoleDecl,
     TOP,
     Top,
-    build_kb,
+    add_value,
+    assemble_kb,
+    check_role_use,
+    check_unit,
+    declare_role,
+    declared_role,
     make_degree,
 )
 
@@ -124,6 +130,9 @@ def _is_number(tok: str) -> bool:
     return tok[:1].isdigit() or tok[:1] == "-"
 
 
+_T = TypeVar("_T")
+
+
 class ParseDiagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     message: str
@@ -154,7 +163,7 @@ class _StatementError(Exception):
     Raised outside a statement, it ends the whole parse.
     """
 
-    def __init__(self, message: str, span: SourceSpan | None):
+    def __init__(self, message: str, span: SourceSpan):
         self.diagnostic = ParseDiagnostic("error", message, span)
         super().__init__(message)
 
@@ -175,7 +184,7 @@ class _Parser:
         self.assertions: list[FuzzyAssertion] = []
         self.role_assertions: list[RoleAssertion] = []
         self.concrete_facts: list[ConcreteFact] = []
-        self._fact_keys: set[tuple[str, str]] = set()
+        self._valued: set[tuple[str, str]] = set()
 
     # -- tokens and their positions
 
@@ -258,6 +267,22 @@ class _Parser:
     def warn(self, message: str, span: SourceSpan) -> None:
         self.diagnostics.append(ParseDiagnostic("warning", message, span))
 
+    def require(self, at: int, rule: Callable[..., _T], *args: object) -> _T:
+        """``rule(*args)``: a rule it finds broken aborts the statement, its message an error at token ``at``."""
+        try:
+            return rule(*args)
+        except FdlbError as exc:
+            raise _StatementError(str(exc), self.span(at)) from None
+
+    def passes(self, at: int, rule: Callable[..., object], *args: object) -> bool:
+        """Whether ``rule(*args)`` holds; if not, its message is recorded as an error at token ``at``."""
+        try:
+            rule(*args)
+        except FdlbError as exc:
+            self.error(str(exc), self.span(at))
+            return False
+        return True
+
     def _sync(self) -> None:
         try:  # to just after the next ';', or to the end of input
             self.pos = self.tokens.index(";", self.pos) + 1
@@ -275,17 +300,9 @@ class _Parser:
                 self._sync()
         if any(d.severity == "error" for d in self.diagnostics):
             return None
-        try:
-            return build_kb(
-                roles=tuple(self.roles.values()),
-                gcis=self.gcis,
-                assertions=self.assertions,
-                role_assertions=self.role_assertions,
-                concrete_facts=self.concrete_facts,
-                declared_concepts=self.declared_concepts,
-            )
-        except (ModelError, DegreeRangeError) as exc:
-            raise _StatementError(str(exc), None) from None
+        return assemble_kb(
+            self.roles, self.gcis, self.assertions, self.role_assertions, self.concrete_facts, self.declared_concepts
+        )
 
     def parse_utility_box(self) -> UtilityBox:
         self.take("ubox")
@@ -300,16 +317,12 @@ class _Parser:
             literal = self.take_number("a weight")
             self.take(";")
             weight = self.number(literal)
-            if weight < 0:
-                self.error(f"weight {literal} is negative", self.span(weight_at))
-            elif attr in weights:
-                self.error(f"attribute {attr!r} weighted twice", self.span(attr_at))
-            else:
-                weights[attr] = weight
+            if self.passes(weight_at, check_weight, weight, literal):
+                self.passes(attr_at, add_weight, weights, attr, weight)
         self.take("}")
         if self.peek():
             self.error("unexpected content after the utility box", self.span(self.pos))
-        return UtilityBox(expert_id, tuple(weights.items()))
+        return UtilityBox._make((expert_id, tuple(weights.items())))  # the weights are checked
 
     def parse_query(self) -> ConceptExpression:
         concept = self.parse_concept()
@@ -356,10 +369,7 @@ class _Parser:
         else:
             self._fail("expected 'abstract' or 'concrete'")
         self.take(";")
-        if name in self.roles:
-            self.error(f"role {name!r} declared twice", self.span(name_at))
-            return
-        self.roles[name] = decl
+        self.passes(name_at, declare_role, self.roles, decl)
 
     def parse_concept_decl(self) -> None:
         self.take("concept")
@@ -420,18 +430,12 @@ class _Parser:
         role_at = self.pos
         role = self.take_ident("a role name")
         self.take(";")
-        decl = self._require_role(role, role_at)
-        if decl.kind != ("abstract" if unit is None else "concrete"):
-            expected = "an individual" if decl.kind == "abstract" else "a quantity"
-            self.error(f"role {role!r} is {decl.kind}; the filler must be {expected}", self.span(role_at))
-        elif unit is None:
-            self.role_assertions.append(RoleAssertion(subject, filler, role))
-        elif unit != decl.unit:
-            self.error(f"unit {unit!r} does not match role {role!r} declared in {decl.unit!r}", self.span(unit_at))
-        elif (subject, role) in self._fact_keys:
-            self.error(f"role {role!r} is functional: {subject!r} already has a value", self.span(subject_at))
-        else:
-            self._fact_keys.add((subject, role))
+        decl = self.require(role_at, declared_role, self.roles, role)
+        if unit is None:
+            if self.passes(role_at, check_role_use, decl, "individual"):
+                self.role_assertions.append(RoleAssertion(subject, filler, role))
+        elif (self.passes(role_at, check_role_use, decl, "quantity") and self.passes(unit_at, check_unit, decl, unit)
+              and self.passes(subject_at, add_value, self._valued, subject, role)):
             self.concrete_facts.append(ConcreteFact(subject, Quantity(self.number(filler), unit), role))
 
     def parse_degree_suffix(self) -> Fraction:
@@ -440,10 +444,7 @@ class _Parser:
         self.advance()
         degree_at = self.pos
         literal = self.take_number("a degree after '@'")
-        try:
-            return make_degree(self.number(literal), literal)
-        except DegreeRangeError as exc:
-            raise _StatementError(str(exc), self.span(degree_at)) from None
+        return self.require(degree_at, make_degree, self.number(literal), literal)
 
     # -- concepts (precedence: NOT/quantifiers > AND > OR); ``depth`` counts
     # the NOTs, quantifiers and parentheses around the expression being parsed
@@ -479,15 +480,13 @@ class _Parser:
             role = self.take_ident("a role name")
             if self.at("."):
                 self.advance()
-            decl = self._require_role(role, role_at)
-            if decl.kind == "abstract":
-                body = self.parse_unary(depth + 1)
-                return Exists(role, body) if tok == "EXISTS" else Forall(role, body)
-            if tok == "FORALL":
-                raise _StatementError(
-                    f"value restrictions require an abstract role, {role!r} is concrete", self.span(role_at)
-                )
-            return Exists(role, self.parse_comparator(decl, role))
+            decl = self.require(role_at, declared_role, self.roles, role)
+            if tok == "EXISTS" and decl.kind == "concrete" and self.peek() in _COMPARATOR_KW:
+                return Exists(role, self.parse_comparator(decl))
+            # a concrete role: FORALL's error is at the role, EXISTS's at the missing comparator
+            self.require(role_at if tok == "FORALL" else self.pos, check_role_use, decl, tok)
+            body = self.parse_unary(depth + 1)
+            return Exists(role, body) if tok == "EXISTS" else Forall(role, body)
         if tok == "TOP":
             self.pos += 1
             return TOP
@@ -502,30 +501,13 @@ class _Parser:
         self._fail("expected a concept expression")
         raise AssertionError("unreachable")
 
-    def parse_comparator(self, decl: RoleDecl, role: str) -> ConcretePredicate:
-        op = self.peek()
-        if op not in _COMPARATOR_KW:
-            raise _StatementError(
-                f"role {role!r} is concrete: expected a comparator (GT, GE, LT, or LE)", self.span(self.pos)
-            )
-        self.advance()
+    def parse_comparator(self, decl: RoleDecl) -> ConcretePredicate:
+        op = self.advance()
         literal = self.take_number("a threshold value")
         unit_at = self.pos
         unit = self.take_ident("a unit symbol")
-        if unit != decl.unit:
-            raise _StatementError(
-                f"unit {unit!r} does not match role {role!r} declared in {decl.unit!r}", self.span(unit_at)
-            )
+        self.require(unit_at, check_unit, decl, unit)
         return ConcretePredicate(_COMPARATOR_KW[op], Quantity(self.number(literal), unit))
-
-    def _require_role(self, role: str, at: int) -> RoleDecl:
-        decl = self.roles.get(role)
-        if decl is None:
-            raise _StatementError(f"role {role!r} is not declared", self.span(at))
-        return decl
-
-
-_T = TypeVar("_T")
 
 
 def _parse(

@@ -24,17 +24,12 @@ literals like ``0.6`` survive every min/max/complement/product step
 exactly — binary floating point never enters the pipeline.
 """
 
-from __future__ import annotations
-
 import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
 from typing import Iterator, Mapping, NamedTuple, Sequence, Union
 from weakref import ref
-
-# A membership degree is a rational in [0, 1].
-Degree = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -66,7 +61,7 @@ class ModelError(FdlbError):
     """A knowledge-base invariant was violated during construction."""
 
 
-def make_degree(value: Union[Fraction, int, str], literal: str | None = None) -> Degree:
+def make_degree(value: Union[Fraction, int, str], literal: str | None = None) -> Fraction:
     """Validate and return a degree, a Fraction as it is.  Raises DegreeRangeError outside [0, 1]."""
     d = value if isinstance(value, Fraction) else Fraction(value)
     if not 0 <= d.numerator <= d.denominator:
@@ -83,7 +78,7 @@ class DegreeInterval(namedtuple("DegreeInterval", "lo hi")):
 
     __slots__ = ()
 
-    def __new__(cls, lo: Degree, hi: Degree) -> DegreeInterval:
+    def __new__(cls, lo: Fraction, hi: Fraction) -> "DegreeInterval":
         make_degree(lo)
         make_degree(hi)
         if lo > hi:
@@ -116,7 +111,7 @@ class ConcretePredicate(namedtuple("ConcretePredicate", "op threshold")):
 
     __slots__ = ()
 
-    def __new__(cls, op: str, threshold: Quantity) -> ConcretePredicate:
+    def __new__(cls, op: str, threshold: Quantity) -> "ConcretePredicate":
         if op not in COMPARISONS:
             raise ModelError(f"unknown comparator {op!r}")
         return super().__new__(cls, op, threshold)
@@ -362,7 +357,7 @@ class RoleDecl(namedtuple("RoleDecl", "name kind unit closed", defaults=(None, F
 
     __slots__ = ()
 
-    def __new__(cls, name: str, kind: str, unit: str | None = None, closed: bool = False) -> RoleDecl:
+    def __new__(cls, name: str, kind: str, unit: str | None = None, closed: bool = False) -> "RoleDecl":
         if kind not in ("abstract", "concrete"):
             raise ModelError(f"role {name}: unknown kind {kind!r}")
         if kind == "concrete" and not unit:
@@ -379,7 +374,7 @@ class FuzzyGci(NamedTuple):
 
     lhs: ConceptExpression
     rhs: ConceptExpression
-    degree: Degree = ONE
+    degree: Fraction = ONE
 
 
 class FuzzyAssertion(NamedTuple):
@@ -391,7 +386,7 @@ class FuzzyAssertion(NamedTuple):
 
     individual: str
     concept: ConceptExpression
-    degree: Degree = ONE
+    degree: Fraction = ONE
 
 
 class RoleAssertion(NamedTuple):
@@ -413,11 +408,12 @@ class ConcreteFact(NamedTuple):
 class KnowledgeBase(NamedTuple):
     """A validated knowledge base.
 
-    Invariants guaranteed by :func:`build_kb`: every degree is a
-    :class:`~fractions.Fraction`, every role use matches its declaration,
-    degree-0 inclusions are already desugared into degree-1 inclusions of
-    the negated right side, concrete facts are unique per (individual,
-    role), and the registries cover every name mentioned anywhere.
+    Its statements keep every rule of a well-formed base (below), checked
+    once: by :func:`build_kb` when built in code, by the parser when read
+    from text.  Both end in :func:`assemble_kb`: every degree is a
+    :class:`~fractions.Fraction`, degree-0 inclusions are desugared into
+    degree-1 inclusions of the negated right side, and the registries cover
+    every name mentioned anywhere.
     """
 
     roles: Mapping[str, RoleDecl]
@@ -430,45 +426,74 @@ class KnowledgeBase(NamedTuple):
     declared_concepts: frozenset[str] = frozenset()
 
 
-def check_concept_roles(
-    expr: ConceptExpression, roles: Mapping[str, RoleDecl], where: str, seen: set | None = None
-) -> list[str]:
-    """Validate every quantifier in the expression against the role table; return its atom names.
+# The rules of a well-formed knowledge base, each written once with its one
+# message (degrees: :func:`make_degree`; utility-box weights: in
+# ``decision``).  :func:`build_kb` and :func:`check_concept_roles` run them
+# over statements built in code; the parser runs them per statement, at the
+# token a broken rule's message points to.
 
-    Nodes in ``seen`` were validated before, and are skipped with what lies
+
+def declare_role(roles: dict[str, RoleDecl], decl: RoleDecl) -> None:
+    """Add ``decl`` to ``roles``: a role is declared once."""
+    if decl.name in roles:
+        raise ModelError(f"role {decl.name!r} declared twice")
+    roles[decl.name] = decl
+
+
+def declared_role(roles: Mapping[str, RoleDecl], role: str) -> RoleDecl:
+    """The declaration of ``role``: a role is declared before it is used."""
+    decl = roles.get(role)
+    if decl is None:
+        raise ModelError(f"role {role!r} is not declared")
+    return decl
+
+
+def check_role_use(decl: RoleDecl, use: str) -> None:
+    """The role is of the kind ``use`` needs.
+
+    Abstract for ``"EXISTS"`` or ``"FORALL"`` over a concept and for a pair
+    assertion's ``"individual"``; concrete for a ``"comparator"`` and a ``"quantity"``.
+    """
+    if decl.kind == ("concrete" if use in ("comparator", "quantity") else "abstract"):
+        return
+    role = decl.name
+    if use == "FORALL":
+        raise ModelError(f"value restrictions require an abstract role, {role!r} is concrete")
+    if use == "EXISTS":
+        raise ModelError(f"role {role!r} is concrete: expected a comparator (GT, GE, LT, or LE)")
+    if use == "comparator":
+        raise ModelError(f"role {role!r} is abstract but used with a comparator")
+    expected = "an individual" if decl.kind == "abstract" else "a quantity"
+    raise ModelError(f"role {role!r} is {decl.kind}; the filler must be {expected}")
+
+
+def check_unit(decl: RoleDecl, unit: str) -> None:
+    """A quantity on a concrete role is in the role's declared unit."""
+    if unit != decl.unit:
+        raise ModelError(f"unit {unit!r} does not match role {decl.name!r} declared in {decl.unit!r}")
+
+
+def add_value(valued: set[tuple[str, str]], subject: str, role: str) -> None:
+    """Add ``(subject, role)`` to ``valued``: a functional role has one value per individual."""
+    if (subject, role) in valued:
+        raise ModelError(f"role {role!r} is functional: {subject!r} already has a value")
+    valued.add((subject, role))
+
+
+def check_concept_roles(expr: ConceptExpression, roles: Mapping[str, RoleDecl], seen: set | None = None) -> None:
+    """Check every quantifier in the expression against the role table.
+
+    Nodes in ``seen`` were checked before, and are skipped with what lies
     beneath them; every node walked is added to it.
     """
-    names = []
     for sub in sub_expressions(expr, seen):
-        if isinstance(sub, Atom):
-            names.append(sub.name)
-        if not isinstance(sub, (Exists, Forall)):
-            continue
-        role = sub.role
-        decl = roles.get(role)
-        if decl is None:
-            raise ModelError(f"{where}: role {role!r} is not declared")
-        if isinstance(sub, Forall):
-            if decl.kind != "abstract":
-                raise ModelError(f"{where}: value restrictions require an abstract role, {role!r} is concrete")
-        elif isinstance(sub.target, ConcretePredicate):
-            if decl.kind != "concrete":
-                raise ModelError(f"{where}: role {role!r} is abstract but used with a comparator")
-            if sub.target.threshold.unit != decl.unit:
-                raise ModelError(
-                    f"{where}: threshold unit {sub.target.threshold.unit!r} does not match "
-                    f"role {role!r} declared in {decl.unit!r}"
-                )
-        elif decl.kind != "abstract":
-            raise ModelError(f"{where}: role {role!r} is concrete; use a comparator restriction")
-    return names
-
-
-def _desugar(gci: FuzzyGci) -> FuzzyGci:
-    # A degree-0 inclusion states the complement of the right side at degree 1.
-    if gci.degree != ZERO:
-        return gci
-    return FuzzyGci(gci.lhs, Not(gci.rhs), ONE)
+        if isinstance(sub, (Exists, Forall)):
+            decl = declared_role(roles, sub.role)
+            if isinstance(sub, Exists) and isinstance(sub.target, ConcretePredicate):
+                check_role_use(decl, "comparator")
+                check_unit(decl, sub.target.threshold.unit)
+            else:
+                check_role_use(decl, "EXISTS" if isinstance(sub, Exists) else "FORALL")
 
 
 def build_kb(
@@ -479,73 +504,58 @@ def build_kb(
     concrete_facts: Sequence[ConcreteFact] = (),
     declared_concepts: Sequence[str] = (),
 ) -> KnowledgeBase:
-    """Validate and assemble a knowledge base.
+    """Check statements built in code against every rule, and assemble a knowledge base.
 
-    A statement is kept as given unless its degree had to become a
-    :class:`~fractions.Fraction`; its concepts are in normal form already.
-    Raises :class:`ModelError` on undeclared or mistyped role use, duplicate
-    declarations, duplicate concrete facts, or unit mismatches, and
-    :class:`DegreeRangeError` on out-of-range degrees.
+    Concepts are in normal form already; degrees become Fractions.  Raises
+    :class:`ModelError` on a broken rule and :class:`DegreeRangeError` on a
+    degree outside [0, 1].
     """
     role_map: dict[str, RoleDecl] = {}
     for decl in roles:
-        if decl.name in role_map:
-            raise ModelError(f"role {decl.name!r} declared twice")
-        role_map[decl.name] = decl
-
-    # every concept is walked once: ``seen`` holds the nodes already validated
-    seen: set[ConceptExpression] = set()
-    concepts: set[str] = set(declared_concepts)
-    out_gcis = []
+        declare_role(role_map, decl)
+    seen: set[ConceptExpression] = set()  # every concept node is checked once
+    checked_gcis, checked_assertions = [], []
     for gci in gcis:
-        degree = make_degree(gci.degree)
-        concepts.update(check_concept_roles(gci.lhs, role_map, "axiom", seen))
-        concepts.update(check_concept_roles(gci.rhs, role_map, "axiom", seen))
-        out_gcis.append(_desugar(gci if degree is gci.degree else FuzzyGci(gci.lhs, gci.rhs, degree)))
-
-    out_assertions = []
+        checked_gcis.append(gci._replace(degree=make_degree(gci.degree)))
+        check_concept_roles(gci.lhs, role_map, seen)
+        check_concept_roles(gci.rhs, role_map, seen)
     for fa in assertions:
-        degree = make_degree(fa.degree)
-        concepts.update(check_concept_roles(fa.concept, role_map, f"assertion on {fa.individual}", seen))
-        out_assertions.append(fa if degree is fa.degree else FuzzyAssertion(fa.individual, fa.concept, degree))
-
+        checked_assertions.append(fa._replace(degree=make_degree(fa.degree)))
+        check_concept_roles(fa.concept, role_map, seen)
     for ra in role_assertions:
-        decl = role_map.get(ra.role)
-        if decl is None:
-            raise ModelError(f"role {ra.role!r} is not declared")
-        if decl.kind != "abstract":
-            raise ModelError(f"role assertions need an abstract role, {ra.role!r} is concrete")
-
-    seen_facts: set[tuple[str, str]] = set()
+        check_role_use(declared_role(role_map, ra.role), "individual")
+    valued: set[tuple[str, str]] = set()
     for cf in concrete_facts:
-        decl = role_map.get(cf.role)
-        if decl is None:
-            raise ModelError(f"role {cf.role!r} is not declared")
-        if decl.kind != "concrete":
-            raise ModelError(f"quantity facts need a concrete role, {cf.role!r} is abstract")
-        if cf.value.unit != decl.unit:
-            raise ModelError(
-                f"fact on {cf.subject}: unit {cf.value.unit!r} does not match role "
-                f"{cf.role!r} declared in {decl.unit!r}"
-            )
-        key = (cf.subject, cf.role)
-        if key in seen_facts:
-            raise ModelError(f"{cf.role!r} is functional: {cf.subject} already has a value")
-        seen_facts.add(key)
+        decl = declared_role(role_map, cf.role)
+        check_role_use(decl, "quantity")
+        check_unit(decl, cf.value.unit)
+        add_value(valued, cf.subject, cf.role)
+    return assemble_kb(role_map, checked_gcis, checked_assertions, role_assertions, concrete_facts, declared_concepts)
 
-    names: set[str] = set()
-    for fa in out_assertions:
-        names.add(fa.individual)
+
+def assemble_kb(
+    roles: Mapping[str, RoleDecl], gcis: Sequence[FuzzyGci], assertions: Sequence[FuzzyAssertion],
+    role_assertions: Sequence[RoleAssertion], concrete_facts: Sequence[ConcreteFact], declared_concepts: Sequence[str],
+) -> KnowledgeBase:
+    """A knowledge base from statements that keep every rule, with ``Fraction`` degrees.
+
+    Checks nothing: :func:`build_kb` and the parser call it once their
+    statements pass.  It desugars degree-0 inclusions and registers every
+    concept and individual name.
+    """
+    concepts = set(declared_concepts)
+    seen: set[ConceptExpression] = set()
+    for expr in [*(e for gci in gcis for e in (gci.lhs, gci.rhs)), *(fa.concept for fa in assertions)]:
+        concepts.update(node.name for node in sub_expressions(expr, seen) if isinstance(node, Atom))
+    names = {fa.individual for fa in assertions}
     for ra in role_assertions:
-        names.add(ra.subject)
-        names.add(ra.filler)
-    for cf in concrete_facts:
-        names.add(cf.subject)
-
+        names.update((ra.subject, ra.filler))
+    names.update(cf.subject for cf in concrete_facts)
     return KnowledgeBase(
-        roles=dict(sorted(role_map.items())),
-        gcis=tuple(out_gcis),
-        assertions=tuple(out_assertions),
+        roles=dict(sorted(roles.items())),
+        # a degree-0 inclusion states the complement of the right side at degree 1
+        gcis=tuple(FuzzyGci(g.lhs, Not(g.rhs), ONE) if g.degree == ZERO else g for g in gcis),
+        assertions=tuple(assertions),
         role_assertions=tuple(role_assertions),
         concrete_facts=tuple(concrete_facts),
         concept_names=frozenset(concepts),

@@ -98,8 +98,6 @@ for a bound may differ from a fresh run's.  An attribute no statement
 mentions costs its two closure entries and no derivation.
 """
 
-from __future__ import annotations
-
 from collections import deque
 from fractions import Fraction
 from math import lcm
@@ -126,9 +124,6 @@ from .model import (
     sub_expressions,
 )
 
-Bound = str  # "lo" | "hi"
-
-
 class UnknownIndividualError(FdlbError):
     """A query named an individual the knowledge base never mentions."""
 
@@ -150,7 +145,7 @@ class DerivationNode(NamedTuple):
     rule: str
     individual: str
     expr: ConceptExpression
-    kind: Bound
+    kind: str
     value: Fraction
     premises: tuple[int, ...]
     source: object | None = None
@@ -170,7 +165,7 @@ class Explanation(NamedTuple):
 
     individual: str
     expr: ConceptExpression
-    kind: Bound
+    kind: str
     value: Fraction
     steps: tuple[DerivationNode, ...]
 
@@ -234,7 +229,7 @@ class _Saturation:
         self.names = kb.individuals
         self.individual_ids = {a: i for i, a in enumerate(self.names)}
         self.n = len(self.names)
-        # a degree d (a Fraction: see build_kb) is scaled where it is used, as
+        # a degree d (a Fraction: see KnowledgeBase) is scaled where it is used, as
         # d.numerator * (scale // d.denominator), so no Fraction is hashed
         degrees = [*(fa.degree for fa in kb.assertions), *(g.degree for g in kb.gcis)]
         self.scale = lcm(*{d.denominator for d in degrees})
@@ -617,7 +612,7 @@ class SaturatedKb:
         scale, [([lo], [hi])] = self.scaled_bounds((individual,), (expr,))
         return DegreeInterval(Fraction(lo, scale), Fraction(hi, scale))
 
-    def explain(self, individual: str, expr: ConceptExpression, kind: Bound = "lo") -> Explanation:
+    def explain(self, individual: str, expr: ConceptExpression, kind: str = "lo") -> Explanation:
         """The derivations behind one bound, each listed once.
 
         An expression outside the closure first grows it, as in
@@ -645,7 +640,7 @@ class SaturatedKb:
         self._individual_id(individual)
         x = engine.expr_ids.get(expr)
         if x is None:
-            check_concept_roles(expr, self.kb.roles, "query")
+            check_concept_roles(expr, self.kb.roles)
             try:
                 engine.extend(expr)
             except InconsistencyError as clash:

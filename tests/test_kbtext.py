@@ -17,20 +17,26 @@ from fdlb.kbtext import (
     parse_ubox,
     render_concept,
     render_decimal,
+    render_statement,
 )
+from fdlb.decision import UtilityBox
 from fdlb.model import (
     And,
     Atom,
     BOTTOM,
+    ConcreteFact,
     ConcretePredicate,
     Exists,
+    FdlbError,
     Forall,
     FuzzyGci,
     Not,
     Or,
     Quantity,
+    RoleAssertion,
     RoleDecl,
     TOP,
+    build_kb,
 )
 from fdlb.reasoner import Conflict, DerivationNode, Explanation, saturate
 
@@ -121,6 +127,60 @@ def test_parse_errors(text, fragment):
     result = parse_kb(text)
     assert not result.ok
     assert any(fragment in d.message for d in result.diagnostics), result.diagnostics
+
+
+# The cases of tests/test_model.py's test_build_kb_rejects_ill_formed and
+# test_build_kb_rejects_unit_mismatch_in_threshold that the grammar can
+# express.  One is left out: ``EXISTS r . GT 1 u`` over the abstract ``r``
+# reads a concept after the role, so there GT is a syntax error.
+RULE_ROLES = (RoleDecl("r", "abstract"), RoleDecl("s", "abstract", closed=True), RoleDecl("m", "concrete", unit="u"))
+BROKEN_RULES = [
+    dict(gcis=[FuzzyGci(Atom("A"), Exists("r", Atom("B")))]),
+    dict(roles=RULE_ROLES, gcis=[FuzzyGci(Atom("A"), Exists("m", Atom("B")))]),
+    dict(roles=RULE_ROLES, gcis=[FuzzyGci(Atom("A"), Forall("m", Atom("B")))]),
+    dict(roles=RULE_ROLES + (RoleDecl("r", "abstract"),)),
+    dict(roles=RULE_ROLES, role_assertions=[RoleAssertion("x", "y", "m")]),
+    dict(roles=RULE_ROLES, concrete_facts=[ConcreteFact("x", Quantity(Fraction(1), "EUR"), "m")]),
+    dict(roles=RULE_ROLES, concrete_facts=[ConcreteFact("x", Quantity(Fraction(1), "u"), "m"),
+                                           ConcreteFact("x", Quantity(Fraction(2), "u"), "m")]),
+    dict(roles=RULE_ROLES, gcis=[FuzzyGci(Exists("m", ConcretePredicate(">", Quantity(Fraction(1), "EUR"))), Atom("A"))]),
+]
+
+
+def statements_text(roles=(), gcis=(), assertions=(), role_assertions=(), concrete_facts=()):
+    lines = [f"role {d.name} : abstract{' closed' if d.closed else ''};" if d.kind == "abstract"
+             else f"role {d.name} : concrete({d.unit});" for d in roles]
+    lines += map(render_statement, (*gcis, *assertions, *role_assertions, *concrete_facts))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("statements", BROKEN_RULES)
+def test_a_broken_rule_gives_one_message_whether_parsed_or_built(statements):
+    with pytest.raises(FdlbError) as built:
+        build_kb(**statements)
+    parsed = parse_kb(statements_text(**statements))
+    assert [(d.severity, d.message) for d in parsed.diagnostics] == [("error", str(built.value))]
+
+
+@pytest.mark.parametrize("entries, text", [
+    ((("A", Fraction(-1)),), "ubox e { A = -1; }"),
+    ((("A", Fraction(1)), ("A", Fraction(2))), "ubox e { A = 1; A = 2; }"),
+])
+def test_a_broken_weight_rule_gives_one_message_whether_parsed_or_built(entries, text):
+    with pytest.raises(FdlbError) as built:
+        UtilityBox("e", entries)
+    assert [d.message for d in parse_ubox(text).diagnostics] == [str(built.value)]
+
+
+def test_parsing_never_walks_a_concept_to_check_its_roles(monkeypatch, fixtures_dir):
+    def walk(*args):
+        raise AssertionError("the parser checks roles at their tokens")
+
+    monkeypatch.setattr(model, "check_concept_roles", walk)
+    monkeypatch.setattr(model, "build_kb", walk)
+    for path in sorted(fixtures_dir.glob("*.fdlb")):
+        result = parse_kb(path.read_text(encoding="utf-8"))
+        assert result.kb is not None and not result.diagnostics, path.name
 
 
 def test_error_spans_point_at_the_problem():
@@ -246,8 +306,7 @@ def test_diagnostic_spans_slice_out_the_offending_lexeme(seed):
         text, lexemes, end = generated_text(rng)
         for parse in (parse_kb, parse_ubox, lambda t: parse_concept_text(t, ROLES)):
             for d in parse(text).diagnostics:
-                if d.span is None:  # a knowledge-base error found after parsing
-                    continue
+                assert d.span is not None, (text, d)  # every rule is checked at a token
                 where = (d.span.line, d.span.column)
                 sliced = spanned_text(text, d.span)
                 if d.span.length == 0:

@@ -100,6 +100,48 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert child.stdout.strip() == "[]"
 
 
+def test_importing_the_cli_and_writing_text_loads_no_json(fixtures_dir):
+    kb, ubox = fixtures_dir / "tablet_complete.fdlb", fixtures_dir / "expert1.ubox"
+    commands = [
+        ["check", kb],
+        ["rank", kb, "--ubox", ubox],
+        ["complete", kb, "--ubox", ubox],
+        ["explain", kb, "-i", "tab_3", "-c", "LightweightTablet"],
+    ]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys, fdlb.cli; code = fdlb.cli.main(sys.argv[1:]); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'json'), file=sys.stderr)"
+    )
+    for argv in commands:
+        child = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env, capture_output=True, text=True)
+        assert child.stderr.splitlines()[-1] in ("0 []", "3 []"), (argv, child.stderr)
+
+
+def _messages(tree):
+    """(line, constant text) of each message an error, ``error`` or ``warn`` call is given; ``{}`` marks a value."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or not node.args:
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+        message = node.args[0]
+        if name.endswith("Error") or name in ("error", "warn"):
+            if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                yield node.lineno, message.value
+            elif isinstance(message, ast.JoinedStr):
+                yield node.lineno, "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in message.values)
+
+
+def test_every_message_is_written_once_in_the_package():
+    # a rule checked in two places would carry its message twice
+    found = [(text, f"{path.name}:{line}") for path in SOURCES
+             for line, text in _messages(ast.parse(path.read_text(encoding="utf-8")))]
+    assert len(found) > 20
+    written = Counter(text for text, _ in found)
+    assert [(where, text) for text, where in found if written[text] > 1] == []
+
+
 # Names defined in ``src/fdlb`` that are kept for a reason beyond their
 # callers there, each with that reason: top-level functions and classes by
 # name, methods and properties as ``Class.member`` (dunders are exempt).
@@ -109,6 +151,7 @@ KEPT_FOR_A_STATED_REASON = {
     "SaturatedKb.instance_interval": "the README's Library section offers it as the one-pair query",
     "SaturatedKb.explain": "the README's Library section offers it as the derivations behind a bound",
     "SaturatedKb.closure": "the README names it as the view of which expressions hold bounds",
+    "build_kb": "the checked entry point for a base built in code; the README's Library section names it",
 }
 
 
