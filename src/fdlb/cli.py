@@ -94,38 +94,52 @@ def _choices(args: argparse.Namespace, kb: KnowledgeBase) -> list[str]:
 
 
 def _write_json(
-    value: object, out: list[str], indent: str = "\n", quote: Callable[[str], str] | None = None
+    value: object, out: list[str], indent: str = "\n", quote: Callable[[str], str] | None = None,
+    written: dict[tuple[int, str], slice | str] | None = None,
 ) -> None:
     """Append ``json.dumps(value, sort_keys=True, indent=2)`` to ``out``, for str-keyed dicts, lists, str, int, bool and None.
 
     With ``indent`` set, json writes through its pure-Python encoder; this
     writer quotes strings with json's C function, ``quote``, and joins the
     rest itself.  ``json`` is imported here, so text output never loads it.
+    A dict or list met again at the same indent (``rank`` shares one per
+    distinct contribution) is written once: ``written`` maps its id and
+    indent to the slice of ``out`` its text took, then to that text.
     """
     if quote is None:
         from json.encoder import encode_basestring_ascii as quote
+    if written is None:
+        written = {}
     if isinstance(value, str):
         out.append(quote(value))
     elif value is None or isinstance(value, bool):
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
-    elif isinstance(value, dict):
-        inner, sep = indent + "  ", "{"
-        for key, item in sorted(value.items()):
-            out += (sep, inner, quote(key), ": ")
-            _write_json(item, out, inner, quote)
-            sep = ","
-        out.append(indent + "}" if value else "{}")
-    elif isinstance(value, list):
-        inner, sep = indent + "  ", "["
-        for item in value:
-            out += (sep, inner)
-            _write_json(item, out, inner, quote)
-            sep = ","
-        out.append(indent + "]" if value else "[]")
+    elif (key := (id(value), indent)) in written:
+        text = written[key]
+        if isinstance(text, slice):
+            text = written[key] = "".join(out[text])
+        out.append(text)
     else:
-        raise TypeError(f"cannot write {type(value).__name__} as JSON")
+        start = len(out)
+        if isinstance(value, dict):
+            inner, sep = indent + "  ", "{"
+            for name, item in sorted(value.items()):
+                out += (sep, inner, quote(name), ": ")
+                _write_json(item, out, inner, quote, written)
+                sep = ","
+            out.append(indent + "}" if value else "{}")
+        elif isinstance(value, list):
+            inner, sep = indent + "  ", "["
+            for item in value:
+                out += (sep, inner)
+                _write_json(item, out, inner, quote, written)
+                sep = ","
+            out.append(indent + "]" if value else "[]")
+        else:
+            raise TypeError(f"cannot write {type(value).__name__} as JSON")
+        written[key] = slice(start, len(out))
 
 
 def _emit_json(payload: object) -> None:

@@ -215,10 +215,10 @@ class _Parser:
         return SourceSpan(line, offset - self._line_starts[line - 1] + 1, length)
 
     def number(self, literal: str) -> Fraction:
-        """The value of a number literal, converted once per distinct text."""
+        """The value of a number literal, converted once per distinct text; an integer skips ``Fraction``'s parser."""
         value = self._numbers.get(literal)
         if value is None:
-            value = self._numbers[literal] = Fraction(literal)
+            value = self._numbers[literal] = Fraction(literal) if "." in literal else Fraction(int(literal))
         return value
 
     # -- token plumbing
@@ -430,7 +430,9 @@ class _Parser:
         role_at = self.pos
         role = self.take_ident("a role name")
         self.take(";")
-        decl = self.require(role_at, declared_role, self.roles, role)
+        if not self.passes(role_at, declared_role, self.roles, role):
+            return  # the statement is over: the next one parses as usual
+        decl = self.roles[role]
         if unit is None:
             if self.passes(role_at, check_role_use, decl, "individual"):
                 self.role_assertions.append(RoleAssertion(subject, filler, role))

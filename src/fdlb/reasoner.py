@@ -61,8 +61,11 @@ inclusion degrees.  Saturation only reaches 0, 1, those degrees and their
 complements, so every bound is an exact integer and ``1 - x`` is ``L -
 v``.  ``dual_rows[x]`` is the row of ``NOT closure[x]``, so the upper
 bound of ``b`` is ``L - lo[dual_rows[x] + i]``.  Rules are triggered
-through indexes by expression id.  The worklist holds the bounds that rose
-in a *live* row, one that some rule reads (``live[x]``: the row is a
+through indexes by expression id, and an index entry names the rule's
+target by its row and its id, so that the one bound update, local to the
+propagation loop, reads the target's dual row and live flag without
+dividing by ``n``.  The worklist holds the bounds that rose in a *live*
+row, one that some rule reads (``live[x]``: the row is a
 conjunction, a value restriction, a part of a conjunction or disjunction,
 a quantifier's filler concept, or an inclusion's left side or conjunct); a
 bound in any other row, such as ``TOP``'s, is recorded but not queued, as
@@ -101,7 +104,7 @@ mentions costs its two closure entries and no derivation.
 from collections import deque
 from fractions import Fraction
 from math import lcm
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .kbtext import render_concept
 from .model import (
@@ -243,26 +246,28 @@ class _Saturation:
         self.lo: list[int] = []
         self.dual_rows: list[int] = []  # x -> the row of NOT closure[x]
         self.live: list[bool] = []  # x -> some rule reads row x, so its raised bounds are queued
-        self.conj_parents: list[list[tuple[int, tuple[int, ...]]]] = []
-        self.disj_parents: list[list[tuple[int, tuple[int, ...]]]] = []
-        self.conj_down: list[tuple[int, ...]] = []
-        self.forall_down: list[tuple[str, int] | None] = []
-        self.exists_up: dict[tuple[str, int], int] = {}
-        self.forall_up: dict[tuple[str, int], int] = {}
+        # (row, id, part rows) of each conjunction or disjunction a part is in
+        self.conj_parents: list[list[tuple[int, int, tuple[int, ...]]]] = []
+        self.disj_parents: list[list[tuple[int, int, tuple[int, ...]]]] = []
+        self.conj_down: list[tuple[tuple[int, int], ...]] = []  # (row, id) of each conjunct
+        self.forall_down: list[tuple[str, int, int] | None] = []  # (role, body row, body id)
+        self.exists_up: dict[tuple[str, int], tuple[int, int]] = {}  # (role, filler concept) -> (row, id)
+        self.forall_up: dict[tuple[str, int], tuple[int, int]] = {}
         self.closed_foralls: dict[str, list[int]] = {}
         self.concrete_nodes: list[int] = []
-        # expressions whose lower bound on a filler can move a quantifier
-        self.quantified: set[int] = set()
-        # gci: (inclusion, scaled cap = 1 - degree, rhs row, scaled degree)
-        self.gcis_by_lhs: list[list[tuple[FuzzyGci, int, int, int]]] = []
-        # disjoint: (inclusion, cap, degree, conjunct rows, their dual rows)
-        self.bottom_by_conjunct: list[list[tuple[FuzzyGci, int, int, tuple[int, ...], tuple[int, ...]]]] = []
+        # x -> a lower bound of row x on a filler can move a quantifier
+        self.quantified: list[bool] = []
+        # gci: (inclusion, scaled cap = 1 - degree, rhs row, rhs id, scaled degree)
+        self.gcis_by_lhs: list[list[tuple[FuzzyGci, int, int, int, int]]] = []
+        # disjoint: (inclusion, cap, degree, conjunct rows, their dual rows, their dual ids)
+        self.bottom_by_conjunct: list[list[tuple[FuzzyGci, int, int, tuple, tuple, tuple]]] = []
         self._add_expressions(build_closure(kb))
         self._index_gcis()
 
     # -- indexes: by expression id, or individual id for role edges; an
     # entry names an expression by its row x * n, so individual a's bound
-    # in it is row + a
+    # in it is row + a, and by its id x, for the rule's update to read
+    # dual_rows[x] and live[x]
 
     def _index_roles(self) -> None:
         individual = self.individual_ids
@@ -296,8 +301,9 @@ class _Saturation:
         ids.update(zip(exprs, new))
         self.lo += [0] * (n * len(new))
         self.dual_rows += [ids[Not(e)] * n for e in exprs]
-        live = self.live
+        live, quantified = self.live, self.quantified
         live += [False] * len(new)
+        quantified += [False] * len(new)
         for table in (self.conj_parents, self.disj_parents, self.gcis_by_lhs, self.bottom_by_conjunct):
             table += ([] for _ in new)
         self.conj_down += [()] * len(new)
@@ -310,26 +316,26 @@ class _Saturation:
                 rows = tuple(c * n for c in parts)
                 parents = self.conj_parents if isinstance(e, And) else self.disj_parents
                 for c in parts:
-                    parents[c].append((row, rows))
+                    parents[c].append((row, x, rows))
                 triggers.update(parts)
                 if isinstance(e, And):
-                    self.conj_down[x] = rows
+                    self.conj_down[x] = tuple(zip(rows, parts))
                     live[x] = True
             elif isinstance(e, Exists):
                 if isinstance(e.target, ConcretePredicate):
                     self.concrete_nodes.append(x)
                 else:
-                    self.exists_up[(e.role, ids[e.target])] = row
-                    self.quantified.add(ids[e.target])
+                    self.exists_up[(e.role, ids[e.target])] = (row, x)
+                    quantified[ids[e.target]] = True
                     triggers.add(ids[e.target])
             elif isinstance(e, Forall):
-                self.forall_down[x] = (e.role, ids[e.body] * n)
+                self.forall_down[x] = (e.role, ids[e.body] * n, ids[e.body])
                 live[x] = True
                 decl = self.kb.roles.get(e.role)
                 if decl is not None and decl.closed:
-                    self.forall_up[(e.role, ids[e.body])] = row
+                    self.forall_up[(e.role, ids[e.body])] = (row, x)
                     self.closed_foralls.setdefault(e.role, []).append(x)
-                    self.quantified.add(ids[e.body])
+                    quantified[ids[e.body]] = True
                     triggers.add(ids[e.body])
         for t in triggers:
             live[t] = True
@@ -337,24 +343,25 @@ class _Saturation:
 
     def _index_gcis(self) -> None:
         ids, n = self.expr_ids, self.n
-        self.bottom_simple: list[tuple[FuzzyGci, int]] = []
+        self.bottom_simple: list[tuple[FuzzyGci, int, int]] = []  # (inclusion, degree, id of its lhs's dual)
         for gci in self.kb.gcis:
             degree = gci.degree.numerator * (self.scale // gci.degree.denominator)
             cap = self.scale - degree
             if gci.rhs == BOTTOM:
                 if isinstance(gci.lhs, And):
                     parts = [ids[c] for c in gci.lhs.parts]
-                    entry = (gci, cap, degree, tuple(c * n for c in parts), tuple(self.dual_rows[c] for c in parts))
+                    duals = [ids[Not(c)] for c in gci.lhs.parts]
+                    entry = (gci, cap, degree, tuple(c * n for c in parts), tuple(c * n for c in duals), tuple(duals))
                     for c in parts:
                         self.bottom_by_conjunct[c].append(entry)
                         self.live[c] = True
                 else:
-                    self.bottom_simple.append((gci, degree))
+                    self.bottom_simple.append((gci, degree, ids[Not(gci.lhs)]))
             else:
-                self.gcis_by_lhs[ids[gci.lhs]].append((gci, cap, ids[gci.rhs] * n, degree))
+                self.gcis_by_lhs[ids[gci.lhs]].append((gci, cap, ids[gci.rhs] * n, ids[gci.rhs], degree))
                 self.live[ids[gci.lhs]] = True
 
-    # -- bound updates
+    # -- explanations
 
     def explanation(self, s: int) -> Explanation:
         """Every derivation reachable from signed bound ``s``, once each, in depth-first order.
@@ -389,73 +396,62 @@ class _Saturation:
         lo, hi = self.explanation(b), self.explanation(~b)
         return Conflict(lo.individual, lo.expr, lo.value, hi.value, lo, hi)
 
-    def set_lo(
-        self, b: int, value: int, rule: str, premises: tuple[int, ...], source: object | None = None, note: str = ""
-    ) -> None:
-        lo = self.lo
-        if value <= lo[b]:
-            return
-        self.step += 1
-        self.records[b] = (rule, value, premises, source, note, self.step)
-        x, a = divmod(b, self.n)
-        d = self.dual_rows[x] + a
-        if value + lo[d] > self.scale:  # reported on whichever of the pair comes first in the closure
-            raise InconsistencyError(self._conflict(min(b, d)))
-        lo[b] = value
-        if self.live[x]:
-            self.queue.append(b)
-
     # -- seeds
 
-    def seed(self, first: int = 0) -> None:
-        """Set the bounds no rule derives from other bounds.
+    def seeds(self, first: int = 0) -> Iterator[tuple]:
+        """The bounds no rule derives from other bounds, as (bound, id, individual, value, rule, source, note).
 
         With ``first`` > 0 only expressions from id ``first`` on are seeded
         (an extension's new ones): statements were seeded with the rest.
         """
         n, scale, ids = self.n, self.scale, self.expr_ids
         if not first:
-            top = ids[TOP] * n
+            x = ids[TOP]
             for a in range(n):
-                self.set_lo(top + a, scale, "top", ())
+                yield x * n + a, x, a, scale, "top", None, ""
             for fa in self.kb.assertions:
-                b = ids[fa.concept] * n + self.individual_ids[fa.individual]
-                self.set_lo(b, fa.degree.numerator * (scale // fa.degree.denominator), "assertion", (), source=fa)
+                x, a = ids[fa.concept], self.individual_ids[fa.individual]
+                yield x * n + a, x, a, fa.degree.numerator * (scale // fa.degree.denominator), "assertion", fa, ""
         for x in self.concrete_nodes:
             if x < first:
                 continue
             node = self.closure[x]
+            dual = ids[Not(node)]
             # value op threshold, as v / w op t / d (one unit: see Quantity)
             op, threshold = node.target  # type: ignore[misc]
             holds, t, d = COMPARISONS[op], threshold.magnitude.numerator, threshold.magnitude.denominator
             for a, cf, v, w in self.values_by_role.get(node.role, ()):
-                row = x * n if holds(v * d, t * w) else self.dual_rows[x]
-                self.set_lo(row + a, scale, "concrete", (), source=cf)
+                y = x if holds(v * d, t * w) else dual
+                yield y * n + a, y, a, scale, "concrete", cf, ""
         if not first:
-            for gci, degree in self.bottom_simple:
-                capped = self.dual_rows[ids[gci.lhs]]
+            for gci, degree, x in self.bottom_simple:
                 for a in range(n):
-                    self.set_lo(capped + a, degree, "disjoint", (), source=gci)
+                    yield x * n + a, x, a, degree, "disjoint", gci, ""
         for role, nodes in self.closed_foralls.items():
             for x in nodes:
                 if x < first:
                     continue
                 for a in range(n):
                     if not self.fillers.get((a, role)):
-                        self.set_lo(x * n + a, scale, "forall-up", (), note="closed role with no fillers")
+                        yield x * n + a, x, a, scale, "forall-up", None, "closed role with no fillers"
 
     # -- propagation
     #
-    # Only bounds in live rows are queued (see Bound storage in the module
-    # docstring): set_lo records a raised bound in a row no rule reads, such
-    # as TOP's, without queuing it, and extend queues a row's bounds again
-    # when growth gives the row a rule.  Each rule first checks whether its
-    # candidate can improve the bound it targets, and only then builds
-    # premises and a witness or calls set_lo: most firings improve nothing.
+    # One loop sets the seeds and then fires rules until the queue is empty.
+    # Its local improve() is the bound update every rule calls, and the seed
+    # loop writes the same update out.  An index entry names its target by
+    # row and id (see the indexes above), so the update reads the target's
+    # dual row and live flag without dividing; it reads live[x] when it
+    # fires, never from the entry, as extend makes old rows live.  Only bounds in live
+    # rows are queued (see Bound storage in the module docstring): a raised
+    # bound in a row no rule reads, such as TOP's, is recorded but not
+    # queued, and extend queues a row's bounds again when growth gives the
+    # row a rule.  Each rule first checks whether its candidate can improve
+    # the bound it targets, and only then builds premises and a witness and
+    # calls improve(): most firings improve nothing.
 
     def run(self) -> "_Saturation":
-        self.seed()
-        self.propagate()
+        self.propagate(self.seeds())
         return self
 
     def extend(self, e: ConceptExpression) -> None:
@@ -467,90 +463,125 @@ class _Saturation:
         new = _close([e], set(self.expr_ids)).difference(self.expr_ids)
         first, n = len(self.closure), self.n
         triggers = self._add_expressions(sorted(new, key=sort_key))
-        self.seed(first)
         lo = self.lo
         # an old row that a new rule reads: its bounds never met that rule
         # (nor were queued at all if no rule read the row before); a lower
-        # bound still at its default 0 moves no rule's conclusion
-        for x in sorted(t for t in triggers if t < first):
-            self.queue.extend(b for b in range(x * n, x * n + n) if lo[b])
-        self.propagate()
+        # bound still at its default 0 moves no rule's conclusion.  The new
+        # seeds are all in new rows, so they leave these bounds as they are
+        old = [b for x in sorted(t for t in triggers if t < first) for b in range(x * n, x * n + n) if lo[b]]
+        self.propagate(self.seeds(first), old)
 
-    def propagate(self) -> None:
-        """Fire every rule that reads a queued bound, until the queue is empty."""
-        n, lo, queue = self.n, self.lo, self.queue
-        pop, set_lo = queue.popleft, self.set_lo
+    def propagate(self, seeds: Iterable[tuple], requeue: Sequence[int] = ()) -> None:
+        """Set ``seeds`` (see :meth:`seeds`), queue ``requeue``, and fire rules until the queue is empty."""
+        n, scale, lo, records, queue = self.n, self.scale, self.lo, self.records, self.queue
+        dual_rows, live, pop, push = self.dual_rows, self.live, queue.popleft, queue.append
         conj_parents, disj_parents, conj_down = self.conj_parents, self.disj_parents, self.conj_down
         forall_down, quantified = self.forall_down, self.quantified
         gcis_by_lhs, bottom_by_conjunct = self.gcis_by_lhs, self.bottom_by_conjunct
         fillers, role_fact, pointing_at = self.fillers, self.role_fact, self.pointing_at
         exists_up, forall_up = self.exists_up, self.forall_up
-        while queue:
-            b = pop()
-            x, a = divmod(b, n)
-            value = lo[b]
-            premise = (b,)
-            for parent, parts in conj_parents[x]:
-                current = lo[parent + a]
-                if value <= current:
-                    continue  # the minimum over the parts is at most value
-                for c in parts:
-                    if lo[c + a] <= current:
-                        break
-                else:
-                    set_lo(parent + a, min(lo[c + a] for c in parts), "conj-up", tuple(c + a for c in parts))
-            for parent, parts in disj_parents[x]:
-                candidate = max(lo[c + a] for c in parts)
-                if candidate > lo[parent + a]:
-                    witness = next(c for c in parts if lo[c + a] == candidate)
-                    set_lo(parent + a, candidate, "disj-up", (witness + a,))
-            for c in conj_down[x]:
-                if value > lo[c + a]:
-                    set_lo(c + a, value, "conj-down", premise)
-            if forall_down[x] is not None:
-                role, body = forall_down[x]
-                for f in fillers.get((a, role), ()):
-                    if value > lo[body + f]:
-                        set_lo(body + f, value, "forall-down", premise, role_fact[(a, f, role)])
-            if x in quantified:
-                # revisit the quantifiers over x on every role edge that ends at a
-                row = x * n
-                for subject, role in pointing_at[a]:
-                    node = exists_up.get((role, x))
-                    if node is not None:
-                        fils = fillers[(subject, role)]
-                        candidate = max(lo[row + f] for f in fils)
-                        if candidate > lo[node + subject]:
-                            witness = next(f for f in fils if lo[row + f] == candidate)
-                            set_lo(
-                                node + subject, candidate, "exists-up", (row + witness,),
-                                role_fact[(subject, witness, role)],
-                            )
-                    node = forall_up.get((role, x))
-                    if node is not None:
-                        current = lo[node + subject]
+        step = self.step
+
+        def improve(b, x, a, value, rule, premises, source=None, note=""):
+            # raise bound b = x * n + a to value, which its caller found above lo[b]
+            nonlocal step
+            step += 1
+            records[b] = (rule, value, premises, source, note, step)
+            d = dual_rows[x] + a
+            if value + lo[d] > scale:  # reported on whichever of the pair comes first in the closure
+                raise InconsistencyError(self._conflict(min(b, d)))
+            lo[b] = value
+            if live[x]:
+                push(b)
+
+        try:
+            for b, x, a, value, rule, source, note in seeds:  # improve(), written out
+                if value > lo[b]:
+                    step += 1
+                    records[b] = (rule, value, (), source, note, step)
+                    d = dual_rows[x] + a
+                    if value + lo[d] > scale:
+                        raise InconsistencyError(self._conflict(min(b, d)))
+                    lo[b] = value
+                    if live[x]:
+                        push(b)
+            queue.extend(requeue)
+            while queue:
+                b = pop()
+                x, a = divmod(b, n)
+                value = lo[b]
+                premise = (b,)
+                if entries := conj_parents[x]:
+                    for row, y, parts in entries:
+                        current = lo[row + a]
                         if value <= current:
-                            continue  # the minimum over the fillers is at most value
-                        fils = fillers[(subject, role)]
-                        candidate = min(lo[row + f] for f in fils)
-                        if candidate > current:
-                            set_lo(
-                                node + subject, candidate, "forall-up", tuple(row + f for f in fils),
-                                note="closed role: the listed fillers are all fillers",
-                            )
-            for gci, cap, rhs, degree in gcis_by_lhs[x]:
-                # lo[b], not value: an inclusion of e into itself raises it
-                if lo[b] > cap and degree > lo[rhs + a]:
-                    set_lo(rhs + a, degree, "gci", premise, gci)
-            for gci, cap, degree, parts, duals in bottom_by_conjunct[x]:
-                # a conjunct is capped (its dual raised to the degree) once every other one exceeds the cap
-                below = [j for j, c in enumerate(parts) if lo[c + a] <= cap]
-                if len(below) > 1:
-                    continue
-                for j in below or range(len(parts)):
-                    if degree > lo[duals[j] + a]:
-                        others = parts[:j] + parts[j + 1 :]
-                        set_lo(duals[j] + a, degree, "disjoint", tuple(c + a for c in others), gci)
+                            continue  # the minimum over the parts is at most value
+                        for c in parts:
+                            if lo[c + a] <= current:
+                                break
+                        else:
+                            candidate = min([lo[c + a] for c in parts])
+                            improve(row + a, y, a, candidate, "conj-up", tuple([c + a for c in parts]))
+                if entries := disj_parents[x]:
+                    for row, y, parts in entries:
+                        candidate = -1
+                        for c in parts:  # the first greatest part is the witness
+                            if lo[c + a] > candidate:
+                                candidate, witness = lo[c + a], c
+                        if candidate > lo[row + a]:
+                            improve(row + a, y, a, candidate, "disj-up", (witness + a,))
+                if entries := conj_down[x]:
+                    for c, y in entries:
+                        if value > lo[c + a]:
+                            improve(c + a, y, a, value, "conj-down", premise)
+                if entries := forall_down[x]:
+                    role, body, y = entries
+                    for f in fillers.get((a, role), ()):
+                        if value > lo[body + f]:
+                            improve(body + f, y, f, value, "forall-down", premise, role_fact[(a, f, role)])
+                if quantified[x]:
+                    # revisit the quantifiers over x on every role edge that ends at a
+                    row = b - a
+                    for subject, role in pointing_at[a]:
+                        if entries := exists_up.get((role, x)):
+                            target, y = entries
+                            candidate = -1
+                            for f in fillers[(subject, role)]:
+                                if lo[row + f] > candidate:
+                                    candidate, witness = lo[row + f], f
+                            if candidate > lo[target + subject]:
+                                fact = role_fact[(subject, witness, role)]
+                                improve(target + subject, y, subject, candidate, "exists-up", (row + witness,), fact)
+                        if entries := forall_up.get((role, x)):
+                            target, y = entries
+                            current = lo[target + subject]
+                            if value <= current:
+                                continue  # the minimum over the fillers is at most value
+                            fils = fillers[(subject, role)]
+                            candidate = min([lo[row + f] for f in fils])
+                            if candidate > current:
+                                premises = tuple([row + f for f in fils])
+                                improve(
+                                    target + subject, y, subject, candidate, "forall-up", premises,
+                                    note="closed role: the listed fillers are all fillers",
+                                )
+                if entries := gcis_by_lhs[x]:
+                    for gci, cap, rhs, y, degree in entries:
+                        # lo[b], not value: an inclusion of e into itself raises it
+                        if lo[b] > cap and degree > lo[rhs + a]:
+                            improve(rhs + a, y, a, degree, "gci", premise, gci)
+                if entries := bottom_by_conjunct[x]:
+                    for gci, cap, degree, parts, duals, ys in entries:
+                        # a conjunct is capped (its dual raised to the degree) once every other one exceeds the cap
+                        below = [j for j, c in enumerate(parts) if lo[c + a] <= cap]
+                        if len(below) > 1:
+                            continue
+                        for j in below or range(len(parts)):
+                            if degree > lo[duals[j] + a]:
+                                others = tuple([c + a for c in parts[:j] + parts[j + 1 :]])
+                                improve(duals[j] + a, ys[j], a, degree, "disjoint", others, gci)
+        finally:
+            self.step = step
 
 
 # --------------------------------------------------------------------------

@@ -94,6 +94,13 @@ def test_degree_defaults_to_one():
     assert kb.assertions[0].degree == 1
 
 
+def test_number_literals_keep_their_exact_values():
+    literals = ["-12", "007", "0", "-0", "2.50", "-0.125"]
+    text = "role m : concrete(u);\n" + "".join(f"assert (x{k}, {v} u) : m;\n" for k, v in enumerate(literals))
+    values = [fact.value.magnitude for fact in parse_kb(text + "assert x : A @ 1;").kb.concrete_facts]
+    assert values == [Fraction(v) for v in literals]
+
+
 def test_degree_zero_axiom_becomes_complement_inclusion():
     kb = parse_kb("axiom A SUBSUMED-BY B @ 0;").kb
     assert kb.gcis == (FuzzyGci(Atom("A"), Not(Atom("B")), Fraction(1)),)
@@ -208,6 +215,13 @@ def test_recovery_continues_after_bad_statement():
     errors = [d for d in result.diagnostics if d.severity == "error"]
     assert len(errors) == 3  # one per bad statement; the role decl still parses
     assert result.kb is None  # any error blocks the whole document
+
+
+def test_undeclared_role_in_a_pair_assertion_leaves_the_next_statement_alone():
+    result = parse_kb("assert (a, b) : q;\nrole r : abstract;\nassert x : EXISTS r . A;")
+    (diagnostic,) = result.diagnostics
+    assert diagnostic.message == "role 'q' is not declared"
+    assert (diagnostic.span.line, diagnostic.span.column, diagnostic.span.length) == (1, 17, 1)
 
 
 def nested(wrap, levels, depth=MAX_CONCEPT_DEPTH):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import traceback
 from fractions import Fraction
@@ -23,6 +24,7 @@ from fdlb.reasoner import (
     InconsistencyError,
     NoDerivationError,
     UnknownIndividualError,
+    _Saturation,
     check_consistency,
     saturate,
 )
@@ -607,6 +609,41 @@ def test_unmentioned_atom_costs_two_closure_entries_and_no_saturation(fixtures_d
     assert all(0 <= p < len(explanation.steps) for node in explanation.steps for p in node.premises)
     base_steps = {record[-1] for record in records.values()}
     assert all(node.step in base_steps for node in explanation.steps[1:])
+
+
+def saturation_digest(kb):
+    """A digest of every record, bound and the step count of a saturation of ``kb``, and of its clash if any."""
+    engine = _Saturation(kb)
+    try:
+        engine.run()
+        conflict = None
+    except InconsistencyError as clash:
+        conflict = clash.conflict
+    state = (sorted(engine.records.items()), engine.lo, engine.step, conflict)
+    return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+
+
+# Digests of saturations by the rule loop before it was rewritten for speed:
+# the firing order, and with it every record and step number, is kept.
+FIRING_ORDER_DIGESTS = {
+    "clash.fdlb": "fec1d6c8c02d9372",
+    "tablet_crisp.fdlb": "5621cba76095a60f",
+    "tablet_fuzzy.fdlb": "1c22687256dd31c5",
+    "tablet_complete.fdlb": "14a41f0d18955c07",
+    "catalogue 150": "1a1e7b7f3e185f57",
+    "random_kb 0-99": "27ff090235e0fde2",
+}
+
+
+def test_saturation_keeps_its_firing_order(fixtures_dir):
+    from kbgen import random_kb
+
+    digests = {name: saturation_digest(parse_kb((fixtures_dir / name).read_text(encoding="utf-8")).kb)
+               for name in ("clash.fdlb", "tablet_crisp.fdlb", "tablet_fuzzy.fdlb", "tablet_complete.fdlb")}
+    digests["catalogue 150"] = saturation_digest(parse_kb(catalogue_text(fixtures_dir, 150)).kb)
+    seeds = " ".join(saturation_digest(random_kb(seed)) for seed in range(100))
+    digests["random_kb 0-99"] = hashlib.sha256(seeds.encode()).hexdigest()[:16]
+    assert digests == FIRING_ORDER_DIGESTS
 
 
 def test_each_fact_is_recorded_once(fixtures_dir):
