@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -483,6 +484,63 @@ def test_the_argument_parser_is_built_once_per_process(paths, capsys, monkeypatc
     assert main(["rank"]) == 1
     assert main(["explain", paths["crisp"], "-i", "tab_1", "-c", "Tablet"]) == 0
     assert built == []
+
+
+# -- the fixture command lines, pinned
+
+
+def fixture_command_lines(fixtures_dir):
+    """``check``, ``rank`` and ``complete`` on each fixture base, and ``explain`` of every bound it can name.
+
+    ``explain`` asks each individual about each concept name, each axiom
+    side and compound concepts outside the closure, for both bounds, in text
+    and structured output; a few lines end in usage errors.
+    """
+    from fdlb.kbtext import render_concept
+
+    uboxes = [str(fixtures_dir / name) for name in ("expert1.ubox", "expert2.ubox")]
+    lines = []
+    for name in ("tablet_crisp.fdlb", "tablet_fuzzy.fdlb", "tablet_complete.fdlb", "clash.fdlb"):
+        path = str(fixtures_dir / name)
+        kb = parse_kb(Path(path).read_text(encoding="utf-8")).kb
+        for form in ("text", "structured"):
+            lines.append(["check", path, "--format", form])
+            for command in ("rank", "complete"):
+                lines += [[command, path, "--ubox", ubox, "--format", form] for ubox in uboxes]
+                lines.append([command, path, "--ubox", uboxes[0], "--ubox", uboxes[1], "--format", form])
+        lines.append(["rank", path, "--ubox", uboxes[0], "--choices", "tab_1,tab_3", "--strict-complete"])
+        names = sorted(kb.concept_names)
+        sides = sorted({render_concept(side) for gci in kb.gcis for side in (gci.lhs, gci.rhs)})
+        compounds = [f"{a} OR {b}" for a, b in zip(names, names[1:])]
+        compounds += [f"{a} AND NOT {b}" for a, b in zip(names, names[2:])]
+        if "equipped" in kb.roles:
+            compounds += [f"EXISTS equipped . {names[0]}", "FORALL equipped . (PoorEquip OR Fresh)",
+                          "EXISTS hasPrice . GE 700 EUR", "EXISTS hasWeight . LT 800 g AND Tablet"]
+        for individual in kb.individuals:
+            for concept in names + sides + compounds:
+                for bound in ("lo", "hi"):
+                    for form in ("text", "structured"):
+                        lines.append(["explain", path, "-i", individual, "-c", concept, "--bound", bound,
+                                      "--format", form])
+        lines.append(["explain", path, "-i", "nobody", "-c", names[0]])
+        lines.append(["explain", path, "-i", kb.individuals[0], "-c", "A AND"])
+    return lines
+
+
+# SHA-256 of the (command line, exit code, stdout, stderr) of every fixture command line, the fixture
+# directory written as <fixtures>: the output before the engine stopped growing its closure in place.
+FIXTURE_OUTPUT_DIGEST = "bdfdf141fed1afc1a8daff3a65c98a2b6fe942daba9fdab16d3c3a0ce66e9f2c"
+
+
+def test_fixture_command_lines_keep_their_output(fixtures_dir, capsys):
+    digest = hashlib.sha256()
+    lines = fixture_command_lines(fixtures_dir)
+    for argv in lines:
+        code, out, err = run(capsys, *argv)
+        record = (argv, code, out, err)
+        digest.update(repr(record).replace(str(fixtures_dir), "<fixtures>").encode())
+    assert len(lines) > 3000
+    assert digest.hexdigest() == FIXTURE_OUTPUT_DIGEST
 
 
 # -- totality: mutated inputs give an exit code, never a traceback
