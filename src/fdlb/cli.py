@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import cache
-from typing import Callable
+from typing import Callable, Collection
 from pathlib import Path
 
 from .decision import AttributeContribution, DecisionReport, UtilityBox, rank as rank_choices
@@ -38,7 +38,6 @@ from .reasoner import (
     Explanation,
     InconsistencyError,
     NoDerivationError,
-    check_consistency,
     saturate,
 )
 
@@ -95,16 +94,16 @@ def _choices(args: argparse.Namespace, kb: KnowledgeBase) -> list[str]:
 
 def _write_json(
     value: object, out: list[str], indent: str = "\n", quote: Callable[[str], str] | None = None,
-    written: dict[tuple[int, str], slice | str] | None = None,
+    shared: Collection[int] = (), written: dict[tuple[int, str], slice | str] | None = None,
 ) -> None:
     """Append ``json.dumps(value, sort_keys=True, indent=2)`` to ``out``, for str-keyed dicts, lists, str, int, bool and None.
 
     With ``indent`` set, json writes through its pure-Python encoder; this
     writer quotes strings with json's C function, ``quote``, and joins the
     rest itself.  ``json`` is imported here, so text output never loads it.
-    A dict or list met again at the same indent (``rank`` shares one per
-    distinct contribution) is written once: ``written`` maps its id and
-    indent to the slice of ``out`` its text took, then to that text.
+    A dict or list whose id is in ``shared`` (``rank`` shares one per
+    distinct contribution) is written once per indent: ``written`` maps its
+    id and indent to the slice of ``out`` its text took, then to that text.
     """
     if quote is None:
         from json.encoder import encode_basestring_ascii as quote
@@ -127,24 +126,25 @@ def _write_json(
             inner, sep = indent + "  ", "{"
             for name, item in sorted(value.items()):
                 out += (sep, inner, quote(name), ": ")
-                _write_json(item, out, inner, quote, written)
+                _write_json(item, out, inner, quote, shared, written)
                 sep = ","
             out.append(indent + "}" if value else "{}")
         elif isinstance(value, list):
             inner, sep = indent + "  ", "["
             for item in value:
                 out += (sep, inner)
-                _write_json(item, out, inner, quote, written)
+                _write_json(item, out, inner, quote, shared, written)
                 sep = ","
             out.append(indent + "]" if value else "[]")
         else:
             raise TypeError(f"cannot write {type(value).__name__} as JSON")
-        written[key] = slice(start, len(out))
+        if key[0] in shared:
+            written[key] = slice(start, len(out))
 
 
-def _emit_json(payload: object) -> None:
+def _emit_json(payload: object, shared: Collection[int] = ()) -> None:
     out: list[str] = []
-    _write_json(payload, out)
+    _write_json(payload, out, shared=shared)
     print("".join(out))
 
 
@@ -153,7 +153,12 @@ def _emit_json(payload: object) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    conflict = check_consistency(_load_kb(args.kb))
+    kb = _load_kb(args.kb)
+    try:
+        saturate(kb)
+        conflict = None
+    except InconsistencyError as exc:
+        conflict = exc.conflict
     if args.format == "structured":
         _emit_json({
             "kb": args.kb,
@@ -185,12 +190,14 @@ def _contribution_payload(c: AttributeContribution) -> dict:
     }
 
 
-def _report_payload(report: DecisionReport) -> dict:
+def _report_payload(report: DecisionReport, shared: set[int]) -> dict:
+    """The JSON of one report; ``shared`` gains the id of each score and contribution rendered once for its rows."""
     rendered: dict[int, object] = {}  # by identity: rank shares one object per distinct score and contribution
 
     def once(value: object, render) -> object:
         if id(value) not in rendered:
             rendered[id(value)] = render(value)
+            shared.add(id(rendered[id(value)]))
         return rendered[id(value)]
 
     undecided = report.undecided
@@ -240,11 +247,12 @@ def _rank_all(args: argparse.Namespace) -> list[DecisionReport]:
 def _cmd_rank(args: argparse.Namespace) -> int:
     reports = _rank_all(args)
     if args.format == "structured":
+        shared: set[int] = set()
         _emit_json({
             "kb": args.kb,
             "consistent": True,
-            "experts": [_report_payload(r) for r in reports],
-        })
+            "experts": [_report_payload(r, shared) for r in reports],
+        }, shared)
     else:
         for i, report in enumerate(reports):
             if i:
@@ -317,7 +325,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     _print_diagnostics("<concept>", concept_result.diagnostics)
     if concept_result.concept is None:
         raise _CliError("concept expression not parsed")
-    sat = saturate(kb)
+    sat = saturate(kb, (concept_result.concept,))
     try:
         explanation = sat.explain(args.individual, concept_result.concept, args.bound)
     except NoDerivationError as exc:
@@ -398,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fdlb: error: {exc.message}", file=sys.stderr)
         return exc.code
     except InconsistencyError as exc:
-        # saturation, or a query's extension of the closure, found a clash
+        # saturation found a clash
         print(format_conflict(exc.conflict), file=sys.stderr)
         print("fdlb: error: the knowledge base is inconsistent", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -46,12 +46,16 @@ Inclusions never propagate right-to-left (no contrapositive rule): what the
 knowledge base does not determine stays at the vacuous interval [0, 1]
 rather than being guessed.
 
-Closure: the pinned classes, the axiom sides and asserted concepts, and all
-they reach through subexpressions and ``NOT`` (:class:`~fdlb.model.Not`
-builds negation normal form, so ``NOT`` of any closure expression is its
-dual, and the dual of that is the expression again).  Expressions are
-interned and built in normal form, so building it is one worklist of
-identity lookups, and a query names its closure row as it is given.
+Closure: the pinned classes, the axiom sides and asserted concepts, every
+concept name of the base, the queries saturation is given, and all they
+reach through subexpressions and ``NOT`` (:class:`~fdlb.model.Not` builds
+negation normal form, so ``NOT`` of any closure expression is its dual, and
+the dual of that is the expression again).  Expressions are interned and
+built in normal form, so building it is one worklist of identity lookups,
+and a query names its closure row as it is given.  As every concept name
+is a row, so is every utility-box attribute; a query outside the closure is
+answered by a fresh saturation whose closure also holds it (see
+:class:`SaturatedKb`).
 
 Bound storage: closure expression ``x`` and individual ``i`` (in
 ``kb.individuals`` order) own the bound ``b = x * n + i``, ``n`` being the
@@ -81,24 +85,6 @@ individuals, expressions and sides.  :class:`SaturatedKb` keeps the list
 and the records, returns bounds as these integers to
 :func:`~fdlb.decision.rank`, and builds a :class:`DegreeInterval` only
 when :meth:`~SaturatedKb.instance_interval` returns one.
-
-Extensions: a query on an expression outside the closure grows the
-saturation in place instead of re-running it.  The closure expressions the
-query adds are numbered after the old ones, so every old bound, record and
-premise keeps its number; they get index entries and seeds of their own,
-and the worklist runs from the old fixpoint to the new one.  An old row
-that a new expression's rule reads (a part of a new conjunction, say) gains
-that rule now: its bounds went through the old rules only, or were never
-queued at all when the row was not yet live, so its raised lower bounds
-are queued again, and the row is live from then on.  The rules are
-monotone and the old bounds lie below the least fixpoint of the larger
-rule set, so the bounds equal those of a fresh saturation of the
-base with every query so far asserted at degree 0, in any order (the
-additions-only case of Kazakov & Klinov, *Incremental Reasoning in OWL EL
-without Bookkeeping*, ISWC 2013).  The query's expressions stay in the
-closure, step numbers continue across queries, and the derivation recorded
-for a bound may differ from a fresh run's.  An attribute no statement
-mentions costs its two closure entries and no derivation.
 """
 
 from collections import deque
@@ -109,6 +95,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .kbtext import render_concept
 from .model import (
     And,
+    Atom,
     BOTTOM,
     COMPARISONS,
     ConceptExpression,
@@ -203,23 +190,19 @@ class InconsistencyError(FdlbError):
 # Closure
 
 
-def build_closure(kb: KnowledgeBase) -> tuple[ConceptExpression, ...]:
+def build_closure(kb: KnowledgeBase, queries: Iterable[ConceptExpression] = ()) -> tuple[ConceptExpression, ...]:
     """Every expression saturation tracks (see Closure in the module docstring), in a deterministic order.
 
-    Sharing one closure across individuals keeps interval keys comparable everywhere.
+    Sharing one closure across individuals keeps interval keys comparable
+    everywhere.  One worklist: each expression not seen yet is walked once,
+    and its ``NOT`` queued.
     """
     sides = (side for gci in kb.gcis for side in (gci.lhs, gci.rhs))
-    return tuple(sorted(_close([TOP, BOTTOM, *sides, *(fa.concept for fa in kb.assertions)], set()), key=sort_key))
-
-
-def _close(todo: list[ConceptExpression], seen: set[ConceptExpression]) -> set[ConceptExpression]:
-    """Add to ``seen``, a closed set, all that ``todo`` reaches through subexpressions and duals.
-
-    One worklist: each expression not seen yet is walked once, and its ``NOT`` queued.  Returns ``seen``.
-    """
+    todo = [TOP, BOTTOM, *sides, *(fa.concept for fa in kb.assertions), *map(Atom, kb.concept_names), *queries]
+    seen: set[ConceptExpression] = set()
     while todo:
         todo += map(Not, sub_expressions(todo.pop(), seen))
-    return seen
+    return tuple(sorted(seen, key=sort_key))
 
 
 # --------------------------------------------------------------------------
@@ -227,7 +210,7 @@ def _close(todo: list[ConceptExpression], seen: set[ConceptExpression]) -> set[C
 
 
 class _Saturation:
-    def __init__(self, kb: KnowledgeBase):
+    def __init__(self, kb: KnowledgeBase, queries: Iterable[ConceptExpression] = ()):
         self.kb = kb
         self.names = kb.individuals
         self.individual_ids = {a: i for i, a in enumerate(self.names)}
@@ -238,30 +221,10 @@ class _Saturation:
         self.scale = lcm(*{d.denominator for d in degrees})
         # bound -> (rule, scaled value, premises, source, note, step) of its latest improvement
         self.records: dict[int, tuple] = {}
-        self.queue: deque[int] = deque()  # bounds whose lower bound rose
         self.step = 0
         self._index_roles()
-        self.closure: tuple[ConceptExpression, ...] = ()
-        self.expr_ids: dict[ConceptExpression, int] = {}
-        self.lo: list[int] = []
-        self.dual_rows: list[int] = []  # x -> the row of NOT closure[x]
-        self.live: list[bool] = []  # x -> some rule reads row x, so its raised bounds are queued
-        # (row, id, part rows) of each conjunction or disjunction a part is in
-        self.conj_parents: list[list[tuple[int, int, tuple[int, ...]]]] = []
-        self.disj_parents: list[list[tuple[int, int, tuple[int, ...]]]] = []
-        self.conj_down: list[tuple[tuple[int, int], ...]] = []  # (row, id) of each conjunct
-        self.forall_down: list[tuple[str, int, int] | None] = []  # (role, body row, body id)
-        self.exists_up: dict[tuple[str, int], tuple[int, int]] = {}  # (role, filler concept) -> (row, id)
-        self.forall_up: dict[tuple[str, int], tuple[int, int]] = {}
-        self.closed_foralls: dict[str, list[int]] = {}
-        self.concrete_nodes: list[int] = []
-        # x -> a lower bound of row x on a filler can move a quantifier
-        self.quantified: list[bool] = []
-        # gci: (inclusion, scaled cap = 1 - degree, rhs row, rhs id, scaled degree)
-        self.gcis_by_lhs: list[list[tuple[FuzzyGci, int, int, int, int]]] = []
-        # disjoint: (inclusion, cap, degree, conjunct rows, their dual rows, their dual ids)
-        self.bottom_by_conjunct: list[list[tuple[FuzzyGci, int, int, tuple, tuple, tuple]]] = []
-        self._add_expressions(build_closure(kb))
+        self.closure = build_closure(kb, queries)
+        self._index_expressions()
         self._index_gcis()
 
     # -- indexes: by expression id, or individual id for role edges; an
@@ -288,36 +251,33 @@ class _Saturation:
             entry = (individual[cf.subject], cf, cf.value.magnitude.numerator, cf.value.magnitude.denominator)
             self.values_by_role.setdefault(cf.role, []).append(entry)
 
-    def _add_expressions(self, exprs: Sequence[ConceptExpression]) -> set[int]:
-        """Number ``exprs`` after the closure, with default bounds and their index entries.
-
-        Returns the expressions whose bounds trigger a newly indexed rule;
-        they, and each new conjunction and value restriction, are live.
-        """
-        first, n = len(self.closure), self.n
-        new = range(first, first + len(exprs))
-        self.closure += tuple(exprs)
-        ids = self.expr_ids
-        ids.update(zip(exprs, new))
-        self.lo += [0] * (n * len(new))
-        self.dual_rows += [ids[Not(e)] * n for e in exprs]
-        live, quantified = self.live, self.quantified
-        live += [False] * len(new)
-        quantified += [False] * len(new)
-        for table in (self.conj_parents, self.disj_parents, self.gcis_by_lhs, self.bottom_by_conjunct):
-            table += ([] for _ in new)
-        self.conj_down += [()] * len(new)
-        self.forall_down += [None] * len(new)
-        triggers: set[int] = set()
-        for x in new:
-            e, row = self.closure[x], x * n
+    def _index_expressions(self) -> None:
+        """Number the closure, with default bounds, and index the rules each expression gives its parts."""
+        closure, n = self.closure, self.n
+        ids = self.expr_ids = {e: x for x, e in enumerate(closure)}
+        self.lo = [0] * (n * len(closure))
+        self.dual_rows = [ids[Not(e)] * n for e in closure]  # x -> the row of NOT closure[x]
+        live = self.live = [False] * len(closure)  # x -> some rule reads row x, so its raised bounds are queued
+        # x -> a lower bound of row x on a filler can move a quantifier
+        quantified = self.quantified = [False] * len(closure)
+        # (row, id, part rows) of each conjunction or disjunction a part is in
+        self.conj_parents: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in closure]
+        self.disj_parents: list[list[tuple[int, int, tuple[int, ...]]]] = [[] for _ in closure]
+        self.conj_down: list[tuple[tuple[int, int], ...]] = [()] * len(closure)  # (row, id) of each conjunct
+        self.forall_down: list[tuple[str, int, int] | None] = [None] * len(closure)  # (role, body row, body id)
+        self.exists_up: dict[tuple[str, int], tuple[int, int]] = {}  # (role, filler concept) -> (row, id)
+        self.forall_up: dict[tuple[str, int], tuple[int, int]] = {}
+        self.closed_foralls: dict[str, list[int]] = {}
+        self.concrete_nodes: list[int] = []
+        for x, e in enumerate(closure):
+            row = x * n
             if isinstance(e, (And, Or)):
                 parts = tuple(ids[c] for c in e.parts)
                 rows = tuple(c * n for c in parts)
                 parents = self.conj_parents if isinstance(e, And) else self.disj_parents
                 for c in parts:
                     parents[c].append((row, x, rows))
-                triggers.update(parts)
+                    live[c] = True
                 if isinstance(e, And):
                     self.conj_down[x] = tuple(zip(rows, parts))
                     live[x] = True
@@ -326,8 +286,7 @@ class _Saturation:
                     self.concrete_nodes.append(x)
                 else:
                     self.exists_up[(e.role, ids[e.target])] = (row, x)
-                    quantified[ids[e.target]] = True
-                    triggers.add(ids[e.target])
+                    quantified[ids[e.target]] = live[ids[e.target]] = True
             elif isinstance(e, Forall):
                 self.forall_down[x] = (e.role, ids[e.body] * n, ids[e.body])
                 live[x] = True
@@ -335,14 +294,14 @@ class _Saturation:
                 if decl is not None and decl.closed:
                     self.forall_up[(e.role, ids[e.body])] = (row, x)
                     self.closed_foralls.setdefault(e.role, []).append(x)
-                    quantified[ids[e.body]] = True
-                    triggers.add(ids[e.body])
-        for t in triggers:
-            live[t] = True
-        return triggers
+                    quantified[ids[e.body]] = live[ids[e.body]] = True
 
     def _index_gcis(self) -> None:
         ids, n = self.expr_ids, self.n
+        # gci: (inclusion, scaled cap = 1 - degree, rhs row, rhs id, scaled degree)
+        self.gcis_by_lhs: list[list[tuple[FuzzyGci, int, int, int, int]]] = [[] for _ in self.closure]
+        # disjoint: (inclusion, cap, degree, conjunct rows, their dual rows, their dual ids)
+        self.bottom_by_conjunct: list[list[tuple[FuzzyGci, int, int, tuple, tuple, tuple]]] = [[] for _ in self.closure]
         self.bottom_simple: list[tuple[FuzzyGci, int, int]] = []  # (inclusion, degree, id of its lhs's dual)
         for gci in self.kb.gcis:
             degree = gci.degree.numerator * (self.scale // gci.degree.denominator)
@@ -398,23 +357,16 @@ class _Saturation:
 
     # -- seeds
 
-    def seeds(self, first: int = 0) -> Iterator[tuple]:
-        """The bounds no rule derives from other bounds, as (bound, id, individual, value, rule, source, note).
-
-        With ``first`` > 0 only expressions from id ``first`` on are seeded
-        (an extension's new ones): statements were seeded with the rest.
-        """
+    def seeds(self) -> Iterator[tuple]:
+        """The bounds no rule derives from other bounds, as (bound, id, individual, value, rule, source, note)."""
         n, scale, ids = self.n, self.scale, self.expr_ids
-        if not first:
-            x = ids[TOP]
-            for a in range(n):
-                yield x * n + a, x, a, scale, "top", None, ""
-            for fa in self.kb.assertions:
-                x, a = ids[fa.concept], self.individual_ids[fa.individual]
-                yield x * n + a, x, a, fa.degree.numerator * (scale // fa.degree.denominator), "assertion", fa, ""
+        x = ids[TOP]
+        for a in range(n):
+            yield x * n + a, x, a, scale, "top", None, ""
+        for fa in self.kb.assertions:
+            x, a = ids[fa.concept], self.individual_ids[fa.individual]
+            yield x * n + a, x, a, fa.degree.numerator * (scale // fa.degree.denominator), "assertion", fa, ""
         for x in self.concrete_nodes:
-            if x < first:
-                continue
             node = self.closure[x]
             dual = ids[Not(node)]
             # value op threshold, as v / w op t / d (one unit: see Quantity)
@@ -423,14 +375,11 @@ class _Saturation:
             for a, cf, v, w in self.values_by_role.get(node.role, ()):
                 y = x if holds(v * d, t * w) else dual
                 yield y * n + a, y, a, scale, "concrete", cf, ""
-        if not first:
-            for gci, degree, x in self.bottom_simple:
-                for a in range(n):
-                    yield x * n + a, x, a, degree, "disjoint", gci, ""
+        for gci, degree, x in self.bottom_simple:
+            for a in range(n):
+                yield x * n + a, x, a, degree, "disjoint", gci, ""
         for role, nodes in self.closed_foralls.items():
             for x in nodes:
-                if x < first:
-                    continue
                 for a in range(n):
                     if not self.fillers.get((a, role)):
                         yield x * n + a, x, a, scale, "forall-up", None, "closed role with no fillers"
@@ -441,39 +390,21 @@ class _Saturation:
     # Its local improve() is the bound update every rule calls, and the seed
     # loop writes the same update out.  An index entry names its target by
     # row and id (see the indexes above), so the update reads the target's
-    # dual row and live flag without dividing; it reads live[x] when it
-    # fires, never from the entry, as extend makes old rows live.  Only bounds in live
-    # rows are queued (see Bound storage in the module docstring): a raised
-    # bound in a row no rule reads, such as TOP's, is recorded but not
-    # queued, and extend queues a row's bounds again when growth gives the
-    # row a rule.  Each rule first checks whether its candidate can improve
-    # the bound it targets, and only then builds premises and a witness and
-    # calls improve(): most firings improve nothing.
+    # dual row and live flag without dividing.  Only bounds in live rows are
+    # queued (see Bound storage in the module docstring): a raised bound in a
+    # row no rule reads, such as TOP's, is recorded but not queued.  Each
+    # rule first checks whether its candidate can improve the bound it
+    # targets, and only then builds premises and a witness and calls
+    # improve(): most firings improve nothing.
 
     def run(self) -> "_Saturation":
         self.propagate(self.seeds())
         return self
 
-    def extend(self, e: ConceptExpression) -> None:
-        """Add ``e`` and all it reaches to the closure, and propagate to the new fixpoint.
-
-        See Extensions in the module docstring.  Raises
-        :class:`InconsistencyError` on a clash, leaving the engine part-way.
-        """
-        new = _close([e], set(self.expr_ids)).difference(self.expr_ids)
-        first, n = len(self.closure), self.n
-        triggers = self._add_expressions(sorted(new, key=sort_key))
-        lo = self.lo
-        # an old row that a new rule reads: its bounds never met that rule
-        # (nor were queued at all if no rule read the row before); a lower
-        # bound still at its default 0 moves no rule's conclusion.  The new
-        # seeds are all in new rows, so they leave these bounds as they are
-        old = [b for x in sorted(t for t in triggers if t < first) for b in range(x * n, x * n + n) if lo[b]]
-        self.propagate(self.seeds(first), old)
-
-    def propagate(self, seeds: Iterable[tuple], requeue: Sequence[int] = ()) -> None:
-        """Set ``seeds`` (see :meth:`seeds`), queue ``requeue``, and fire rules until the queue is empty."""
-        n, scale, lo, records, queue = self.n, self.scale, self.lo, self.records, self.queue
+    def propagate(self, seeds: Iterable[tuple]) -> None:
+        """Set ``seeds`` (see :meth:`seeds`) and fire rules until the queue is empty."""
+        n, scale, lo, records = self.n, self.scale, self.lo, self.records
+        queue: deque[int] = deque()  # bounds whose lower bound rose, in a live row
         dual_rows, live, pop, push = self.dual_rows, self.live, queue.popleft, queue.append
         conj_parents, disj_parents, conj_down = self.conj_parents, self.disj_parents, self.conj_down
         forall_down, quantified = self.forall_down, self.quantified
@@ -505,7 +436,6 @@ class _Saturation:
                     lo[b] = value
                     if live[x]:
                         push(b)
-            queue.extend(requeue)
             while queue:
                 b = pop()
                 x, a = divmod(b, n)
@@ -593,17 +523,18 @@ class SaturatedKb:
 
     Its answers are :meth:`scaled_bounds`, :meth:`instance_interval` and
     :meth:`explain`; ``closure`` shows which expressions hold bounds.
-    ``_engine`` is the saturation that reached the fixpoint, kept so that a
-    query outside the closure can grow it (see Extensions in the module
-    docstring): ``closure`` then includes the query's expressions, and the
-    engine's step numbers continue.  :meth:`scaled_bounds` reads the scaled
-    bounds (see Bound storage) of many individuals at once, and
+    ``_engine`` is the saturation that reached the fixpoint.  A query
+    outside its closure replaces it by a fresh saturation of the base whose
+    closure also holds the query, so every answer is the one a fresh
+    saturation of the base and the queries asked so far gives, whatever
+    order they came in.  :meth:`scaled_bounds` reads the scaled bounds (see
+    Bound storage) of many individuals at once, and
     :meth:`instance_interval` makes one pair a :class:`DegreeInterval`.
     :meth:`explain` reads the engine's records directly, an upper bound
     through its dual's record, and builds a :class:`DerivationNode` for
     each step it returns, its premises indices into those steps.  A clash
-    found while growing is kept in ``_clash`` and raised again by every
-    later query.  Equality is identity.
+    found by a query's saturation is kept in ``_clash`` and raised again by
+    every later query.  Equality is identity.
     """
 
     def __init__(self, engine: _Saturation):
@@ -619,13 +550,14 @@ class SaturatedKb:
     def scaled_bounds(self, individuals: Sequence[str], exprs: Sequence[ConceptExpression]) -> tuple[int, list]:
         """The scale ``L`` and, per expression, the lower and the upper bounds of the individuals in it, times ``L``.
 
-        ``individuals`` is not empty.  Raises as asking the first individual
-        about every expression, then each later one, would: a kept clash; an
-        unknown first individual, before any growth; a clash found growing
-        the closure by an expression (kept, as in :meth:`instance_interval`);
-        an unknown later individual.  With no expressions nothing is checked.
+        ``individuals`` is not empty.  The expressions outside the closure
+        are saturated in one fresh run.  Raises, in this order: a kept
+        clash; an unknown first individual; an expression over an undeclared
+        role; a clash found by that run (kept, as in
+        :meth:`instance_interval`); an unknown later individual.  With no
+        expressions nothing is checked.
         """
-        xs = [self._grow(individuals[0], expr) for expr in exprs]
+        xs = self._rows(individuals[0], exprs)
         ids = [self._individual_id(a) for a in individuals] if xs else []
         n, lo, scale, duals = self._engine.n, self._engine.lo, self._engine.scale, self._engine.dual_rows
         return scale, [([lo[x * n + i] for i in ids], [scale - lo[duals[x] + i] for i in ids]) for x in xs]
@@ -633,28 +565,30 @@ class SaturatedKb:
     def instance_interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
         """The entailed membership interval of an individual in any concept.
 
-        An expression outside the closure first grows it (see the module
-        docstring), which never loosens anything already entailed.  If the
-        query exposes a contradiction the knowledge base was inconsistent
-        all along and :class:`InconsistencyError` is raised, by this query
-        and every later one.  The interval is :data:`~fdlb.model.FULL_INTERVAL`
-        exactly when the knowledge base says nothing about the membership.
+        An expression outside the closure is answered as a fresh saturation
+        of the base with it in the closure would answer it.  If that
+        saturation finds a contradiction, the knowledge base was
+        inconsistent all along and :class:`InconsistencyError` is raised, by
+        this query and every later one.  The interval is
+        :data:`~fdlb.model.FULL_INTERVAL` exactly when the knowledge base
+        says nothing about the membership.
         """
         scale, [([lo], [hi])] = self.scaled_bounds((individual,), (expr,))
         return DegreeInterval(Fraction(lo, scale), Fraction(hi, scale))
 
     def explain(self, individual: str, expr: ConceptExpression, kind: str = "lo") -> Explanation:
-        """The derivations behind one bound, each listed once.
+        """The derivations behind one bound, each listed once, as a fresh saturation records them.
 
-        An expression outside the closure first grows it, as in
+        An expression outside the closure is answered as in
         :meth:`instance_interval`.  Raises :class:`NoDerivationError` when
         the bound is still at its default (0 from below, 1 from above) —
         there is nothing to show.
         """
         if kind not in ("lo", "hi"):
             raise ValueError("kind must be 'lo' or 'hi'")
+        [x] = self._rows(individual, (expr,))
         engine = self._engine
-        x, a = self._grow(individual, expr), engine.individual_ids[individual]
+        a = engine.individual_ids[individual]
         b = x * engine.n + a
         if (b if kind == "lo" else engine.dual_rows[x] + a) not in engine.records:
             side = "lower" if kind == "lo" else "upper"
@@ -663,22 +597,23 @@ class SaturatedKb:
             )
         return engine.explanation(b if kind == "lo" else ~b)
 
-    def _grow(self, individual: str, expr: ConceptExpression) -> int:
-        """The closure row of ``expr``, after checking the individual and growing the closure by ``expr``."""
-        engine = self._engine
+    def _rows(self, individual: str, exprs: Sequence[ConceptExpression]) -> list[int]:
+        """The closure rows of ``exprs``, after checking the individual and saturating those outside the closure."""
         if self._clash is not None:
             raise self._clash.with_traceback(None)  # each raise would otherwise add its frames
         self._individual_id(individual)
-        x = engine.expr_ids.get(expr)
-        if x is None:
-            check_concept_roles(expr, self.kb.roles)
+        ids = self._engine.expr_ids
+        if missing := [expr for expr in exprs if expr not in ids]:
+            for expr in missing:
+                check_concept_roles(expr, self.kb.roles)
             try:
-                engine.extend(expr)
+                # the old closure holds the base's expressions and every earlier query's
+                self._engine = _Saturation(self.kb, self._engine.closure + tuple(missing)).run()
             except InconsistencyError as clash:
                 self._clash = clash
                 raise
-            x = engine.expr_ids[expr]
-        return x
+            ids = self._engine.expr_ids
+        return [ids[expr] for expr in exprs]
 
     def _individual_id(self, individual: str) -> int:
         if (i := self._engine.individual_ids.get(individual)) is None:
@@ -690,21 +625,14 @@ def _describe(expr: ConceptExpression) -> str:
     return f"concept '{render_concept(expr)}'"
 
 
-def saturate(kb: KnowledgeBase) -> SaturatedKb:
-    """Run saturation to its fixpoint.
+def saturate(kb: KnowledgeBase, queries: Sequence[ConceptExpression] = ()) -> SaturatedKb:
+    """Run saturation to its fixpoint, with ``queries`` (concepts over the base's roles) in the closure.
 
     Returns the saturated knowledge base, or raises
     :class:`InconsistencyError` as soon as any membership interval becomes
     empty; its ``conflict`` holds the two clashing derivations.
     """
-    return SaturatedKb(_Saturation(kb).run())
-
-
-def check_consistency(kb: KnowledgeBase) -> Conflict | None:
-    """Saturate without raising: the :class:`Conflict` found, or None when consistent."""
-    try:
-        saturate(kb)
-    except InconsistencyError as exc:
-        return exc.conflict
-    return None
+    for query in queries:
+        check_concept_roles(query, kb.roles)
+    return SaturatedKb(_Saturation(kb, queries).run())
 

@@ -11,7 +11,7 @@ explanation reaches each step along exponentially many paths; ``evaluate`` decid
 definition the engines are checked against; and ``reference_rank`` ranks
 choices by asking ``instance_interval`` for each (choice, attribute) pair
 and summing ``Fraction`` products, the reference ``decision.rank`` is
-checked against.
+checked against; ``conflict_of`` is the conflict ``fdlb check`` reports.
 """
 
 from collections import Counter
@@ -19,7 +19,7 @@ from collections import Counter
 from fdlb.decision import AttributeContribution, ChoiceScore, DecisionReport
 from fdlb.kbtext import render_decimal, render_statement
 from fdlb.model import COMPARISONS, FULL_INTERVAL, ONE, ZERO, Atom
-from fdlb.reasoner import NoDerivationError
+from fdlb.reasoner import InconsistencyError, NoDerivationError, saturate
 
 
 def serialize_kb(kb):
@@ -60,6 +60,15 @@ def evaluate(predicate, value):
     """``ONE`` when ``value op threshold`` holds, else ``ZERO``; both quantities are in one unit."""
     assert value.unit == predicate.threshold.unit, (value, predicate)
     return ONE if COMPARISONS[predicate.op](value.magnitude, predicate.threshold.magnitude) else ZERO
+
+
+def conflict_of(kb):
+    """The :class:`~fdlb.reasoner.Conflict` saturating ``kb`` finds, or None when it is consistent."""
+    try:
+        saturate(kb)
+    except InconsistencyError as exc:
+        return exc.conflict
+    return None
 
 
 def interval_map(sat):

@@ -12,7 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from fdlb.cli import _write_json, main
 from fdlb.kbtext import MAX_CONCEPT_DEPTH, format_conflict, parse_kb
-from fdlb.reasoner import InconsistencyError, _Saturation, check_consistency
+from fdlb.model import Atom, Or
+from fdlb.reasoner import InconsistencyError, _Saturation
+
+from kbtools import conflict_of
 
 pytestmark = pytest.mark.usefixtures("fixtures_dir")
 
@@ -214,21 +217,22 @@ def test_an_existential_over_a_closed_role_without_fillers_clashes(tmp_path, cap
     )
 
 
-@pytest.mark.parametrize("command", ["rank", "complete"])
-def test_clash_found_by_an_extension_exits_two(command, paths, tmp_path, capsys, monkeypatch):
-    # a query outside the closure grows the saturation; a clash found there is the
-    # same inconsistency as one found up front
-    conflict = check_consistency(parse_kb(Path(paths["clash"]).read_text()).kb)
+def test_clash_found_by_a_query_exits_two(paths, tmp_path, capsys, monkeypatch):
+    # explain saturates the base with its query in the closure; a clash found
+    # there is the same inconsistency as one in the base alone
+    conflict = conflict_of(parse_kb(Path(paths["clash"]).read_text()).kb)
+    saturate_engine = _Saturation.run
 
-    def clashing(self, expr):
-        raise InconsistencyError(conflict)
+    def clashing(engine):  # no query clashes on a consistent base, so one is simulated
+        if Or(Atom("Good"), Atom("Open")) in engine.expr_ids:
+            raise InconsistencyError(conflict)
+        return saturate_engine(engine)
 
-    monkeypatch.setattr(_Saturation, "extend", clashing)
+    monkeypatch.setattr(_Saturation, "run", clashing)
     kb = tmp_path / "open.fdlb"
     kb.write_text("concept Open;\nassert x : Good @ 0.5;\n")
-    ubox = tmp_path / "open.ubox"
-    ubox.write_text("ubox e {\n    Good = 1;\n    Open = 1;\n}\n")
-    code, out, err = run(capsys, command, str(kb), "--ubox", str(ubox))
+    assert run(capsys, "check", str(kb))[0] == 0
+    code, out, err = run(capsys, "explain", str(kb), "-i", "x", "-c", "Good OR Open")
     assert code == 2
     assert out == ""
     assert err == format_conflict(conflict) + "\nfdlb: error: the knowledge base is inconsistent\n"
@@ -423,6 +427,15 @@ def test_the_json_writer_matches_json_dumps(tree):
     out = []
     _write_json(tree, out)
     assert "".join(out) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+def test_the_json_writer_remembers_only_shared_containers():
+    shared = {"a": [1]}
+    tree = {"rows": [shared, shared, {"b": [2]}], "more": [[shared]]}
+    out, written = [], {}
+    _write_json(tree, out, shared={id(shared)}, written=written)
+    assert "".join(out) == json.dumps(tree, sort_keys=True, indent=2)
+    assert sorted(written) == [(id(shared), "\n    "), (id(shared), "\n      ")]  # once per indent
 
 
 def test_explain_undecided_bound(paths, capsys):

@@ -10,16 +10,15 @@ from fdlb.decision import (
     rank,
 )
 from fdlb.kbtext import parse_kb
-from fdlb.model import Atom, FdlbError, build_kb
+from fdlb.model import Atom, FdlbError, Or, build_kb
 from fdlb.reasoner import (
     InconsistencyError,
     UnknownIndividualError,
     _Saturation,
-    check_consistency,
     saturate,
 )
 from kbgen import random_kb
-from kbtools import reference_rank
+from kbtools import conflict_of, reference_rank
 
 CHOICES = ("tab_1", "tab_2", "tab_3")
 
@@ -198,7 +197,7 @@ def test_decided_zero_counts_as_complete():
 # -- rank against its per-pair Fraction definition
 
 WEIGHTS = (Fraction(0), Fraction(1, 3), Fraction(7, 8), Fraction(1), Fraction(5, 2))
-UNMENTIONED = ("Unmentioned", "Spare")  # declared, in no statement: ranking grows the closure by them
+UNMENTIONED = ("Unmentioned", "Spare")  # declared, in no statement: closure rows all the same
 
 
 def _with_unmentioned(kb):
@@ -256,8 +255,8 @@ def test_an_empty_utility_box_scores_every_choice_zero(complete_sat):
     ]
 
 
-# -- error precedence: a kept clash, an unknown first choice, growth on the
-# first choice, then an unknown later choice
+# -- error precedence: a kept clash, an unknown first choice, then an unknown
+# later choice; every attribute is a closure row, so rank never saturates again
 
 @pytest.fixture
 def open_sat(complete_kb):
@@ -265,46 +264,49 @@ def open_sat(complete_kb):
 
 
 OPEN_BOX = UtilityBox("open", (("Tablet", Fraction(1)), ("Unmentioned", Fraction(1, 3)), ("Spare", Fraction(7, 8))))
+OUTSIDE = Or(Atom("Tablet"), Atom("Unmentioned"))  # a query outside the closure, saturated again
 
 
 @pytest.fixture
-def clashing_growth(monkeypatch, fixtures_dir):
-    conflict = check_consistency(parse_kb((fixtures_dir / "clash.fdlb").read_text()).kb)
+def clashing_growth(open_sat, monkeypatch, fixtures_dir):
+    conflict = conflict_of(parse_kb((fixtures_dir / "clash.fdlb").read_text()).kb)
 
-    def clashing(self, expr):
+    def clashing(self):
         raise InconsistencyError(conflict)
 
-    monkeypatch.setattr(_Saturation, "extend", clashing)
+    monkeypatch.setattr(_Saturation, "run", clashing)
     return monkeypatch
 
 
 def test_an_unknown_first_choice_raises_before_any_growth(open_sat):
-    before = len(open_sat.closure)
+    closure = open_sat.closure
     with pytest.raises(UnknownIndividualError, match="individual 'tab_9' does not occur"):
         rank(open_sat, ("tab_9", "tab_1"), OPEN_BOX)
-    assert len(open_sat.closure) == before
+    assert open_sat.closure is closure
 
 
-def test_an_unknown_later_choice_raises_after_every_attribute_grows(open_sat):
-    before = len(open_sat.closure)
+def test_an_unknown_later_choice_leaves_the_closure_unchanged(open_sat):
+    closure = open_sat.closure
+    assert all(Atom(name) in closure for name in UNMENTIONED)
     with pytest.raises(UnknownIndividualError, match="individual 'tab_9' does not occur"):
         rank(open_sat, ("tab_1", "tab_9"), OPEN_BOX)
-    assert len(open_sat.closure) == before + 2 * len(UNMENTIONED)  # each atom and its NOT
-    assert all(Atom(name) in open_sat.closure for name in UNMENTIONED)
+    assert open_sat.closure is closure
 
 
-def test_a_clash_found_growing_an_attribute_is_raised_and_kept(open_sat, clashing_growth):
+def test_a_kept_clash_comes_before_an_unknown_first_choice(open_sat, clashing_growth):
     with pytest.raises(InconsistencyError) as first:
-        rank(open_sat, ("tab_1", "tab_9"), OPEN_BOX)  # growth comes before the unknown later choice
+        open_sat.instance_interval("tab_1", OUTSIDE)
     clashing_growth.undo()
     with pytest.raises(InconsistencyError) as again:
-        rank(open_sat, ("tab_9",), OPEN_BOX)  # a kept clash comes before an unknown first choice
+        rank(open_sat, ("tab_9",), OPEN_BOX)
     assert again.value.conflict == first.value.conflict
 
 
 def test_an_unknown_first_choice_comes_before_a_clash_in_growth(open_sat, clashing_growth):
     with pytest.raises(UnknownIndividualError):
-        rank(open_sat, ("tab_9", "tab_1"), OPEN_BOX)
+        open_sat.scaled_bounds(("tab_9", "tab_1"), [Atom("Tablet"), OUTSIDE])
+    clashing_growth.undo()
+    assert open_sat.instance_interval("tab_1", OUTSIDE).lo == 1  # no clash was kept
 
 
 def test_argument_errors_keep_their_messages(complete_sat, expert1):

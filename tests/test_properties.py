@@ -9,10 +9,10 @@ import pytest
 import random
 
 from fdlb.model import Atom, FuzzyAssertion, Not, build_kb
-from fdlb.reasoner import InconsistencyError, build_closure, check_consistency, saturate
+from fdlb.reasoner import InconsistencyError, build_closure, saturate
 
 from kbgen import random_concept, random_kb
-from kbtools import interval_map
+from kbtools import conflict_of, interval_map
 from naive_engine import NaiveEngine, naive_saturate, negate
 
 SEEDS = range(140)
@@ -166,5 +166,5 @@ def test_closure_is_deterministic_and_self_contained(fuzzy_kb):
 
 
 def test_consistency_verdicts_split_meaningfully():
-    verdicts = [check_consistency(random_kb(seed)) is None for seed in SEEDS]
+    verdicts = [conflict_of(random_kb(seed)) is None for seed in SEEDS]
     assert any(verdicts) and not all(verdicts)

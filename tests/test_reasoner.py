@@ -25,11 +25,10 @@ from fdlb.reasoner import (
     NoDerivationError,
     UnknownIndividualError,
     _Saturation,
-    check_consistency,
     saturate,
 )
 
-from kbtools import evaluate, explanations, interval_map, stacked_diamonds
+from kbtools import conflict_of, evaluate, explanations, interval_map, stacked_diamonds
 
 ZERO, ONE = Fraction(0), Fraction(1)
 
@@ -190,7 +189,7 @@ def test_top_and_bottom_are_pinned():
 
 def test_clash_fixture_reports_conflict(fixtures_dir):
     result = parse_kb((fixtures_dir / "clash.fdlb").read_text())
-    conflict = check_consistency(result.kb)
+    conflict = conflict_of(result.kb)
     assert conflict is not None
     assert conflict.individual == "e_1"
     assert format_conflict(conflict) == (
@@ -205,11 +204,11 @@ def test_clash_fixture_reports_conflict(fixtures_dir):
 
 def test_asserting_bottom_is_inconsistent():
     result = parse_kb("assert x : BOTTOM @ 0.5;")
-    assert check_consistency(result.kb) is not None
+    assert conflict_of(result.kb) is not None
 
 
 def test_check_consistency_on_consistent_kb(crisp_kb):
-    assert check_consistency(crisp_kb) is None
+    assert conflict_of(crisp_kb) is None
 
 
 def test_saturate_raises_on_inconsistency():
@@ -441,7 +440,7 @@ def test_rank_saturates_once_per_out_of_closure_attribute(monkeypatch):
 
     monkeypatch.setattr(fdlb.reasoner, "saturate", counting)
     report = rank(fdlb.reasoner.saturate(kb), choices, box)
-    assert calls == [kb]  # Open1 and Open2 extend that saturation in place of re-running it
+    assert calls == [kb]  # Open1 and Open2 are declared, so they are closure rows from the start
     monkeypatch.undo()
     for row in report.rows:
         for c in row.contributions:
@@ -461,18 +460,18 @@ def test_grown_closure_serves_explain_and_intervals():
         assert y : A @ 0.2;
     """)
     query = Or(Atom("B"), Atom("C"))
-    closure = sat.closure
+    assert query not in sat.closure
     assert iv(sat, "x", query) == (Fraction(7, 10), ONE)
     grown = sat.closure
-    assert grown[: len(closure)] == closure and query in grown
+    assert query in grown
     assert iv(sat, "y", query) == (ZERO, ONE)
     assert sat.explain("x", query).value == Fraction(7, 10)
     assert sat.closure is grown  # the later queries found the query in the closure
     assert sat.instance_interval("x", query) == DegreeInterval(Fraction(7, 10), ONE)
-    assert interval_map(sat)[("x", query)] == DegreeInterval(Fraction(7, 10), ONE)
+    assert interval_map(sat) == interval_map(saturate(sat.kb, [query]))
 
 
-# -- extensions grow the saturation from its fixpoint
+# -- a query outside the closure saturates the base again, with the query
 
 
 def query_over(rng, kb, closure, depth=2):
@@ -496,21 +495,18 @@ def check_extensions(kb, queries):
     """Ask one saturation each query in turn and compare it with a fresh run after each.
 
     The fresh run saturates the base with every query so far asserted at
-    degree 0, which brings them into the closure and raises no bound.  A
-    query also leaves every bound and record from before it unchanged.
-    Stops at the first clash.  Returns how many queries grew a consistent
-    saturation.
+    degree 0, which brings them into the closure and raises no bound; the
+    answers, bounds and records are those of the fresh run.  Stops at the
+    first clash.  Returns how many queries grew a consistent saturation.
     """
     from naive_engine import with_queries
 
     sat = saturate(kb)
-    engine = sat._engine
     asked = []
     checked = 0
     for query in queries:
         asked.append(query)
-        outside = query not in engine.expr_ids
-        lo, records = list(engine.lo), dict(engine.records)
+        outside = query not in sat.closure
         try:
             fresh = saturate(with_queries(kb, asked))
         except InconsistencyError:
@@ -526,8 +522,7 @@ def check_extensions(kb, queries):
             for expr in fresh.closure:
                 answer = sat.instance_interval(individual, expr)
                 assert answer == fresh.instance_interval(individual, expr), (individual, expr)
-        assert engine.lo[: len(lo)] == lo
-        assert {s: engine.records[s] for s in records} == records
+        assert (sat._engine.lo, sat._engine.records) == (fresh._engine.lo, fresh._engine.records)
         assert_replays(sat, query)
         checked += outside
     return checked
@@ -581,34 +576,37 @@ def catalogue_text(fixtures_dir, tablets):
     return "\n".join(lines)
 
 
-def test_unmentioned_atom_costs_two_closure_entries_and_no_saturation(fixtures_dir, monkeypatch):
-    import fdlb.reasoner
+def test_declared_atoms_are_in_the_closure_and_ranking_saturates_once(fixtures_dir, tmp_path, monkeypatch, capsys):
+    from fdlb.cli import main
 
-    result = parse_kb(catalogue_text(fixtures_dir, 150))
-    assert result.ok, result.diagnostics
-    sat = saturate(result.kb)
-    records = dict(sat._engine.records)
-    calls = []
-    for name in ("saturate", "build_closure"):
-        real = getattr(fdlb.reasoner, name)
-        counting = lambda *args, real=real, name=name, **kwargs: calls.append(name) or real(*args, **kwargs)
-        monkeypatch.setattr(fdlb.reasoner, name, counting)
-    closure, step = sat.closure, sat._engine.step
+    text = catalogue_text(fixtures_dir, 150)
+    kb = parse_kb(text).kb
+    sat = saturate(kb)
+    assert {Atom("Unmentioned"), Not(Atom("Unmentioned"))} <= set(sat.closure)
+    # a row no statement mentions adds no derivation and moves no step
+    assert saturation_digest(kb) == saturation_digest(parse_kb(text.replace("concept Unmentioned;", "")).kb)
+    closure = sat.closure
     assert sat.instance_interval("tab_3", Atom("Unmentioned")) == DegreeInterval(ZERO, ONE)
-    assert sat.closure == closure + (Atom("Unmentioned"), Not(Atom("Unmentioned")))
-    assert sat._engine.records == records  # no new derivation
-    assert sat._engine.step == step
+    assert sat.closure is closure
 
-    # a bound only the growth derives explains through the base's steps
+    runs, run = [], _Saturation.run
+    monkeypatch.setattr(_Saturation, "run", lambda engine: runs.append(engine) or run(engine))
+    (tmp_path / "catalogue.fdlb").write_text(text, encoding="utf-8")
+    (tmp_path / "open.ubox").write_text("ubox e {\n    Tablet = 1;\n    Unmentioned = 2;\n}\n", encoding="utf-8")
+    for command, code in (("rank", 0), ("complete", 3)):
+        runs.clear()
+        assert main([command, str(tmp_path / "catalogue.fdlb"), "--ubox", str(tmp_path / "open.ubox")]) == code
+        assert len(runs) == 1
+    assert "tab_3 / Unmentioned" in capsys.readouterr().out
+
+    # a query outside the closure is answered by one fresh saturation that holds it
     query = Or(Atom("Tablet"), Atom("Unmentioned"))
+    runs.clear()
     explanation = sat.explain("tab_3", query)
-    assert calls == []
+    assert len(runs) == 1 and query in sat.closure
     assert explanation.value == sat.instance_interval("tab_3", Atom("Tablet")).lo
     assert explanation.steps[0].rule == "disj-up"
-    assert explanation.steps[0].step > step
     assert all(0 <= p < len(explanation.steps) for node in explanation.steps for p in node.premises)
-    base_steps = {record[-1] for record in records.values()}
-    assert all(node.step in base_steps for node in explanation.steps[1:])
 
 
 def saturation_digest(kb):
@@ -663,16 +661,6 @@ def test_each_fact_is_recorded_once(fixtures_dir):
     # an upper bound is the dual's lower bound, so no fact is derived twice
     sat = saturate(parse_kb(catalogue_text(fixtures_dir, 150)).kb)
     assert len(sat._engine.records) <= 6750  # one per distinct lower-bound fact
-
-
-def test_unmentioned_atoms_grow_the_bound_lists_in_place(fixtures_dir):
-    sat = saturate(parse_kb(catalogue_text(fixtures_dir, 150)).kb)
-    engine = sat._engine
-    lo, n, size = engine.lo, engine.n, len(engine.lo)
-    for k in range(1, 5):
-        assert sat.instance_interval("tab_3", Atom(f"Open{k}")) == DegreeInterval(ZERO, ONE)
-        assert engine.lo is lo
-        assert len(lo) == size + 2 * k * n
 
 
 def test_rows_no_rule_reads_feed_the_queries_that_read_them():
@@ -751,23 +739,20 @@ def test_answers_do_not_depend_on_query_order(block):
 
 
 def test_a_clash_found_by_growing_is_raised_by_every_later_query(fuzzy_kb, fixtures_dir, monkeypatch):
-    from fdlb.reasoner import _Saturation
+    conflict = conflict_of(parse_kb((fixtures_dir / "clash.fdlb").read_text(encoding="utf-8")).kb)
+    sat = saturate(fuzzy_kb)
 
-    conflict = check_consistency(parse_kb((fixtures_dir / "clash.fdlb").read_text(encoding="utf-8")).kb)
-    extend = _Saturation.extend
-
-    def clashing(engine, expr):  # no base or query clashes while growing, so one is simulated after it
-        extend(engine, expr)
+    def clashing(engine):  # no base or query clashes here, so the query's saturation simulates one
         raise InconsistencyError(conflict)
 
-    monkeypatch.setattr(_Saturation, "extend", clashing)
-    sat = saturate(fuzzy_kb)
+    monkeypatch.setattr(_Saturation, "run", clashing)
     query = Or(Atom("Tablet"), Atom("Unmentioned"))
     with pytest.raises(InconsistencyError) as first:
         sat.instance_interval("tab_3", query)
     assert first.value.conflict is conflict
+    monkeypatch.undo()
     later = [
-        lambda: sat.instance_interval("tab_3", query),  # now in the closure
+        lambda: sat.instance_interval("tab_3", query),
         lambda: sat.instance_interval("tab_1", Atom("Tablet")),
         lambda: sat.explain("tab_3", Atom("UpperclassTablet")),
         lambda: sat.explain("tab_3", Atom("Other"), "hi"),
