@@ -468,6 +468,7 @@ def test_grown_closure_serves_explain_and_intervals():
     assert sat.explain("x", query).value == Fraction(7, 10)
     assert sat.closure is grown  # the later queries found the query in the closure
     assert sat.instance_interval("x", query) == DegreeInterval(Fraction(7, 10), ONE)
+    assert interval_map(sat)[("x", query)] == DegreeInterval(Fraction(7, 10), ONE)
     assert interval_map(sat) == interval_map(saturate(sat.kb, [query]))
 
 
@@ -576,7 +577,8 @@ def catalogue_text(fixtures_dir, tablets):
     return "\n".join(lines)
 
 
-def test_declared_atoms_are_in_the_closure_and_ranking_saturates_once(fixtures_dir, tmp_path, monkeypatch, capsys):
+def test_unmentioned_atom_costs_two_closure_entries_and_no_saturation(fixtures_dir, tmp_path, monkeypatch, capsys):
+    # a declared atom is a closure row from the start, so ranking by it saturates once
     from fdlb.cli import main
 
     text = catalogue_text(fixtures_dir, 150)
