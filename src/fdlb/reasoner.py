@@ -398,11 +398,7 @@ class _Saturation:
     # improve(): most firings improve nothing.
 
     def run(self) -> "_Saturation":
-        self.propagate(self.seeds())
-        return self
-
-    def propagate(self, seeds: Iterable[tuple]) -> None:
-        """Set ``seeds`` (see :meth:`seeds`) and fire rules until the queue is empty."""
+        """Set the seeds (see :meth:`seeds`) and fire rules until the queue is empty."""
         n, scale, lo, records = self.n, self.scale, self.lo, self.records
         queue: deque[int] = deque()  # bounds whose lower bound rose, in a live row
         dual_rows, live, pop, push = self.dual_rows, self.live, queue.popleft, queue.append
@@ -426,7 +422,7 @@ class _Saturation:
                 push(b)
 
         try:
-            for b, x, a, value, rule, source, note in seeds:  # improve(), written out
+            for b, x, a, value, rule, source, note in self.seeds():  # improve(), written out
                 if value > lo[b]:
                     step += 1
                     records[b] = (rule, value, (), source, note, step)
@@ -512,6 +508,7 @@ class _Saturation:
                                 improve(duals[j] + a, ys[j], a, degree, "disjoint", others, gci)
         finally:
             self.step = step
+        return self
 
 
 # --------------------------------------------------------------------------
@@ -604,11 +601,9 @@ class SaturatedKb:
         self._individual_id(individual)
         ids = self._engine.expr_ids
         if missing := [expr for expr in exprs if expr not in ids]:
-            for expr in missing:
-                check_concept_roles(expr, self.kb.roles)
             try:
                 # the old closure holds the base's expressions and every earlier query's
-                self._engine = _Saturation(self.kb, self._engine.closure + tuple(missing)).run()
+                self._engine = saturate(self.kb, self._engine.closure + tuple(missing))._engine
             except InconsistencyError as clash:
                 self._clash = clash
                 raise
