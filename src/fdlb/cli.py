@@ -406,7 +406,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"fdlb: error: {exc.message}", file=sys.stderr)
         return exc.code
     except InconsistencyError as exc:
-        # saturation found a clash
         print(format_conflict(exc.conflict), file=sys.stderr)
         print("fdlb: error: the knowledge base is inconsistent", file=sys.stderr)
         return EXIT_INCONSISTENT
