@@ -238,6 +238,33 @@ def test_clash_found_by_a_query_exits_two(paths, tmp_path, capsys, monkeypatch):
     assert err == format_conflict(conflict) + "\nfdlb: error: the knowledge base is inconsistent\n"
 
 
+@pytest.mark.parametrize("command", ["rank", "complete"])
+def test_clash_found_by_an_extension_exits_two(command, paths, tmp_path, capsys, monkeypatch):
+    # the attribute Open is declared but in no statement; the closure holds it
+    # from the start, so a clash found in the one saturation that holds it is
+    # the same inconsistency as one in the base alone
+    conflict = conflict_of(parse_kb(Path(paths["clash"]).read_text()).kb)
+    saturate_engine = _Saturation.run
+    runs = []
+
+    def clashing(engine):  # no attribute clashes on a consistent base, so one is simulated
+        runs.append(engine)
+        if Atom("Open") in engine.expr_ids:
+            raise InconsistencyError(conflict)
+        return saturate_engine(engine)
+
+    monkeypatch.setattr(_Saturation, "run", clashing)
+    kb = tmp_path / "open.fdlb"
+    kb.write_text("concept Open;\nassert x : Good @ 0.5;\n")
+    ubox = tmp_path / "open.ubox"
+    ubox.write_text("ubox e {\n    Good = 1;\n    Open = 1;\n}\n")
+    code, out, err = run(capsys, command, str(kb), "--ubox", str(ubox))
+    assert code == 2
+    assert out == ""
+    assert err == format_conflict(conflict) + "\nfdlb: error: the knowledge base is inconsistent\n"
+    assert len(runs) == 1
+
+
 # -- complete
 
 TABLETS = ("--choices", "tab_1,tab_2,tab_3")
