@@ -52,10 +52,10 @@ reach through subexpressions and ``NOT`` (:class:`~fdlb.model.Not` builds
 negation normal form, so ``NOT`` of any closure expression is its dual, and
 the dual of that is the expression again).  Expressions are interned and
 built in normal form, so building it is one worklist of identity lookups,
-and a query names its closure row as it is given.  As every concept name
-is a row, so is every utility-box attribute; a query outside the closure is
-answered by a fresh saturation whose closure also holds it (see
-:class:`SaturatedKb`).
+and a query names its closure row as it is given.  A concept is answered
+when it is in the closure, as every concept name (so every utility-box
+attribute) and every query passed to :func:`saturate` is; any other
+raises (see :class:`SaturatedKb`).
 
 Bound storage: closure expression ``x`` and individual ``i`` (in
 ``kb.individuals`` order) own the bound ``b = x * n + i``, ``n`` being the
@@ -221,7 +221,6 @@ class _Saturation:
         self.scale = lcm(*{d.denominator for d in degrees})
         # bound -> (rule, scaled value, premises, source, note, step) of its latest improvement
         self.records: dict[int, tuple] = {}
-        self.step = 0
         self._index_roles()
         self.closure = build_closure(kb, queries)
         self._index_expressions()
@@ -407,7 +406,7 @@ class _Saturation:
         gcis_by_lhs, bottom_by_conjunct = self.gcis_by_lhs, self.bottom_by_conjunct
         fillers, role_fact, pointing_at = self.fillers, self.role_fact, self.pointing_at
         exists_up, forall_up = self.exists_up, self.forall_up
-        step = self.step
+        step = 0
 
         def improve(b, x, a, value, rule, premises, source=None, note=""):
             # raise bound b = x * n + a to value, which its caller found above lo[b]
@@ -421,93 +420,90 @@ class _Saturation:
             if live[x]:
                 push(b)
 
-        try:
-            for b, x, a, value, rule, source, note in self.seeds():  # improve(), written out
-                if value > lo[b]:
-                    step += 1
-                    records[b] = (rule, value, (), source, note, step)
-                    d = dual_rows[x] + a
-                    if value + lo[d] > scale:
-                        raise InconsistencyError(self._conflict(min(b, d)))
-                    lo[b] = value
-                    if live[x]:
-                        push(b)
-            while queue:
-                b = pop()
-                x, a = divmod(b, n)
-                value = lo[b]
-                premise = (b,)
-                if entries := conj_parents[x]:
-                    for row, y, parts in entries:
-                        current = lo[row + a]
-                        if value <= current:
-                            continue  # the minimum over the parts is at most value
-                        for c in parts:
-                            if lo[c + a] <= current:
-                                break
-                        else:
-                            candidate = min([lo[c + a] for c in parts])
-                            improve(row + a, y, a, candidate, "conj-up", tuple([c + a for c in parts]))
-                if entries := disj_parents[x]:
-                    for row, y, parts in entries:
+        for b, x, a, value, rule, source, note in self.seeds():  # improve(), written out
+            if value > lo[b]:
+                step += 1
+                records[b] = (rule, value, (), source, note, step)
+                d = dual_rows[x] + a
+                if value + lo[d] > scale:
+                    raise InconsistencyError(self._conflict(min(b, d)))
+                lo[b] = value
+                if live[x]:
+                    push(b)
+        while queue:
+            b = pop()
+            x, a = divmod(b, n)
+            value = lo[b]
+            premise = (b,)
+            if entries := conj_parents[x]:
+                for row, y, parts in entries:
+                    current = lo[row + a]
+                    if value <= current:
+                        continue  # the minimum over the parts is at most value
+                    for c in parts:
+                        if lo[c + a] <= current:
+                            break
+                    else:
+                        candidate = min([lo[c + a] for c in parts])
+                        improve(row + a, y, a, candidate, "conj-up", tuple([c + a for c in parts]))
+            if entries := disj_parents[x]:
+                for row, y, parts in entries:
+                    candidate = -1
+                    for c in parts:  # the first greatest part is the witness
+                        if lo[c + a] > candidate:
+                            candidate, witness = lo[c + a], c
+                    if candidate > lo[row + a]:
+                        improve(row + a, y, a, candidate, "disj-up", (witness + a,))
+            if entries := conj_down[x]:
+                for c, y in entries:
+                    if value > lo[c + a]:
+                        improve(c + a, y, a, value, "conj-down", premise)
+            if entries := forall_down[x]:
+                role, body, y = entries
+                for f in fillers.get((a, role), ()):
+                    if value > lo[body + f]:
+                        improve(body + f, y, f, value, "forall-down", premise, role_fact[(a, f, role)])
+            if quantified[x]:
+                # revisit the quantifiers over x on every role edge that ends at a
+                row = b - a
+                for subject, role in pointing_at[a]:
+                    if entries := exists_up.get((role, x)):
+                        target, y = entries
                         candidate = -1
-                        for c in parts:  # the first greatest part is the witness
-                            if lo[c + a] > candidate:
-                                candidate, witness = lo[c + a], c
-                        if candidate > lo[row + a]:
-                            improve(row + a, y, a, candidate, "disj-up", (witness + a,))
-                if entries := conj_down[x]:
-                    for c, y in entries:
-                        if value > lo[c + a]:
-                            improve(c + a, y, a, value, "conj-down", premise)
-                if entries := forall_down[x]:
-                    role, body, y = entries
-                    for f in fillers.get((a, role), ()):
-                        if value > lo[body + f]:
-                            improve(body + f, y, f, value, "forall-down", premise, role_fact[(a, f, role)])
-                if quantified[x]:
-                    # revisit the quantifiers over x on every role edge that ends at a
-                    row = b - a
-                    for subject, role in pointing_at[a]:
-                        if entries := exists_up.get((role, x)):
-                            target, y = entries
-                            candidate = -1
-                            for f in fillers[(subject, role)]:
-                                if lo[row + f] > candidate:
-                                    candidate, witness = lo[row + f], f
-                            if candidate > lo[target + subject]:
-                                fact = role_fact[(subject, witness, role)]
-                                improve(target + subject, y, subject, candidate, "exists-up", (row + witness,), fact)
-                        if entries := forall_up.get((role, x)):
-                            target, y = entries
-                            current = lo[target + subject]
-                            if value <= current:
-                                continue  # the minimum over the fillers is at most value
-                            fils = fillers[(subject, role)]
-                            candidate = min([lo[row + f] for f in fils])
-                            if candidate > current:
-                                premises = tuple([row + f for f in fils])
-                                improve(
-                                    target + subject, y, subject, candidate, "forall-up", premises,
-                                    note="closed role: the listed fillers are all fillers",
-                                )
-                if entries := gcis_by_lhs[x]:
-                    for gci, cap, rhs, y, degree in entries:
-                        # lo[b], not value: an inclusion of e into itself raises it
-                        if lo[b] > cap and degree > lo[rhs + a]:
-                            improve(rhs + a, y, a, degree, "gci", premise, gci)
-                if entries := bottom_by_conjunct[x]:
-                    for gci, cap, degree, parts, duals, ys in entries:
-                        # a conjunct is capped (its dual raised to the degree) once every other one exceeds the cap
-                        below = [j for j, c in enumerate(parts) if lo[c + a] <= cap]
-                        if len(below) > 1:
-                            continue
-                        for j in below or range(len(parts)):
-                            if degree > lo[duals[j] + a]:
-                                others = tuple([c + a for c in parts[:j] + parts[j + 1 :]])
-                                improve(duals[j] + a, ys[j], a, degree, "disjoint", others, gci)
-        finally:
-            self.step = step
+                        for f in fillers[(subject, role)]:
+                            if lo[row + f] > candidate:
+                                candidate, witness = lo[row + f], f
+                        if candidate > lo[target + subject]:
+                            fact = role_fact[(subject, witness, role)]
+                            improve(target + subject, y, subject, candidate, "exists-up", (row + witness,), fact)
+                    if entries := forall_up.get((role, x)):
+                        target, y = entries
+                        current = lo[target + subject]
+                        if value <= current:
+                            continue  # the minimum over the fillers is at most value
+                        fils = fillers[(subject, role)]
+                        candidate = min([lo[row + f] for f in fils])
+                        if candidate > current:
+                            premises = tuple([row + f for f in fils])
+                            improve(
+                                target + subject, y, subject, candidate, "forall-up", premises,
+                                note="closed role: the listed fillers are all fillers",
+                            )
+            if entries := gcis_by_lhs[x]:
+                for gci, cap, rhs, y, degree in entries:
+                    # lo[b], not value: an inclusion of e into itself raises it
+                    if lo[b] > cap and degree > lo[rhs + a]:
+                        improve(rhs + a, y, a, degree, "gci", premise, gci)
+            if entries := bottom_by_conjunct[x]:
+                for gci, cap, degree, parts, duals, ys in entries:
+                    # a conjunct is capped (its dual raised to the degree) once every other one exceeds the cap
+                    below = [j for j, c in enumerate(parts) if lo[c + a] <= cap]
+                    if len(below) > 1:
+                        continue
+                    for j in below or range(len(parts)):
+                        if degree > lo[duals[j] + a]:
+                            others = tuple([c + a for c in parts[:j] + parts[j + 1 :]])
+                            improve(duals[j] + a, ys[j], a, degree, "disjoint", others, gci)
         return self
 
 
@@ -516,57 +512,46 @@ class _Saturation:
 
 
 class SaturatedKb:
-    """A knowledge base together with its saturated bounds, built from the engine that saturated it.
+    """A knowledge base together with the one saturation that reached its fixpoint.
 
     Its answers are :meth:`scaled_bounds`, :meth:`instance_interval` and
-    :meth:`explain`; ``closure`` shows which expressions hold bounds.
-    ``_engine`` is the saturation that reached the fixpoint.  A query
-    outside its closure replaces it by a fresh saturation of the base whose
-    closure also holds the query, so every answer is the one a fresh
-    saturation of the base and the queries asked so far gives, whatever
-    order they came in.  :meth:`scaled_bounds` reads the scaled bounds (see
-    Bound storage) of many individuals at once, and
+    :meth:`explain`; ``closure`` shows which expressions hold bounds: every
+    concept name of the base and every query given to :func:`saturate`,
+    with what they reach.  Any other expression raises :class:`FdlbError`,
+    so no read changes the answers.  :meth:`scaled_bounds` reads the scaled
+    bounds (see Bound storage) of many individuals at once, and
     :meth:`instance_interval` makes one pair a :class:`DegreeInterval`.
     :meth:`explain` reads the engine's records directly, an upper bound
     through its dual's record, and builds a :class:`DerivationNode` for
-    each step it returns, its premises indices into those steps.  A clash
-    found by a query's saturation is kept in ``_clash`` and raised again by
-    every later query.  Equality is identity.
+    each step it returns, its premises indices into those steps.  Equality
+    is identity.
     """
 
     def __init__(self, engine: _Saturation):
         self.kb = engine.kb
         self._engine = engine
-        self._clash: InconsistencyError | None = None
 
     @property
     def closure(self) -> tuple[ConceptExpression, ...]:
-        """The expressions with bounds, in row order; a query outside them adds its own."""
+        """The expressions with bounds, in row order."""
         return self._engine.closure
 
     def scaled_bounds(self, individuals: Sequence[str], exprs: Sequence[ConceptExpression]) -> tuple[int, list]:
         """The scale ``L`` and, per expression, the lower and the upper bounds of the individuals in it, times ``L``.
 
-        ``individuals`` is not empty.  The expressions outside the closure
-        are saturated in one fresh run.  Raises, in this order: a kept
-        clash; an unknown first individual; an expression over an undeclared
-        role; a clash found by that run (kept, as in
-        :meth:`instance_interval`); an unknown later individual.  With no
-        expressions nothing is checked.
+        Raises :class:`UnknownIndividualError` for the first unknown
+        individual, and then :class:`FdlbError` for the first expression
+        outside the closure.
         """
-        xs = self._rows(individuals[0], exprs)
-        ids = [self._individual_id(a) for a in individuals] if xs else []
+        ids = [self._individual_id(a) for a in individuals]
+        xs = self._rows(exprs)
         n, lo, scale, duals = self._engine.n, self._engine.lo, self._engine.scale, self._engine.dual_rows
         return scale, [([lo[x * n + i] for i in ids], [scale - lo[duals[x] + i] for i in ids]) for x in xs]
 
     def instance_interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
-        """The entailed membership interval of an individual in any concept.
+        """The entailed membership interval of an individual in a closure expression.
 
-        An expression outside the closure is answered as a fresh saturation
-        of the base with it in the closure would answer it.  If that
-        saturation finds a contradiction, the knowledge base was
-        inconsistent all along and :class:`InconsistencyError` is raised, by
-        this query and every later one.  The interval is
+        Raises as :meth:`scaled_bounds` does.  The interval is
         :data:`~fdlb.model.FULL_INTERVAL` exactly when the knowledge base
         says nothing about the membership.
         """
@@ -574,18 +559,17 @@ class SaturatedKb:
         return DegreeInterval(Fraction(lo, scale), Fraction(hi, scale))
 
     def explain(self, individual: str, expr: ConceptExpression, kind: str = "lo") -> Explanation:
-        """The derivations behind one bound, each listed once, as a fresh saturation records them.
+        """The derivations behind one bound of a closure expression, each listed once.
 
-        An expression outside the closure is answered as in
-        :meth:`instance_interval`.  Raises :class:`NoDerivationError` when
-        the bound is still at its default (0 from below, 1 from above) —
-        there is nothing to show.
+        Raises as :meth:`scaled_bounds` does, and :class:`NoDerivationError`
+        when the bound is still at its default (0 from below, 1 from above)
+        — there is nothing to show.
         """
         if kind not in ("lo", "hi"):
             raise ValueError("kind must be 'lo' or 'hi'")
-        [x] = self._rows(individual, (expr,))
+        a = self._individual_id(individual)
+        [x] = self._rows((expr,))
         engine = self._engine
-        a = engine.individual_ids[individual]
         b = x * engine.n + a
         if (b if kind == "lo" else engine.dual_rows[x] + a) not in engine.records:
             side = "lower" if kind == "lo" else "upper"
@@ -594,20 +578,11 @@ class SaturatedKb:
             )
         return engine.explanation(b if kind == "lo" else ~b)
 
-    def _rows(self, individual: str, exprs: Sequence[ConceptExpression]) -> list[int]:
-        """The closure rows of ``exprs``, after checking the individual and saturating those outside the closure."""
-        if self._clash is not None:
-            raise self._clash.with_traceback(None)  # each raise would otherwise add its frames
-        self._individual_id(individual)
+    def _rows(self, exprs: Sequence[ConceptExpression]) -> list[int]:
         ids = self._engine.expr_ids
-        if missing := [expr for expr in exprs if expr not in ids]:
-            try:
-                # the old closure holds the base's expressions and every earlier query's
-                self._engine = saturate(self.kb, self._engine.closure + tuple(missing))._engine
-            except InconsistencyError as clash:
-                self._clash = clash
-                raise
-            ids = self._engine.expr_ids
+        for expr in exprs:
+            if expr not in ids:
+                raise FdlbError(f"{_describe(expr)} is not in the saturated closure; pass it to saturate")
         return [ids[expr] for expr in exprs]
 
     def _individual_id(self, individual: str) -> int:

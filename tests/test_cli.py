@@ -187,6 +187,15 @@ def test_rank_unknown_choice(paths, capsys):
     assert "tab_9" in err
 
 
+@pytest.mark.parametrize("choices", ["tab_1,nope", "nope,tab_1"])
+def test_an_empty_utility_box_checks_every_choice(choices, paths, tmp_path, capsys):
+    ubox = tmp_path / "empty.ubox"
+    ubox.write_text("ubox empty {}\n")
+    code, out, err = run(capsys, "rank", paths["complete"], "--ubox", str(ubox), "--choices", choices)
+    assert code == 1 and out == ""
+    assert err == "fdlb: error: individual 'nope' does not occur in the knowledge base\n"
+
+
 @pytest.mark.parametrize("command", ["rank", "complete"])
 def test_a_choice_listed_twice_is_exit_one(command, paths, capsys):
     code, out, err = run(capsys, command, paths["fuzzy"], "--ubox", paths["e1"],
@@ -533,7 +542,7 @@ def fixture_command_lines(fixtures_dir):
     """``check``, ``rank`` and ``complete`` on each fixture base, and ``explain`` of every bound it can name.
 
     ``explain`` asks each individual about each concept name, each axiom
-    side and compound concepts outside the closure, for both bounds, in text
+    side and compound concepts outside the base's closure, for both bounds, in text
     and structured output; a few lines end in usage errors.
     """
     from fdlb.kbtext import render_concept

@@ -10,15 +10,14 @@ from fdlb.decision import (
     rank,
 )
 from fdlb.kbtext import parse_kb
-from fdlb.model import Atom, FdlbError, Or, build_kb
+from fdlb.model import Atom, FdlbError, build_kb
 from fdlb.reasoner import (
     InconsistencyError,
     UnknownIndividualError,
-    _Saturation,
     saturate,
 )
 from kbgen import random_kb
-from kbtools import conflict_of, reference_rank
+from kbtools import reference_rank
 
 CHOICES = ("tab_1", "tab_2", "tab_3")
 
@@ -248,15 +247,19 @@ def test_rank_equals_the_per_pair_reference_on_the_fixtures(name, fixtures_dir, 
 
 
 def test_an_empty_utility_box_scores_every_choice_zero(complete_sat):
-    # with no attribute nothing asks the base about a choice, so no choice is checked
-    report = rank(complete_sat, ("tab_3", "tab_9", "tab_1"), UtilityBox("nobody", ()))
+    # with no attribute every choice is still checked, wherever it is listed
+    empty = UtilityBox("nobody", ())
+    for choices in (("tab_3", "tab_9", "tab_1"), ("tab_9", "tab_1")):
+        with pytest.raises(UnknownIndividualError, match="individual 'tab_9' does not occur"):
+            rank(complete_sat, choices, empty)
+    report = rank(complete_sat, ("tab_3", "tab_2", "tab_1"), empty)
     assert [(row.choice, row.score, row.contributions) for row in report.rows] == [
-        ("tab_1", 0, ()), ("tab_3", 0, ()), ("tab_9", 0, ())
+        ("tab_1", 0, ()), ("tab_2", 0, ()), ("tab_3", 0, ())
     ]
 
 
-# -- error precedence: a kept clash, an unknown first choice, then an unknown
-# later choice; every attribute is a closure row, so rank never saturates again
+# -- error precedence: every choice is checked; every attribute is a closure
+# row, so rank never saturates again
 
 @pytest.fixture
 def open_sat(complete_kb):
@@ -264,18 +267,6 @@ def open_sat(complete_kb):
 
 
 OPEN_BOX = UtilityBox("open", (("Tablet", Fraction(1)), ("Unmentioned", Fraction(1, 3)), ("Spare", Fraction(7, 8))))
-OUTSIDE = Or(Atom("Tablet"), Atom("Unmentioned"))  # a query outside the closure, saturated again
-
-
-@pytest.fixture
-def clashing_growth(open_sat, monkeypatch, fixtures_dir):
-    conflict = conflict_of(parse_kb((fixtures_dir / "clash.fdlb").read_text()).kb)
-
-    def clashing(self):
-        raise InconsistencyError(conflict)
-
-    monkeypatch.setattr(_Saturation, "run", clashing)
-    return monkeypatch
 
 
 def test_an_unknown_first_choice_raises_before_any_growth(open_sat):
@@ -291,22 +282,6 @@ def test_an_unknown_later_choice_leaves_the_closure_unchanged(open_sat):
     with pytest.raises(UnknownIndividualError, match="individual 'tab_9' does not occur"):
         rank(open_sat, ("tab_1", "tab_9"), OPEN_BOX)
     assert open_sat.closure is closure
-
-
-def test_a_kept_clash_comes_before_an_unknown_first_choice(open_sat, clashing_growth):
-    with pytest.raises(InconsistencyError) as first:
-        open_sat.instance_interval("tab_1", OUTSIDE)
-    clashing_growth.undo()
-    with pytest.raises(InconsistencyError) as again:
-        rank(open_sat, ("tab_9",), OPEN_BOX)
-    assert again.value.conflict == first.value.conflict
-
-
-def test_an_unknown_first_choice_comes_before_a_clash_in_growth(open_sat, clashing_growth):
-    with pytest.raises(UnknownIndividualError):
-        open_sat.scaled_bounds(("tab_9", "tab_1"), [Atom("Tablet"), OUTSIDE])
-    clashing_growth.undo()
-    assert open_sat.instance_interval("tab_1", OUTSIDE).lo == 1  # no clash was kept
 
 
 def test_argument_errors_keep_their_messages(complete_sat, expert1):

@@ -143,7 +143,7 @@ def test_the_table_drops_nodes_nothing_else_holds():
     for seed in range(50):
         kb = random_kb(seed)
         try:
-            saturate(kb).instance_interval(kb.individuals[0], Atom("Unmentioned"))
+            saturate(kb, [Atom("Unmentioned")]).instance_interval(kb.individuals[0], Atom("Unmentioned"))
         except InconsistencyError:
             pass
     del kb

@@ -27,8 +27,8 @@ inclusion of ``kb.gcis`` (already desugared) at every individual, as
 interpretation is a model, so:
 
 * an entailed interval that misses a kept model's value is unsound (gate 1);
-* an "inconsistent" verdict, from saturation or from a query that grows
-  it, must keep no model (gate 2).
+* an "inconsistent" verdict, from saturating the base alone or with its
+  queries, must keep no model (gate 2).
 
 Two families of models are checked.  In the first, each role holds exactly
 its asserted edges.  In the second, each named individual also has an
@@ -293,8 +293,9 @@ def check_base(seed):
             interval = sat.instance_interval(a, e)
             if any(models.outside(a, e, *interval) & kept for models, kept in families):
                 violations.append(f"seed {seed}: {a} in {e!r} lies outside {tuple(interval)} in a kept model")
-    for query in queries:
+    for k, query in enumerate(queries, 1):
         try:
+            sat = saturate(kb, queries[:k])  # the closure holds this query and those before it
             for a in NAMED:
                 interval = sat.instance_interval(a, query)
                 if any(models.outside(a, query, *interval) & kept for models, kept in families):
