@@ -729,12 +729,12 @@ def test_answers_do_not_depend_on_query_order(block):
             try:
                 engine = saturate(kb, order)._engine
             except InconsistencyError as clash:
-                return clash.conflict
-            return engine.closure, engine.lo, engine.records
+                return None, clash.conflict
+            return engine.closure, (engine.lo, engine.records)
 
         forward = outcome(queries)
         assert forward == outcome(shuffled) == outcome(queries[::-1]), seed
-        compared += isinstance(forward, tuple)
+        compared += forward[0] is not None
     assert compared >= 10
 
 
