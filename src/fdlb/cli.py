@@ -84,7 +84,7 @@ def _load_ubox(path: str) -> UtilityBox:
 
 
 def _choices(args: argparse.Namespace, kb: KnowledgeBase) -> list[str]:
-    if args.choices:
+    if args.choices is not None:
         names = [name.strip() for name in args.choices.split(",") if name.strip()]
         if not names:
             raise _CliError("--choices needs at least one individual")

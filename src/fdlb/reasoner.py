@@ -81,10 +81,11 @@ the lower bound ``b``, ``~b`` for its upper bound) and only then builds
 one :class:`DerivationNode` per step, with its exact
 :class:`~fractions.Fraction` value and its premises as indices into the
 explanation's ``steps``; this module alone maps bound numbers to
-individuals, expressions and sides.  :class:`SaturatedKb` keeps the list
-and the records, returns bounds as these integers to
-:func:`~fdlb.decision.rank`, and builds a :class:`DegreeInterval` only
-when :meth:`~SaturatedKb.instance_interval` returns one.
+individuals, expressions and sides.  One :class:`SaturatedKb`, built by
+:func:`saturate`, holds the list, the indexes and the records, returns
+bounds as these integers to :func:`~fdlb.decision.rank`, and builds a
+:class:`DegreeInterval` only when :meth:`~SaturatedKb.instance_interval`
+returns one.
 """
 
 from collections import deque
@@ -206,10 +207,25 @@ def build_closure(kb: KnowledgeBase, queries: Iterable[ConceptExpression] = ()) 
 
 
 # --------------------------------------------------------------------------
-# Saturation engine
+# Saturated base
 
 
-class _Saturation:
+class SaturatedKb:
+    """A knowledge base together with the one saturation that reached its fixpoint.
+
+    Build one through :func:`saturate`.  Its answers are
+    :meth:`scaled_bounds`, :meth:`instance_interval` and :meth:`explain`;
+    ``closure`` shows which expressions hold bounds: every concept name of
+    the base and every query given to :func:`saturate`, with what they
+    reach.  Any other expression raises :class:`FdlbError`, so no read
+    changes the answers.  :meth:`scaled_bounds` reads the scaled bounds
+    (see Bound storage) of many individuals at once, and
+    :meth:`instance_interval` makes one pair a :class:`DegreeInterval`.
+    :meth:`explain` reads the records directly, an upper bound through its
+    dual's record, and builds a :class:`DerivationNode` for each step it
+    returns, its premises indices into those steps.  Equality is identity.
+    """
+
     def __init__(self, kb: KnowledgeBase, queries: Iterable[ConceptExpression] = ()):
         self.kb = kb
         self.names = kb.individuals
@@ -321,7 +337,7 @@ class _Saturation:
 
     # -- explanations
 
-    def explanation(self, s: int) -> Explanation:
+    def _explanation(self, s: int) -> Explanation:
         """Every derivation reachable from signed bound ``s``, once each, in depth-first order.
 
         ``s`` is ``b`` for the lower bound ``b`` and ``~b`` for its upper
@@ -351,12 +367,12 @@ class _Saturation:
 
     def _conflict(self, b: int) -> Conflict:
         # lo(e) + lo(NOT e) > 1 holds only when both bounds rose, so both have records
-        lo, hi = self.explanation(b), self.explanation(~b)
+        lo, hi = self._explanation(b), self._explanation(~b)
         return Conflict(lo.individual, lo.expr, lo.value, hi.value, lo, hi)
 
     # -- seeds
 
-    def seeds(self) -> Iterator[tuple]:
+    def _seeds(self) -> Iterator[tuple]:
         """The bounds no rule derives from other bounds, as (bound, id, individual, value, rule, source, note)."""
         n, scale, ids = self.n, self.scale, self.expr_ids
         x = ids[TOP]
@@ -396,8 +412,8 @@ class _Saturation:
     # targets, and only then builds premises and a witness and calls
     # improve(): most firings improve nothing.
 
-    def run(self) -> "_Saturation":
-        """Set the seeds (see :meth:`seeds`) and fire rules until the queue is empty."""
+    def _run(self) -> "SaturatedKb":
+        """Set the seeds (see :meth:`_seeds`) and fire rules until the queue is empty."""
         n, scale, lo, records = self.n, self.scale, self.lo, self.records
         queue: deque[int] = deque()  # bounds whose lower bound rose, in a live row
         dual_rows, live, pop, push = self.dual_rows, self.live, queue.popleft, queue.append
@@ -420,7 +436,7 @@ class _Saturation:
             if live[x]:
                 push(b)
 
-        for b, x, a, value, rule, source, note in self.seeds():  # improve(), written out
+        for b, x, a, value, rule, source, note in self._seeds():  # improve(), written out
             if value > lo[b]:
                 step += 1
                 records[b] = (rule, value, (), source, note, step)
@@ -506,35 +522,7 @@ class _Saturation:
                             improve(duals[j] + a, ys[j], a, degree, "disjoint", others, gci)
         return self
 
-
-# --------------------------------------------------------------------------
-# Public API
-
-
-class SaturatedKb:
-    """A knowledge base together with the one saturation that reached its fixpoint.
-
-    Its answers are :meth:`scaled_bounds`, :meth:`instance_interval` and
-    :meth:`explain`; ``closure`` shows which expressions hold bounds: every
-    concept name of the base and every query given to :func:`saturate`,
-    with what they reach.  Any other expression raises :class:`FdlbError`,
-    so no read changes the answers.  :meth:`scaled_bounds` reads the scaled
-    bounds (see Bound storage) of many individuals at once, and
-    :meth:`instance_interval` makes one pair a :class:`DegreeInterval`.
-    :meth:`explain` reads the engine's records directly, an upper bound
-    through its dual's record, and builds a :class:`DerivationNode` for
-    each step it returns, its premises indices into those steps.  Equality
-    is identity.
-    """
-
-    def __init__(self, engine: _Saturation):
-        self.kb = engine.kb
-        self._engine = engine
-
-    @property
-    def closure(self) -> tuple[ConceptExpression, ...]:
-        """The expressions with bounds, in row order."""
-        return self._engine.closure
+    # -- answers
 
     def scaled_bounds(self, individuals: Sequence[str], exprs: Sequence[ConceptExpression]) -> tuple[int, list]:
         """The scale ``L`` and, per expression, the lower and the upper bounds of the individuals in it, times ``L``.
@@ -545,7 +533,7 @@ class SaturatedKb:
         """
         ids = [self._individual_id(a) for a in individuals]
         xs = self._rows(exprs)
-        n, lo, scale, duals = self._engine.n, self._engine.lo, self._engine.scale, self._engine.dual_rows
+        n, lo, scale, duals = self.n, self.lo, self.scale, self.dual_rows
         return scale, [([lo[x * n + i] for i in ids], [scale - lo[duals[x] + i] for i in ids]) for x in xs]
 
     def instance_interval(self, individual: str, expr: ConceptExpression) -> DegreeInterval:
@@ -569,24 +557,23 @@ class SaturatedKb:
             raise ValueError("kind must be 'lo' or 'hi'")
         a = self._individual_id(individual)
         [x] = self._rows((expr,))
-        engine = self._engine
-        b = x * engine.n + a
-        if (b if kind == "lo" else engine.dual_rows[x] + a) not in engine.records:
+        b = x * self.n + a
+        if (b if kind == "lo" else self.dual_rows[x] + a) not in self.records:
             side = "lower" if kind == "lo" else "upper"
             raise NoDerivationError(
                 f"no {side} bound beyond the default is entailed for {individual!r} in {_describe(expr)}"
             )
-        return engine.explanation(b if kind == "lo" else ~b)
+        return self._explanation(b if kind == "lo" else ~b)
 
     def _rows(self, exprs: Sequence[ConceptExpression]) -> list[int]:
-        ids = self._engine.expr_ids
+        ids = self.expr_ids
         for expr in exprs:
             if expr not in ids:
                 raise FdlbError(f"{_describe(expr)} is not in the saturated closure; pass it to saturate")
         return [ids[expr] for expr in exprs]
 
     def _individual_id(self, individual: str) -> int:
-        if (i := self._engine.individual_ids.get(individual)) is None:
+        if (i := self.individual_ids.get(individual)) is None:
             raise UnknownIndividualError(f"individual {individual!r} does not occur in the knowledge base")
         return i
 
@@ -595,14 +582,15 @@ def _describe(expr: ConceptExpression) -> str:
     return f"concept '{render_concept(expr)}'"
 
 
-def saturate(kb: KnowledgeBase, queries: Sequence[ConceptExpression] = ()) -> SaturatedKb:
+def saturate(kb: KnowledgeBase, queries: Iterable[ConceptExpression] = ()) -> SaturatedKb:
     """Run saturation to its fixpoint, with ``queries`` (concepts over the base's roles) in the closure.
 
     Returns the saturated knowledge base, or raises
     :class:`InconsistencyError` as soon as any membership interval becomes
     empty; its ``conflict`` holds the two clashing derivations.
     """
+    queries = tuple(queries)
     for query in queries:
         check_concept_roles(query, kb.roles)
-    return SaturatedKb(_Saturation(kb, queries).run())
+    return SaturatedKb(kb, queries)._run()
 

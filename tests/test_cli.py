@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from fdlb.cli import _write_json, main
 from fdlb.kbtext import MAX_CONCEPT_DEPTH, format_conflict, parse_kb
 from fdlb.model import Atom, Or
-from fdlb.reasoner import InconsistencyError, _Saturation
+from fdlb.reasoner import InconsistencyError, SaturatedKb
 
 from kbtools import conflict_of
 
@@ -204,6 +204,15 @@ def test_a_choice_listed_twice_is_exit_one(command, paths, capsys):
     assert err == "fdlb: error: choice 'tab_1' is listed twice\n"
 
 
+@pytest.mark.parametrize("command", ["rank", "complete"])
+@pytest.mark.parametrize("choices", ["", ",", " , "])
+def test_choices_naming_no_individual_is_exit_one(command, choices, paths, capsys):
+    # an empty list is refused, not read as "every individual"
+    code, out, err = run(capsys, command, paths["complete"], "--ubox", paths["e1"], "--choices", choices)
+    assert code == 1 and out == ""
+    assert err == "fdlb: error: --choices needs at least one individual\n"
+
+
 def test_rank_inconsistent_kb(paths, capsys):
     code, _, err = run(capsys, "rank", paths["clash"], "--ubox", paths["e1"])
     assert code == 2
@@ -226,48 +235,31 @@ def test_an_existential_over_a_closed_role_without_fillers_clashes(tmp_path, cap
     )
 
 
-def test_clash_found_by_a_query_exits_two(paths, tmp_path, capsys, monkeypatch):
-    # explain saturates the base with its query in the closure; a clash found
-    # there is the same inconsistency as one in the base alone
+@pytest.mark.parametrize("argv, clashing_row", [
+    (("explain", "open.fdlb", "-i", "x", "-c", "Good OR Open"), Or(Atom("Good"), Atom("Open"))),
+    (("rank", "open.fdlb", "--ubox", "open.ubox"), Atom("Open")),
+    (("complete", "open.fdlb", "--ubox", "open.ubox"), Atom("Open")),
+], ids=["explain", "rank", "complete"])
+def test_clash_found_in_the_one_saturation_exits_two(argv, clashing_row, paths, tmp_path, capsys, monkeypatch):
+    # explain saturates the base with its query in the closure, and the
+    # declared attribute Open is in every closure; a clash found in the one
+    # saturation that holds the row is the same inconsistency as one in the
+    # base alone
     conflict = conflict_of(parse_kb(Path(paths["clash"]).read_text()).kb)
-    saturate_engine = _Saturation.run
+    monkeypatch.chdir(tmp_path)
+    Path("open.fdlb").write_text("concept Open;\nassert x : Good @ 0.5;\n")
+    Path("open.ubox").write_text("ubox e {\n    Good = 1;\n    Open = 1;\n}\n")
+    assert run(capsys, "check", "open.fdlb")[0] == 0
+    saturate_base, runs = SaturatedKb._run, []
 
-    def clashing(engine):  # no query clashes on a consistent base, so one is simulated
-        if Or(Atom("Good"), Atom("Open")) in engine.expr_ids:
+    def clashing(sat):  # no row clashes on a consistent base, so one is simulated
+        runs.append(sat)
+        if clashing_row in sat.expr_ids:
             raise InconsistencyError(conflict)
-        return saturate_engine(engine)
+        return saturate_base(sat)
 
-    monkeypatch.setattr(_Saturation, "run", clashing)
-    kb = tmp_path / "open.fdlb"
-    kb.write_text("concept Open;\nassert x : Good @ 0.5;\n")
-    assert run(capsys, "check", str(kb))[0] == 0
-    code, out, err = run(capsys, "explain", str(kb), "-i", "x", "-c", "Good OR Open")
-    assert code == 2
-    assert out == ""
-    assert err == format_conflict(conflict) + "\nfdlb: error: the knowledge base is inconsistent\n"
-
-
-@pytest.mark.parametrize("command", ["rank", "complete"])
-def test_clash_found_by_an_extension_exits_two(command, paths, tmp_path, capsys, monkeypatch):
-    # the attribute Open is declared but in no statement; the closure holds it
-    # from the start, so a clash found in the one saturation that holds it is
-    # the same inconsistency as one in the base alone
-    conflict = conflict_of(parse_kb(Path(paths["clash"]).read_text()).kb)
-    saturate_engine = _Saturation.run
-    runs = []
-
-    def clashing(engine):  # no attribute clashes on a consistent base, so one is simulated
-        runs.append(engine)
-        if Atom("Open") in engine.expr_ids:
-            raise InconsistencyError(conflict)
-        return saturate_engine(engine)
-
-    monkeypatch.setattr(_Saturation, "run", clashing)
-    kb = tmp_path / "open.fdlb"
-    kb.write_text("concept Open;\nassert x : Good @ 0.5;\n")
-    ubox = tmp_path / "open.ubox"
-    ubox.write_text("ubox e {\n    Good = 1;\n    Open = 1;\n}\n")
-    code, out, err = run(capsys, command, str(kb), "--ubox", str(ubox))
+    monkeypatch.setattr(SaturatedKb, "_run", clashing)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == format_conflict(conflict) + "\nfdlb: error: the knowledge base is inconsistent\n"

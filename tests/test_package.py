@@ -150,7 +150,6 @@ KEPT_FOR_A_STATED_REASON = {
     "ParseResult.ok": "the benchmark's tests (perfbench/tests/test_perfbench.py) read it",
     "SaturatedKb.instance_interval": "the README's Library section offers it as the one-pair query",
     "SaturatedKb.explain": "the README's Library section offers it as the derivations behind a bound",
-    "SaturatedKb.closure": "the README names it as the view of which expressions hold bounds",
     "build_kb": "the checked entry point for a base built in code; the README's Library section names it",
 }
 

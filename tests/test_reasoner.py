@@ -24,8 +24,8 @@ from fdlb.model import (
 from fdlb.reasoner import (
     InconsistencyError,
     NoDerivationError,
+    SaturatedKb,
     UnknownIndividualError,
-    _Saturation,
     saturate,
 )
 
@@ -262,7 +262,7 @@ def test_an_expression_outside_the_closure_raises_and_changes_nothing(fuzzy_kb):
     sat = saturate(fuzzy_kb)
     novel = Or(Atom("LightweightTablet"), Atom("UpperclassTablet"))
     assert novel not in set(sat.closure)
-    state, closure, records = dict(vars(sat)), sat.closure, dict(sat._engine.records)
+    state, closure, records, lo = dict(vars(sat)), sat.closure, dict(sat.records), list(sat.lo)
     asks = [
         lambda: sat.instance_interval("tab_3", novel),
         lambda: sat.explain("tab_3", novel),
@@ -277,11 +277,20 @@ def test_an_expression_outside_the_closure_raises_and_changes_nothing(fuzzy_kb):
         sat.scaled_bounds(["tab_1", "nobody"], [novel])
     with pytest.raises(UnknownIndividualError):
         sat.explain("nobody", novel)
-    assert vars(sat) == state and sat.closure is closure and sat._engine.records == records
+    assert vars(sat) == state and sat.closure is closure and sat.records == records and sat.lo == lo
     # passed to saturate, the query is answered, and moves no bound the base entails
     sat = saturate(fuzzy_kb, [novel])
     assert sat.instance_interval("tab_3", novel).lo == ONE
     assert sat.instance_interval("tab_3", Atom("LightweightTablet")).lo == Fraction(3, 5)
+
+
+def test_queries_given_as_a_generator_are_taken_once(fuzzy_kb):
+    # saturate reads its queries once, so a generator's are checked and then kept
+    query = Or(Atom("LightweightTablet"), Atom("Convertible"))
+    listed, generated = saturate(fuzzy_kb, [query]), saturate(fuzzy_kb, (q for q in [query]))
+    assert query in generated.closure and generated.closure == listed.closure
+    for individual in fuzzy_kb.individuals:
+        assert generated.instance_interval(individual, query) == listed.instance_interval(individual, query)
 
 
 def test_unknown_individual_rejected(fuzzy_kb):
@@ -520,7 +529,7 @@ def check_extensions(kb, queries):
             for expr in fresh.closure:
                 answer = sat.instance_interval(individual, expr)
                 assert answer == fresh.instance_interval(individual, expr), (individual, expr)
-        assert (sat._engine.lo, sat._engine.records) == (fresh._engine.lo, fresh._engine.records)
+        assert (sat.lo, sat.records) == (fresh.lo, fresh.records)
         assert_replays(sat, query)
         checked += query not in base
     return checked
@@ -574,7 +583,7 @@ def catalogue_text(fixtures_dir, tablets):
     return "\n".join(lines)
 
 
-def test_unmentioned_atom_costs_two_closure_entries_and_no_saturation(fixtures_dir, tmp_path, monkeypatch, capsys):
+def test_unmentioned_atom_costs_two_closure_entries_and_one_saturation(fixtures_dir, tmp_path, monkeypatch, capsys):
     # a declared atom is a closure row from the start, so ranking by it saturates once
     from fdlb.cli import main
 
@@ -588,8 +597,8 @@ def test_unmentioned_atom_costs_two_closure_entries_and_no_saturation(fixtures_d
     assert sat.instance_interval("tab_3", Atom("Unmentioned")) == DegreeInterval(ZERO, ONE)
     assert sat.closure is closure
 
-    runs, run = [], _Saturation.run
-    monkeypatch.setattr(_Saturation, "run", lambda engine: runs.append(engine) or run(engine))
+    runs, run = [], SaturatedKb._run
+    monkeypatch.setattr(SaturatedKb, "_run", lambda sat: runs.append(sat) or run(sat))
     (tmp_path / "catalogue.fdlb").write_text(text, encoding="utf-8")
     (tmp_path / "open.ubox").write_text("ubox e {\n    Tablet = 1;\n    Unmentioned = 2;\n}\n", encoding="utf-8")
     for command, code in (("rank", 0), ("complete", 3)):
@@ -622,21 +631,21 @@ def saturation_digest(kb):
     rendered expression, not by its number, so rows that no rule reads
     leave the digest as it is wherever the closure places them.
     """
-    engine = _Saturation(kb)
+    sat = SaturatedKb(kb)
     try:
-        engine.run()
+        sat._run()
         conflict = None
     except InconsistencyError as clash:
         conflict = clash.conflict
 
     def name(b):
-        x, a = divmod(b, engine.n)
-        return engine.names[a], render_concept(engine.closure[x])
+        x, a = divmod(b, sat.n)
+        return sat.names[a], render_concept(sat.closure[x])
 
     records = sorted((name(b), rule, value, tuple(map(name, premises)), source, note, step)
-                     for b, (rule, value, premises, source, note, step) in engine.records.items())
-    bounds = sorted((name(b), value) for b, value in enumerate(engine.lo) if value)
-    steps = max((record[5] for record in engine.records.values()), default=0)  # the last step made a record
+                     for b, (rule, value, premises, source, note, step) in sat.records.items())
+    bounds = sorted((name(b), value) for b, value in enumerate(sat.lo) if value)
+    steps = max((record[5] for record in sat.records.values()), default=0)  # the last step made a record
     state = (records, bounds, steps, conflict)
     return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
 
@@ -667,7 +676,7 @@ def test_saturation_keeps_its_firing_order(fixtures_dir):
 def test_each_fact_is_recorded_once(fixtures_dir):
     # an upper bound is the dual's lower bound, so no fact is derived twice
     sat = saturate(parse_kb(catalogue_text(fixtures_dir, 150)).kb)
-    assert len(sat._engine.records) <= 6750  # one per distinct lower-bound fact
+    assert len(sat.records) <= 6750  # one per distinct lower-bound fact
 
 
 def test_rows_no_rule_reads_feed_the_queries_that_read_them():
@@ -675,8 +684,8 @@ def test_rows_no_rule_reads_feed_the_queries_that_read_them():
     from naive_engine import with_queries
 
     kb = parse_kb("role r : abstract; assert x : A @ 0.7; assert x : B @ 0.2; assert (y, x) : r;").kb
-    engine = saturate(kb)._engine
-    assert not any(engine.live[engine.expr_ids[e]] for e in (Atom("A"), Atom("B")))
+    sat = saturate(kb)
+    assert not any(sat.live[sat.expr_ids[e]] for e in (Atom("A"), Atom("B")))
     queries = [
         ("x", Or(Atom("A"), Atom("C")), Fraction(7, 10)),
         ("x", And(Atom("A"), Atom("B")), Fraction(1, 5)),
@@ -727,10 +736,10 @@ def test_answers_do_not_depend_on_query_order(block):
 
         def outcome(order):
             try:
-                engine = saturate(kb, order)._engine
+                sat = saturate(kb, order)
             except InconsistencyError as clash:
                 return None, clash.conflict
-            return engine.closure, (engine.lo, engine.records)
+            return sat.closure, (sat.lo, sat.records)
 
         forward = outcome(queries)
         assert forward == outcome(shuffled) == outcome(queries[::-1]), seed
@@ -1005,7 +1014,7 @@ def count_nodes(monkeypatch):
 def test_saturate_builds_no_derivation_node(fuzzy_kb, monkeypatch):
     built = count_nodes(monkeypatch)
     sat = saturate(fuzzy_kb)
-    assert sat._engine.records
+    assert sat.records
     assert built == []
 
 
