@@ -239,8 +239,8 @@ def _rank_all(args: argparse.Namespace) -> list[DecisionReport]:
     """Load the base and the utility boxes, saturate once, rank per expert."""
     kb = _load_kb(args.kb)
     uboxes = [_load_ubox(path) for path in args.ubox]
-    sat = saturate(kb)
     choices = _choices(args, kb)
+    sat = saturate(kb)
     return [rank_choices(sat, choices, ubox) for ubox in uboxes]
 
 

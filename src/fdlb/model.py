@@ -9,13 +9,14 @@ Everything here is an immutable value; instances may be shared freely once
 constructed.  Concept expressions are interned and built in normal form:
 structurally equal ones, and ``And``/``Or`` nodes that differ only in the
 order, repetition or nesting of their parts, are one object, so equal means
-identical; ``Not`` builds negation normal form, so a ``NOT`` stands only
-over an atom or a concrete restriction.  Every other record (here and in
-the other modules) is a :class:`typing.NamedTuple`: it is built
-positionally or by keyword, compares and hashes by value, pickles and
-copies, and refuses attribute assignment.  Being a tuple, a record also
-unpacks, and compares equal to a plain tuple of the same values.  A record
-that validates its fields is a thin subclass of a
+identical.  Each node is built together with its dual, its negation in
+negation normal form, which ``Not`` returns, so a ``NOT`` stands only over
+an atom or a concrete restriction.  Every other record (here and in the
+other modules) is a :class:`typing.NamedTuple`: it is built positionally
+or by keyword, compares and hashes by value, pickles and copies, and
+refuses attribute assignment.  Being a tuple, a record also unpacks, and
+compares equal to a plain tuple of the same values.  A record that
+validates its fields is a thin subclass of a
 :func:`collections.namedtuple` that checks them in ``__new__``; ``_make``
 and ``_replace`` skip that check.
 
@@ -122,8 +123,8 @@ class ConcretePredicate(namedtuple("ConcretePredicate", "op threshold")):
 
 # Every node, held weakly and keyed by its class and fields, a child node by
 # its ``id``: a live node holds its children, so their ids stay theirs, and a
-# key that held them would keep a node and its cached dual, which refer to
-# each other, alive once nothing else does.
+# key that held them would keep a node and its dual, which refer to each
+# other, alive once nothing else does.
 _INTERNED: dict[tuple, ref] = {}
 
 
@@ -134,9 +135,14 @@ def _intern(cls: type, fields: tuple, key: tuple) -> "ConceptExpression":
         node = object.__new__(cls)
         for name, value in zip(cls._fields, fields):
             object.__setattr__(node, name, value)
-        for name, value in zip(("_key", "_children", "_dual"), (*node._derive(), None)):
+        for name, value in zip(("_key", "_children"), node._derive()):
             object.__setattr__(node, name, value)
         _INTERNED[key] = ref(node, partial(_forget, key))
+        # the children have their duals, so this builds the one dual node;
+        # the dual's own build finds this node in the table
+        dual = _dual_of(node)
+        object.__setattr__(node, "_dual", dual)
+        object.__setattr__(dual, "_dual", node)
     return node
 
 
@@ -151,11 +157,11 @@ class _Concept:
     Structurally equal expressions are one node, so ``==`` and ``hash`` are
     identity's and no dict or set lookup walks a tree.  Every node is in
     normal form (see :class:`And` and :class:`Not`), as its children are.
-    ``_key`` (the :func:`sort_key`) and ``_children`` (the concept nodes
-    directly beneath) are set at construction, ``_dual`` (its ``Not``) by
-    the first ``Not`` of it, of its dual or of a node above either.
-    Pickling and copying call the constructor, so they return the interned
-    node.
+    ``_key`` (the :func:`sort_key`), ``_children`` (the concept nodes
+    directly beneath) and ``_dual`` (its ``Not``) are set at construction:
+    the children have their duals already, so a new node's dual is one
+    node more, and the two hold each other.  Pickling and copying call the
+    constructor, so they return the interned node.
     """
 
     __slots__ = ("_key", "_children", "_dual", "__weakref__")
@@ -214,8 +220,8 @@ class Not(_Concept):
     its dual: ``AND``/``OR`` swap over their parts' duals, the quantifiers
     swap over their body's dual, ``Not(TOP)`` is ``BOTTOM``, and ``Not`` of
     a ``Not`` node is its body, so taking ``Not`` twice gives ``e`` back.
-    Each dual is built once: the duals it is built from are settled first,
-    on an explicit stack, and a node and its dual hold each other.
+    Every node is built with its dual (see :class:`_Concept`), so ``Not``
+    only reads it; a ``Not`` node itself is built as the dual of its body.
     """
 
     __slots__ = _fields = ("body",)
@@ -223,15 +229,6 @@ class Not(_Concept):
     _tag = 3
 
     def __new__(cls, body: "ConceptExpression"):
-        stack = [body]
-        while stack:
-            missing = [c for c in stack[-1]._children if c._dual is None]
-            if missing:
-                stack += missing
-            elif (node := stack.pop())._dual is None:
-                dual = _dual_of(node)
-                object.__setattr__(node, "_dual", dual)
-                object.__setattr__(dual, "_dual", node)
         return body._dual
 
 
@@ -308,9 +305,6 @@ class Forall(_Concept):
 
 ConceptExpression = Union[Top, Bottom, Atom, Not, And, Or, Exists, Forall]
 
-TOP = Top()
-BOTTOM = Bottom()
-
 
 def sort_key(expr: ConceptExpression) -> tuple:
     """A total structural order on expressions, set when the node is built."""
@@ -345,7 +339,11 @@ def _dual_of(node: ConceptExpression) -> ConceptExpression:
         return _intern(Not, (node,), (Not, id(node)))
     if isinstance(node, Not):
         return node.body
-    return BOTTOM if node is TOP else TOP
+    return Bottom() if isinstance(node, Top) else Top()
+
+
+TOP = Top()
+BOTTOM = Bottom()
 
 
 # --------------------------------------------------------------------------

@@ -81,9 +81,9 @@ the lower bound ``b``, ``~b`` for its upper bound) and only then builds
 one :class:`DerivationNode` per step, with its exact
 :class:`~fractions.Fraction` value and its premises as indices into the
 explanation's ``steps``; this module alone maps bound numbers to
-individuals, expressions and sides.  One :class:`SaturatedKb`, built by
-:func:`saturate`, holds the list, the indexes and the records, returns
-bounds as these integers to :func:`~fdlb.decision.rank`, and builds a
+individuals, expressions and sides.  One :class:`SaturatedKb`, saturated
+when built, holds the list, the indexes and the records, returns bounds as
+these integers to :func:`~fdlb.decision.rank`, and builds a
 :class:`DegreeInterval` only when :meth:`~SaturatedKb.instance_interval`
 returns one.
 """
@@ -91,7 +91,7 @@ returns one.
 from collections import deque
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .kbtext import render_concept
 from .model import (
@@ -213,20 +213,25 @@ def build_closure(kb: KnowledgeBase, queries: Iterable[ConceptExpression] = ()) 
 class SaturatedKb:
     """A knowledge base together with the one saturation that reached its fixpoint.
 
-    Build one through :func:`saturate`.  Its answers are
+    The constructor checks the roles of ``queries``, builds the closure and
+    the indexes and saturates, or raises :class:`InconsistencyError` (see
+    :func:`saturate`, which builds one).  Its answers are
     :meth:`scaled_bounds`, :meth:`instance_interval` and :meth:`explain`;
     ``closure`` shows which expressions hold bounds: every concept name of
-    the base and every query given to :func:`saturate`, with what they
-    reach.  Any other expression raises :class:`FdlbError`, so no read
-    changes the answers.  :meth:`scaled_bounds` reads the scaled bounds
-    (see Bound storage) of many individuals at once, and
-    :meth:`instance_interval` makes one pair a :class:`DegreeInterval`.
-    :meth:`explain` reads the records directly, an upper bound through its
-    dual's record, and builds a :class:`DerivationNode` for each step it
-    returns, its premises indices into those steps.  Equality is identity.
+    the base and every query it was given, with what they reach.  Any
+    other expression raises :class:`FdlbError`, so no read changes the
+    answers.  :meth:`scaled_bounds` reads the scaled bounds (see Bound
+    storage) of many individuals at once, and :meth:`instance_interval`
+    makes one pair a :class:`DegreeInterval`.  :meth:`explain` reads the
+    records directly, an upper bound through its dual's record, and builds
+    a :class:`DerivationNode` for each step it returns, its premises
+    indices into those steps.  Equality is identity.
     """
 
     def __init__(self, kb: KnowledgeBase, queries: Iterable[ConceptExpression] = ()):
+        queries = tuple(queries)
+        for query in queries:
+            check_concept_roles(query, kb.roles)
         self.kb = kb
         self.names = kb.individuals
         self.individual_ids = {a: i for i, a in enumerate(self.names)}
@@ -241,6 +246,7 @@ class SaturatedKb:
         self.closure = build_closure(kb, queries)
         self._index_expressions()
         self._index_gcis()
+        self._run()
 
     # -- indexes: by expression id, or individual id for role edges; an
     # entry names an expression by its row x * n, so individual a's bound
@@ -370,51 +376,22 @@ class SaturatedKb:
         lo, hi = self._explanation(b), self._explanation(~b)
         return Conflict(lo.individual, lo.expr, lo.value, hi.value, lo, hi)
 
-    # -- seeds
-
-    def _seeds(self) -> Iterator[tuple]:
-        """The bounds no rule derives from other bounds, as (bound, id, individual, value, rule, source, note)."""
-        n, scale, ids = self.n, self.scale, self.expr_ids
-        x = ids[TOP]
-        for a in range(n):
-            yield x * n + a, x, a, scale, "top", None, ""
-        for fa in self.kb.assertions:
-            x, a = ids[fa.concept], self.individual_ids[fa.individual]
-            yield x * n + a, x, a, fa.degree.numerator * (scale // fa.degree.denominator), "assertion", fa, ""
-        for x in self.concrete_nodes:
-            node = self.closure[x]
-            dual = ids[Not(node)]
-            # value op threshold, as v / w op t / d (one unit: see Quantity)
-            op, threshold = node.target  # type: ignore[misc]
-            holds, t, d = COMPARISONS[op], threshold.magnitude.numerator, threshold.magnitude.denominator
-            for a, cf, v, w in self.values_by_role.get(node.role, ()):
-                y = x if holds(v * d, t * w) else dual
-                yield y * n + a, y, a, scale, "concrete", cf, ""
-        for gci, degree, x in self.bottom_simple:
-            for a in range(n):
-                yield x * n + a, x, a, degree, "disjoint", gci, ""
-        for role, nodes in self.closed_foralls.items():
-            for x in nodes:
-                for a in range(n):
-                    if not self.fillers.get((a, role)):
-                        yield x * n + a, x, a, scale, "forall-up", None, "closed role with no fillers"
-
     # -- propagation
     #
     # One loop sets the seeds and then fires rules until the queue is empty.
-    # Its local improve() is the bound update every rule calls, and the seed
-    # loop writes the same update out.  An index entry names its target by
-    # row and id (see the indexes above), so the update reads the target's
-    # dual row and live flag without dividing.  Only bounds in live rows are
-    # queued (see Bound storage in the module docstring): a raised bound in a
-    # row no rule reads, such as TOP's, is recorded but not queued.  Each
+    # Its local improve() is the one bound update: every seed and every rule
+    # calls it.  An index entry names its target by row and id (see the
+    # indexes above), so the update reads the target's dual row and live
+    # flag without dividing.  Only bounds in live rows are queued (see Bound
+    # storage in the module docstring): a raised bound in a row no rule
+    # reads, such as TOP's, is recorded but not queued.  Each seed and each
     # rule first checks whether its candidate can improve the bound it
     # targets, and only then builds premises and a witness and calls
     # improve(): most firings improve nothing.
 
-    def _run(self) -> "SaturatedKb":
-        """Set the seeds (see :meth:`_seeds`) and fire rules until the queue is empty."""
-        n, scale, lo, records = self.n, self.scale, self.lo, self.records
+    def _run(self) -> None:
+        """Set the seeds, the bounds no rule derives from other bounds, and fire rules until the queue is empty."""
+        n, scale, lo, records, ids = self.n, self.scale, self.lo, self.records, self.expr_ids
         queue: deque[int] = deque()  # bounds whose lower bound rose, in a live row
         dual_rows, live, pop, push = self.dual_rows, self.live, queue.popleft, queue.append
         conj_parents, disj_parents, conj_down = self.conj_parents, self.disj_parents, self.conj_down
@@ -436,16 +413,34 @@ class SaturatedKb:
             if live[x]:
                 push(b)
 
-        for b, x, a, value, rule, source, note in self._seeds():  # improve(), written out
-            if value > lo[b]:
-                step += 1
-                records[b] = (rule, value, (), source, note, step)
-                d = dual_rows[x] + a
-                if value + lo[d] > scale:
-                    raise InconsistencyError(self._conflict(min(b, d)))
-                lo[b] = value
-                if live[x]:
-                    push(b)
+        x = ids[TOP]
+        for a in range(n):
+            if scale > lo[x * n + a]:
+                improve(x * n + a, x, a, scale, "top", ())
+        for fa in self.kb.assertions:
+            x, a = ids[fa.concept], self.individual_ids[fa.individual]
+            value = fa.degree.numerator * (scale // fa.degree.denominator)
+            if value > lo[x * n + a]:
+                improve(x * n + a, x, a, value, "assertion", (), fa)
+        for x in self.concrete_nodes:
+            node = self.closure[x]
+            dual = ids[Not(node)]
+            # value op threshold, as v / w op t / d (one unit: see Quantity)
+            op, threshold = node.target  # type: ignore[misc]
+            holds, t, d = COMPARISONS[op], threshold.magnitude.numerator, threshold.magnitude.denominator
+            for a, cf, v, w in self.values_by_role.get(node.role, ()):
+                y = x if holds(v * d, t * w) else dual
+                if scale > lo[y * n + a]:
+                    improve(y * n + a, y, a, scale, "concrete", (), cf)
+        for gci, degree, x in self.bottom_simple:
+            for a in range(n):
+                if degree > lo[x * n + a]:
+                    improve(x * n + a, x, a, degree, "disjoint", (), gci)
+        for role, nodes in self.closed_foralls.items():
+            for x in nodes:
+                for a in range(n):
+                    if not fillers.get((a, role)) and scale > lo[x * n + a]:
+                        improve(x * n + a, x, a, scale, "forall-up", (), note="closed role with no fillers")
         while queue:
             b = pop()
             x, a = divmod(b, n)
@@ -520,7 +515,6 @@ class SaturatedKb:
                         if degree > lo[duals[j] + a]:
                             others = tuple([c + a for c in parts[:j] + parts[j + 1 :]])
                             improve(duals[j] + a, ys[j], a, degree, "disjoint", others, gci)
-        return self
 
     # -- answers
 
@@ -589,8 +583,5 @@ def saturate(kb: KnowledgeBase, queries: Iterable[ConceptExpression] = ()) -> Sa
     :class:`InconsistencyError` as soon as any membership interval becomes
     empty; its ``conflict`` holds the two clashing derivations.
     """
-    queries = tuple(queries)
-    for query in queries:
-        check_concept_roles(query, kb.roles)
-    return SaturatedKb(kb, queries)._run()
+    return SaturatedKb(kb, queries)
 

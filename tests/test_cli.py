@@ -207,10 +207,12 @@ def test_a_choice_listed_twice_is_exit_one(command, paths, capsys):
 @pytest.mark.parametrize("command", ["rank", "complete"])
 @pytest.mark.parametrize("choices", ["", ",", " , "])
 def test_choices_naming_no_individual_is_exit_one(command, choices, paths, capsys):
-    # an empty list is refused, not read as "every individual"
-    code, out, err = run(capsys, command, paths["complete"], "--ubox", paths["e1"], "--choices", choices)
-    assert code == 1 and out == ""
-    assert err == "fdlb: error: --choices needs at least one individual\n"
+    # an empty list is refused, not read as "every individual", and before the base is
+    # saturated: the inconsistent base gets the same answer
+    for base in ("complete", "clash"):
+        code, out, err = run(capsys, command, paths[base], "--ubox", paths["e1"], "--choices", choices)
+        assert code == 1 and out == ""
+        assert err == "fdlb: error: --choices needs at least one individual\n"
 
 
 def test_rank_inconsistent_kb(paths, capsys):

@@ -175,10 +175,11 @@ def test_not_is_an_involution_and_stands_only_over_literals():
     import random
 
     from kbgen import random_concept
+    from test_kbtext import _chain
 
     rng = random.Random(16)
-    for _ in range(2000):
-        expr = random_concept(rng, depth=4)
+    # and a 3000-level expression built in code, each level with its dual
+    for expr in [*(random_concept(rng, depth=4) for _ in range(2000)), _chain(3000)[-1]]:
         assert Not(Not(expr)) is expr, expr
         for sub in sub_expressions(Not(expr)):
             if isinstance(sub, Not):

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 
@@ -631,12 +632,15 @@ def saturation_digest(kb):
     rendered expression, not by its number, so rows that no rule reads
     leave the digest as it is wherever the closure places them.
     """
-    sat = SaturatedKb(kb)
-    try:
-        sat._run()
-        conflict = None
-    except InconsistencyError as clash:
-        conflict = clash.conflict
+    runs, run = [], SaturatedKb._run
+    # the constructor saturates, so the run keeps the object, which a clash would not return
+    with patch.object(SaturatedKb, "_run", lambda sat: runs.append(sat) or run(sat)):
+        try:
+            SaturatedKb(kb)
+            conflict = None
+        except InconsistencyError as clash:
+            conflict = clash.conflict
+    [sat] = runs
 
     def name(b):
         x, a = divmod(b, sat.n)
@@ -671,6 +675,31 @@ def test_saturation_keeps_its_firing_order(fixtures_dir):
     seeds = " ".join(saturation_digest(random_kb(seed)) for seed in range(100))
     digests["random_kb 0-99"] = hashlib.sha256(seeds.encode()).hexdigest()[:16]
     assert digests == FIRING_ORDER_DIGESTS
+
+
+def test_a_saturated_base_is_saturated_when_built(fixtures_dir):
+    # the constructor runs the one saturation: it answers as saturate's base does, or clashes as it does
+    from kbgen import random_kb
+
+    def outcome(build, kb):
+        try:
+            sat = build(kb)
+        except InconsistencyError as clash:
+            return clash.conflict
+        return sat.lo, sat.records
+
+    kbs = [parse_kb((fixtures_dir / name).read_text(encoding="utf-8")).kb
+           for name in ("clash.fdlb", "tablet_crisp.fdlb", "tablet_fuzzy.fdlb", "tablet_complete.fdlb")]
+    for kb in kbs + [random_kb(seed) for seed in range(50)]:
+        assert outcome(SaturatedKb, kb) == outcome(saturate, kb)
+    assert SaturatedKb(kbs[2]).instance_interval("tab_3", Atom("UpperclassTablet")) == DegreeInterval(ONE, ONE)
+
+
+def test_a_saturated_base_checks_the_roles_of_its_queries(fuzzy_kb):
+    from fdlb.model import ModelError
+
+    with pytest.raises(ModelError, match="not declared"):
+        SaturatedKb(fuzzy_kb, [Exists("nosuch", Atom("A"))])
 
 
 def test_each_fact_is_recorded_once(fixtures_dir):
@@ -895,7 +924,7 @@ def test_deep_base_closure_is_fast():
     deep = render_concept(nested_and_or(49))  # 98 levels, inside the parser's limit
     text = f"axiom {deep} SUBSUMED-BY G @ 0.8;\naxiom G SUBSUMED-BY {deep} @ 0.6;\nassert a : {deep} @ 0.7;"
     best = float("inf")
-    for _ in range(5):  # each on freshly built nodes, whose duals are not cached yet
+    for _ in range(5):  # each on freshly built nodes
         gc.collect()
         kb = parse_kb(text).kb
         start = time.perf_counter()
