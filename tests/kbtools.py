@@ -11,9 +11,12 @@ explanation reaches each step along exponentially many paths; ``evaluate`` decid
 definition the engines are checked against; and ``reference_rank`` ranks
 choices by asking ``instance_interval`` for each (choice, attribute) pair
 and summing ``Fraction`` products, the reference ``decision.rank`` is
-checked against; ``conflict_of`` is the conflict ``fdlb check`` reports.
+checked against; ``conflict_of`` is the conflict ``fdlb check`` reports;
+``mutants`` makes copies of a text with one token deleted, duplicated or
+swapped.
 """
 
+import re
 from collections import Counter
 
 from fdlb.decision import AttributeContribution, ChoiceScore, DecisionReport
@@ -127,3 +130,24 @@ def reference_rank(sat, choices, ubox):
         rows.append(ChoiceScore(choice, score, tuple(contributions)))
     rows.sort(key=lambda row: (-row.score, row.choice))
     return DecisionReport(ubox.expert_id, tuple(rows))
+
+
+# a comment, a blank run, a name, a number, or any other one character
+TOKEN = re.compile(r"#[^\n]*|\s+|[A-Za-z_][\w-]*|-?\d+(?:\.\d+)?|\S")
+
+
+def mutants(text, rng, count):
+    """``count`` copies of ``text``, each with one token deleted, duplicated or swapped with another."""
+    tokens = TOKEN.findall(text)
+    solid = [i for i, t in enumerate(tokens) if not t.isspace()]
+    for _ in range(count):
+        mutant = list(tokens)
+        i, j = rng.choice(solid), rng.choice(solid)
+        op = rng.choice(("delete", "duplicate", "swap"))
+        if op == "delete":
+            mutant[i] = ""
+        elif op == "duplicate":
+            mutant[i] = f"{mutant[i]} {mutant[i]}"
+        else:
+            mutant[i], mutant[j] = mutant[j], mutant[i]
+        yield "".join(mutant)

@@ -15,7 +15,7 @@ from fdlb.kbtext import MAX_CONCEPT_DEPTH, format_conflict, parse_kb
 from fdlb.model import Atom, Or
 from fdlb.reasoner import InconsistencyError, SaturatedKb
 
-from kbtools import conflict_of
+from kbtools import conflict_of, mutants
 
 pytestmark = pytest.mark.usefixtures("fixtures_dir")
 
@@ -588,26 +588,8 @@ def test_fixture_command_lines_keep_their_output(fixtures_dir, capsys):
 
 # -- totality: mutated inputs give an exit code, never a traceback
 
-TOKEN = re.compile(r"#[^\n]*|\s+|[A-Za-z_][\w-]*|-?\d+(?:\.\d+)?|\S")
 MUTANTS_PER_FIXTURE = 75
 QUERIES = {"clash": ("e_1", "WellEquip")}
-
-
-def mutants(text, rng, count):
-    """``count`` copies of ``text``, each with one token deleted, duplicated or swapped with another."""
-    tokens = TOKEN.findall(text)
-    solid = [i for i, t in enumerate(tokens) if not t.isspace()]
-    for _ in range(count):
-        mutant = list(tokens)
-        i, j = rng.choice(solid), rng.choice(solid)
-        op = rng.choice(("delete", "duplicate", "swap"))
-        if op == "delete":
-            mutant[i] = ""
-        elif op == "duplicate":
-            mutant[i] = f"{mutant[i]} {mutant[i]}"
-        else:
-            mutant[i], mutant[j] = mutant[j], mutant[i]
-        yield "".join(mutant)
 
 
 @pytest.mark.parametrize("name", ["clash", "crisp", "fuzzy", "complete"])

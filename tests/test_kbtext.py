@@ -1,5 +1,6 @@
 import ast
 import gc
+import hashlib
 import random
 import re
 from fractions import Fraction
@@ -40,7 +41,7 @@ from fdlb.model import (
 )
 from fdlb.reasoner import Conflict, DerivationNode, Explanation, saturate
 
-from kbtools import kb_equal, serialize_kb, serialize_ubox
+from kbtools import kb_equal, mutants, serialize_kb, serialize_ubox
 
 GOOD = """
 # a comment
@@ -350,6 +351,79 @@ def test_a_megabyte_of_blanks_and_comments_before_a_bad_character():
     assert d.message == "unexpected character '%'"
     assert (d.span.line, d.span.column, d.span.length) == (text.count("\n") + 1, 3, 1)
     assert parse_kb(chunk * (2**20 // len(chunk)) + "# no newline").ok
+
+
+# -- parse results, pinned
+
+SHAPES_HEADER = "role r : abstract;\nrole s : abstract closed;\nrole c : concrete(EUR);\n"
+# Texts around the four common assertion shapes, (x, y) : r, (x, N U) : r,
+# x : C @ d and x : C, and the ways a statement can look like one and not be.
+SHAPE_CASES = (
+    "assert (x, y) : r;\nassert (x, 999 EUR) : c;\nassert x : A;\nassert y : A @ 0.5;\nassert (y, x) : s;",
+    "assert(x,y):r;assert(x,999EUR):c;assert x:A@0.25;assert\ty\t:\tB\t@\t0.75\t;",
+    "assert x : A;\r\nassert (x, y) : r;\r\n",
+    "assert (x, closed) : r;",
+    "assert (closed, y) : r;",
+    "assert (x, y) : closed;",
+    "assert (x, 5 closed) : c;",
+    "assert concept : A;",
+    "assert x : AND;",
+    "assert x : TOP;\nassert y : BOTTOM @ 0.5;",
+    "assert (x, # note\n y) : r;\nassert x # note\n : A @ # note\n 0.5;",
+    "assert (x, y) : r; # a note; with a semicolon\nassert x : A;# no newline",
+    "assert(",
+    "assert (x, 999EUR) : c;",
+    "assert (x, -5 EUR) : c;\nassert (y, 1.5 EUR) : c;\nassert (z, 1.50 EUR) : c;",
+    "assert x : A @ 0;\nassert y : A @ 0.0;\nassert z : A @ -0;",
+    "assert x : A @ 1.5;\nassert y : A @ -0.5;\nassert z : A @ 1;\nassert w : A @ 01;\nassert v : A @ 1.0;",
+    "assert (x, y) : q;\nassert (x, 5 EUR) : q;\nassert x : A;",
+    "assert (x, 5 EUR) : c;\nassert (x, 6 EUR) : c;",
+    "assert (x, 5 USD) : c;\nassert (x, 6 EUR) : c;\nassert (x, 7 EUR) : c;",
+    "assert (x, 5 EUR) : r;\nassert (x, y) : c;",
+    "assert (x, y) : q;\nassert x : A $;",
+    "assert x : A $;\nassert (x, y) : q;",
+    "assert (x, y) : q;\nassert x : A;\n%\nassert y : B;",
+    "assert x : A @ 2;\n%",
+    "assert x : A @ 0.5",
+    "assert x : A B;",
+    "assertx : A;",
+    "assert x : A @ .5;",
+    "assert x : A @ 0.5 @ 0.5;",
+    "assert (x, 1.5.3 EUR) : c;",
+    "assert x : SUBSUMED-BY;",
+    "assert \u00e9 : A;",
+    "assert (x, y) : t;\nrole t : abstract;\nassert (x, y) : t;\nassert (x, 5 EUR) : t;",
+    "assert x : A\naxiom A SUBSUMED-BY B;\nassert y : A;",
+    "assert x : A AND B;\nassert x : NOT A;\nassert x : EXISTS c . GT 5 EUR;\nassert (x, y) : r;",
+    "role r : abstract;\nassert (x, y) : r;",
+)
+PARSE_DIGEST = "5df0492be230c3aaac9dbad4b41203c8f1636e041c57c9d2166ddcf4a357d642"
+
+
+def parse_record(text):
+    """A parse's base as canonical text with its registries (or None), and every diagnostic with its span, in order."""
+    result = parse_kb(text)
+    kb = result.kb
+    return (
+        None if kb is None else (serialize_kb(kb), sorted(kb.concept_names), kb.individuals),
+        result.diagnostics,
+    )
+
+
+def test_parse_results_are_pinned(fixtures_dir):
+    """The parse of the fixtures, random bases, mutants and texts around the common assertion shapes, hashed."""
+    from kbgen import random_kb
+
+    fixtures = [path.read_text(encoding="utf-8") for path in sorted(fixtures_dir.glob("*.fdlb"))]
+    shapes = [SHAPES_HEADER + case for case in SHAPE_CASES]
+    texts = [*fixtures, *(serialize_kb(random_kb(seed)) for seed in range(400)), *shapes]
+    for i, text in enumerate([*fixtures, "\n".join(shapes)]):
+        texts += mutants(text, random.Random(f"parse:{i}"), 400)
+    assert len(texts) == 4 + 400 + len(SHAPE_CASES) + 2000
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(repr(parse_record(text)).encode())
+    assert digest.hexdigest() == PARSE_DIGEST
 
 
 # -- deep and wide inputs
