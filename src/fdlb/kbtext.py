@@ -26,12 +26,21 @@ well-formed base that ``model`` and ``decision`` define (and
 :func:`~fdlb.model.build_kb` runs on a base built in code), and a broken
 rule's message points at its token.
 
-Lexing is one ``findall`` whose every match is a token and the whitespace and
-comments after it.  A token is its text, whose kind follows from it (an
-identifier spelled like a keyword is the keyword); ``""`` ends the input.
-Positions are not tracked: the first diagnostic of a parse runs the pattern
-again for token offsets and builds a table of line starts.  Each distinct
-number literal becomes a ``Fraction`` once.
+A knowledge base is read statement by statement.  At each statement start
+one compiled pattern tries the four common assertions, ``assert (x, y) :
+r;``, ``assert (x, N U) : r;``, ``assert x : C @ d;`` and ``assert x :
+C;``, with plain whitespace between their tokens, and a match runs the
+statement's rules on its fields.  A miss, a keyword spelled as a name, a
+degree of 0 or a broken rule sends the statement to the token walk from the
+same offset, so every diagnostic comes from one place.  Each run of
+consecutive statements the token walk reads is lexed by one ``findall``
+whose every match is a token and the whitespace and comments after it.  A
+token is its text, whose kind follows from it (an identifier spelled like a
+keyword is the keyword); ``""`` ends the run.  Positions are not tracked:
+the first diagnostic in a run scans it again for token offsets, and the
+first of a parse builds a table of line starts.  Unexpected characters are
+reported ahead of every other diagnostic.  Each distinct number literal
+becomes a ``Fraction`` once.
 
 Utility boxes live in their own files::
 
@@ -120,6 +129,18 @@ _LEADING_SKIP_RE = re.compile(_SKIP)
 _TOKEN_RE = re.compile(
     r"(?:(SUBSUMED-BY(?![A-Za-z0-9_])|[A-Za-z_][A-Za-z0-9_]*|[:;(),@={}.]|-?\d+(?:\.\d+)?)|.)" + _SKIP
 )
+# A statement: through the first ';' outside a comment (or to the end of
+# the input), and the skipped text after it.
+_STATEMENT_RE = re.compile(r"[^;#]*(?:#[^\n]*[^;#]*)*;?" + _SKIP)
+# The four common assertions, with plain whitespace between their tokens:
+# ``(x, y) : r``, ``(x, N U) : r``, ``x : C @ d`` and ``x : C``.  The
+# groups are subject, filler, magnitude, unit, role; individual, concept,
+# degree.  A name may still be a keyword.
+_NAME, _NUMBER, _WS = r"([A-Za-z_][A-Za-z0-9_]*)", r"(-?\d+(?:\.\d+)?)", r"[ \t\r\n]*"
+_ASSERTION_RE = re.compile(
+    rf"assert(?:{_WS}\({_WS}{_NAME}{_WS},{_WS}(?:{_NAME}|{_NUMBER}{_WS}{_NAME}){_WS}\){_WS}:{_WS}{_NAME}"
+    rf"|[ \t\r\n]+{_NAME}{_WS}:{_WS}{_NAME}(?:{_WS}@{_WS}{_NUMBER})?){_WS};" + _SKIP
+)
 
 
 def _is_ident(tok: str) -> bool:
@@ -169,15 +190,18 @@ class _StatementError(Exception):
 
 
 class _Parser:
-    """Recursive descent over the token texts of ``text``; ``""`` is the end of input."""
+    """Recursive descent over the token texts of a stretch of ``text``; ``""`` is its end.
 
-    def __init__(self, text: str, diagnostics: list[ParseDiagnostic]):
+    Unexpected characters are reported in ``lex_errors``, ahead of every
+    other diagnostic.
+    """
+
+    def __init__(self, text: str):
         self.text = text
-        self.diagnostics = diagnostics
+        self.lex_errors: list[ParseDiagnostic] = []
+        self.diagnostics: list[ParseDiagnostic] = []
         self._start = _LEADING_SKIP_RE.match(text).end()
         self._numbers: dict[str, Fraction] = {}
-        self.tokens = self._lex()
-        self.pos = 0
         self.roles: dict[str, RoleDecl] = {}
         self.declared_concepts: list[str] = []
         self.gcis: list[FuzzyGci] = []
@@ -188,26 +212,26 @@ class _Parser:
 
     # -- tokens and their positions
 
-    def _lex(self) -> list[str]:
-        tokens = _TOKEN_RE.findall(self.text, self._start)
+    def _lex(self, start: int, end: int) -> None:
+        """Walk the tokens of ``text[start:end]`` next, which starts a token and ends the input or a statement."""
+        tokens = _TOKEN_RE.findall(self.text, start, end)
         if "" in tokens:  # characters that start no token
-            for m in _TOKEN_RE.finditer(self.text, self._start):
+            for m in _TOKEN_RE.finditer(self.text, start, end):
                 if m.lastindex is None:
-                    self.error(f"unexpected character {self.text[m.start()]!r}", self._span_at(m.start(), 1))
+                    message = f"unexpected character {self.text[m.start()]!r}"
+                    self.lex_errors.append(ParseDiagnostic("error", message, self._span_at(m.start(), 1)))
             tokens = [tok for tok in tokens if tok]
         tokens.append("")
-        return tokens
-
-    @cached_property
-    def _offsets(self) -> list[int]:
-        """Where each token starts, found by scanning again: only a diagnostic asks."""
-        return [m.start() for m in _TOKEN_RE.finditer(self.text, self._start) if m.lastindex] + [len(self.text)]
+        self.tokens, self.pos, self._bounds, self._offsets = tokens, 0, (start, end), None
 
     @cached_property
     def _line_starts(self) -> list[int]:
         return [0, *(m.end() for m in re.finditer("\n", self.text))]
 
     def span(self, i: int) -> SourceSpan:
+        if self._offsets is None:  # where each token starts, found by scanning again: only a diagnostic asks
+            start, end = self._bounds
+            self._offsets = [m.start() for m in _TOKEN_RE.finditer(self.text, start, end) if m.lastindex] + [end]
         return self._span_at(self._offsets[i], len(self.tokens[i]))
 
     def _span_at(self, offset: int, length: int) -> SourceSpan:
@@ -292,19 +316,71 @@ class _Parser:
     # -- documents
 
     def parse_knowledge_base(self) -> KnowledgeBase | None:
+        """Statement by statement: a common assertion in one match, a run of others by the token walk."""
+        text, end = self.text, len(self.text)
+        pos = self._start
+        missed = None  # where the run of statements left to the token walk starts
+        while pos < end:
+            m = _ASSERTION_RE.match(text, pos)
+            if m is not None:
+                if missed is not None:
+                    self._parse_statements(missed, pos)
+                    missed = None
+                if self._assert(m):
+                    pos = m.end()
+                    continue
+            if missed is None:
+                missed = pos
+            pos = _STATEMENT_RE.match(text, pos).end() if m is None else m.end()
+        if missed is not None:
+            self._parse_statements(missed, end)
+        if self.lex_errors or any(d.severity == "error" for d in self.diagnostics):
+            return None
+        return assemble_kb(
+            self.roles, self.gcis, self.assertions, self.role_assertions, self.concrete_facts, self.declared_concepts
+        )
+
+    def _parse_statements(self, start: int, end: int) -> None:
+        self._lex(start, end)
         while self.tokens[self.pos]:
             try:
                 self.parse_statement()
             except _StatementError as exc:
                 self.diagnostics.append(exc.diagnostic)
                 self._sync()
-        if any(d.severity == "error" for d in self.diagnostics):
-            return None
-        return assemble_kb(
-            self.roles, self.gcis, self.assertions, self.role_assertions, self.concrete_facts, self.declared_concepts
-        )
+
+    def _assert(self, m: re.Match) -> bool:
+        """Add the assertion ``_ASSERTION_RE`` matched, by the rules the token walk runs.
+
+        False, and nothing added, when the token walk must read it instead:
+        a keyword spelled as a name, a degree of 0 (a warning), or a broken
+        rule (an error), each reported at its token.
+        """
+        fields = m.groups()
+        if not _KEYWORDS.isdisjoint(fields):
+            return False
+        subject, filler, magnitude, unit, role, individual, concept, degree = fields
+        try:
+            if role is None:
+                value = ONE if degree is None else make_degree(self.number(degree), degree)
+                if not value:
+                    return False
+                self.assertions.append(FuzzyAssertion(individual, Atom(concept), value))
+            elif unit is None:
+                check_role_use(declared_role(self.roles, role), "individual")
+                self.role_assertions.append(RoleAssertion(subject, filler, role))
+            else:
+                decl = declared_role(self.roles, role)
+                check_role_use(decl, "quantity")
+                check_unit(decl, unit)
+                add_value(self._valued, subject, role)
+                self.concrete_facts.append(ConcreteFact(subject, Quantity(self.number(magnitude), unit), role))
+        except FdlbError:
+            return False
+        return True
 
     def parse_utility_box(self) -> UtilityBox:
+        self._lex(self._start, len(self.text))
         self.take("ubox")
         expert_id = self.take_ident("an expert name")
         self.take("{")
@@ -325,6 +401,7 @@ class _Parser:
         return UtilityBox._make((expert_id, tuple(weights.items())))  # the weights are checked
 
     def parse_query(self) -> ConceptExpression:
+        self._lex(self._start, len(self.text))
         concept = self.parse_concept()
         if self.peek():
             self.error("unexpected content after the concept expression", self.span(self.pos))
@@ -521,17 +598,17 @@ def _parse(
     :class:`_StatementError`; after any error-severity diagnostic its result
     is dropped.
     """
-    diagnostics: list[ParseDiagnostic] = []
-    parser = _Parser(text, diagnostics)
+    parser = _Parser(text)
     parser.roles.update(roles or {})
     result = None
     try:
         result = body(parser)
     except _StatementError as exc:
-        diagnostics.append(exc.diagnostic)
+        parser.diagnostics.append(exc.diagnostic)
+    diagnostics = (*parser.lex_errors, *parser.diagnostics)
     if any(d.severity == "error" for d in diagnostics):
         result = None
-    return result, tuple(diagnostics)
+    return result, diagnostics
 
 
 def parse_kb(text: str) -> ParseResult:

@@ -132,18 +132,28 @@ def _intern(cls: type, fields: tuple, key: tuple) -> "ConceptExpression":
     entry = _INTERNED.get(key)
     node = None if entry is None else entry()
     if node is None:
-        node = object.__new__(cls)
-        for name, value in zip(cls._fields, fields):
-            object.__setattr__(node, name, value)
-        for name, value in zip(("_key", "_children"), node._derive()):
-            object.__setattr__(node, name, value)
-        _INTERNED[key] = ref(node, partial(_forget, key))
-        # the children have their duals, so this builds the one dual node;
-        # the dual's own build finds this node in the table
-        dual = _dual_of(node)
+        node = _make(cls, fields, key)
+        # the children have their duals, so the dual is one node more, and a
+        # new one: a live dual would hold this node alive
+        dual = _make(*_dual_of(node))
         object.__setattr__(node, "_dual", dual)
         object.__setattr__(dual, "_dual", node)
     return node
+
+
+def _make(cls: type, fields: tuple, key: tuple) -> "ConceptExpression":
+    """A new node of ``cls`` with ``fields``, in the table under ``key``; its dual is set by the caller."""
+    node = object.__new__(cls)
+    for name, value in zip(cls._fields, fields):
+        object.__setattr__(node, name, value)
+    for name, value in zip(("_key", "_children"), node._derive()):
+        object.__setattr__(node, name, value)
+    _INTERNED[key] = ref(node, partial(_forget, key))
+    return node
+
+
+def _ill_formed(cls: type, field: str, value: object, expected: str) -> "ModelError":
+    return ModelError(f"{cls.__name__}: {field} must be {expected}, not {value!r}")
 
 
 def _forget(key: tuple, entry: ref) -> None:
@@ -168,8 +178,8 @@ class _Concept:
     _fields: tuple[str, ...] = ()
     _tag: int
 
-    def __new__(cls, *fields):
-        return _intern(cls, fields, (cls, *[id(f) if isinstance(f, _Concept) else f for f in fields]))
+    def __new__(cls):  # TOP and BOTTOM; every other node has its own
+        return _intern(cls, (), (cls,))
 
     def _derive(self) -> tuple[tuple, tuple]:
         """The sort key and the child nodes."""
@@ -204,7 +214,9 @@ class Atom(_Concept):
     __slots__ = _fields = ("name",)
     name: str
 
-    def __new__(cls, name: str):  # the common case, without the generic key's scan
+    def __new__(cls, name: str):
+        if not isinstance(name, str):
+            raise _ill_formed(cls, "name", name, "a str")
         return _intern(cls, (name,), (cls, name))
 
     def _derive(self):
@@ -229,6 +241,8 @@ class Not(_Concept):
     _tag = 3
 
     def __new__(cls, body: "ConceptExpression"):
+        if not isinstance(body, _Concept):
+            raise _ill_formed(cls, "body", body, "a concept expression")
         return body._dual
 
 
@@ -243,8 +257,10 @@ class _Connective(_Concept):
         for part in parts:  # a part is in normal form already: one level to lift
             if type(part) is cls:
                 unique.update(part.parts)
-            else:
+            elif isinstance(part, _Concept):
                 unique.add(part)
+            else:
+                raise _ill_formed(cls, "parts", part, "concept expressions")
         if len(unique) == 1:
             return unique.pop()
         ordered = sorted(unique, key=sort_key)
@@ -289,6 +305,15 @@ class Exists(_Concept):
     target: Union["ConceptExpression", ConcretePredicate]
     _tag = 5
 
+    def __new__(cls, role: str, target: Union["ConceptExpression", ConcretePredicate]):
+        if not isinstance(role, str):
+            raise _ill_formed(cls, "role", role, "a str")
+        if isinstance(target, _Concept):
+            return _intern(cls, (role, target), (cls, role, id(target)))
+        if isinstance(target, ConcretePredicate):
+            return _intern(cls, (role, target), (cls, role, target))
+        raise _ill_formed(cls, "target", target, "a concept expression or a ConcretePredicate")
+
     def _derive(self):
         target = self.target
         if isinstance(target, ConcretePredicate):
@@ -301,6 +326,13 @@ class Forall(_Concept):
     role: str
     body: "ConceptExpression"
     _tag = 6
+
+    def __new__(cls, role: str, body: "ConceptExpression"):
+        if not isinstance(role, str):
+            raise _ill_formed(cls, "role", role, "a str")
+        if not isinstance(body, _Concept):
+            raise _ill_formed(cls, "body", body, "a concept expression")
+        return _intern(cls, (role, body), (cls, role, id(body)))
 
 
 ConceptExpression = Union[Top, Bottom, Atom, Not, And, Or, Exists, Forall]
@@ -327,19 +359,20 @@ def sub_expressions(expr: ConceptExpression, seen: set | None = None) -> Iterato
             stack += node._children
 
 
-def _dual_of(node: ConceptExpression) -> ConceptExpression:
-    # every concept node beneath ``node`` has its dual
+def _dual_of(node: ConceptExpression) -> tuple[type, tuple, tuple]:
+    """The class, fields and table key of the dual of a new node (never a ``Not``), whose children have theirs."""
     if isinstance(node, (And, Or)):
-        return (Or if isinstance(node, And) else And)(*(part._dual for part in node.parts))
+        # the parts' duals are distinct and none is of the dual's kind: they only need sorting
+        cls = Or if isinstance(node, And) else And
+        parts = sorted([part._dual for part in node.parts], key=sort_key)
+        return cls, (tuple(parts),), (cls, *map(id, parts))
     if isinstance(node, Forall):
-        return Exists(node.role, node.body._dual)
+        return Exists, (node.role, node.body._dual), (Exists, node.role, id(node.body._dual))
     if isinstance(node, Exists) and not isinstance(node.target, ConcretePredicate):
-        return Forall(node.role, node.target._dual)
+        return Forall, (node.role, node.target._dual), (Forall, node.role, id(node.target._dual))
     if isinstance(node, (Atom, Exists)):  # a literal: its NOT node
-        return _intern(Not, (node,), (Not, id(node)))
-    if isinstance(node, Not):
-        return node.body
-    return Bottom() if isinstance(node, Top) else Top()
+        return Not, (node,), (Not, id(node))
+    return (Bottom, (), (Bottom,)) if isinstance(node, Top) else (Top, (), (Top,))
 
 
 TOP = Top()
@@ -543,7 +576,8 @@ def assemble_kb(
     """
     concepts = set(declared_concepts)
     seen: set[ConceptExpression] = set()
-    for expr in [*(e for gci in gcis for e in (gci.lhs, gci.rhs)), *(fa.concept for fa in assertions)]:
+    # a base asserts few distinct concepts many times: each is walked once
+    for expr in dict.fromkeys([*(e for gci in gcis for e in (gci.lhs, gci.rhs)), *(fa.concept for fa in assertions)]):
         concepts.update(node.name for node in sub_expressions(expr, seen) if isinstance(node, Atom))
     names = {fa.individual for fa in assertions}
     for ra in role_assertions:

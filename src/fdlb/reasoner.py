@@ -199,7 +199,9 @@ def build_closure(kb: KnowledgeBase, queries: Iterable[ConceptExpression] = ()) 
     and its ``NOT`` queued.
     """
     sides = (side for gci in kb.gcis for side in (gci.lhs, gci.rhs))
-    todo = [TOP, BOTTOM, *sides, *(fa.concept for fa in kb.assertions), *map(Atom, kb.concept_names), *queries]
+    # each distinct expression once: a base asserts few concepts many times
+    todo = list(dict.fromkeys([TOP, BOTTOM, *sides, *(fa.concept for fa in kb.assertions),
+                               *map(Atom, kb.concept_names), *queries]))
     seen: set[ConceptExpression] = set()
     while todo:
         todo += map(Not, sub_expressions(todo.pop(), seen))

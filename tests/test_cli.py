@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -515,6 +516,42 @@ def test_usage_error_is_exit_one(capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "usage" in captured.err
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_main_leaves_the_cyclic_collector_as_it_found_it(collecting, paths, capsys):
+    commands = [
+        (0, ["check", paths["crisp"]]),
+        (1, ["rank"]),
+        (2, ["check", paths["clash"]]),
+        (3, ["complete", paths["fuzzy"], "--ubox", paths["e1"]]),
+        (4, ["explain", paths["fuzzy"], "-i", "tab_2", "-c", "LightweightTablet"]),
+        ("help", ["--help"]),
+    ]
+    inside, passes = [False], []
+
+    def count(phase, info):
+        if inside[0]:
+            passes.append(phase)
+
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    gc.callbacks.append(count)
+    try:
+        for code, argv in commands:
+            inside[0] = True
+            try:
+                assert main(argv) == code
+            except SystemExit:
+                assert code == "help"
+            finally:
+                inside[0] = False
+            assert gc.isenabled() is collecting, argv
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if before else gc.disable)()
+    assert passes == []  # no collector pass ran inside a command
+    capsys.readouterr()
 
 
 def test_the_argument_parser_is_built_once_per_process(paths, capsys, monkeypatch):

@@ -123,6 +123,31 @@ def test_equal_expressions_are_one_node():
         Atom("A").name = "B"
 
 
+def test_ill_formed_constructor_fields_raise_model_error():
+    price = ConcretePredicate(">", Quantity(Fraction(1), "u"))
+    calls = [
+        (lambda: Exists("r", "A"), "Exists: target must be"),
+        (lambda: Forall("r", price), "Forall: body must be"),
+        (lambda: And(Atom("A"), "B"), "And: parts must be"),
+        (lambda: Not("A"), "Not: body must be"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ModelError, match=f"^{message}"):
+            call()
+
+
+def test_a_new_connective_is_normalized_once(monkeypatch):
+    calls = []
+    new = model._Connective.__new__
+    monkeypatch.setattr(model._Connective, "__new__", lambda cls, *parts: calls.append(cls) or new(cls, *parts))
+    parts = [Atom(f"OnceNormalized{i}") for i in range(3)]
+    expr = And(*parts)
+    assert calls == [And]  # its dual is built from the parts' duals, not normalized again
+    dual = Not(expr)
+    assert type(dual) is Or and dual.parts == tuple(sorted(map(Not, parts), key=sort_key))
+    assert Or(*reversed(dual.parts)) is dual and Not(dual) is expr
+
+
 def test_pickle_and_deepcopy_return_the_interned_node():
     expr = And(Atom("A"), Exists("r", Or(Atom("B"), Not(Atom("C")))), Forall("s", TOP))
     assert pickle.loads(pickle.dumps(expr)) is expr
