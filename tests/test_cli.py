@@ -528,10 +528,13 @@ def test_main_leaves_the_cyclic_collector_as_it_found_it(collecting, paths, caps
         (4, ["explain", paths["fuzzy"], "-i", "tab_2", "-c", "LightweightTablet"]),
         ("help", ["--help"]),
     ]
-    inside, passes = [False], []
+    passes = []
 
-    def count(phase, info):
-        if inside[0]:
+    def count(phase, info):  # a pass that starts while main's frame is on the stack
+        frame = sys._getframe()
+        while frame is not None and frame.f_code is not main.__code__:
+            frame = frame.f_back
+        if frame is not None:
             passes.append(phase)
 
     before = gc.isenabled()
@@ -539,13 +542,10 @@ def test_main_leaves_the_cyclic_collector_as_it_found_it(collecting, paths, caps
     gc.callbacks.append(count)
     try:
         for code, argv in commands:
-            inside[0] = True
             try:
                 assert main(argv) == code
             except SystemExit:
                 assert code == "help"
-            finally:
-                inside[0] = False
             assert gc.isenabled() is collecting, argv
     finally:
         gc.callbacks.remove(count)
